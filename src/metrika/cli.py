@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from . import compare as compare_mod
 from . import polish, sampling, structures, synth, urysohn
@@ -54,6 +55,19 @@ def _seed(args) -> int:
 
 class SystemExit2(Exception):
     """Usage error surfaced with exit code 2."""
+
+
+class FileFormatError(Exception):
+    """Malformed input file, surfaced with exit code 3."""
+
+
+@contextmanager
+def _file_format(path):
+    """Report a ValueError raised while reading `path` as a format error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
 
 
 def _parse_assignment(text) -> dict:
@@ -155,6 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
+    if args.verb in ("audit", "genericity") and args.trials < 1:
+        raise SystemExit2(f"--trials must be at least 1, got {args.trials}")
     if args.verb == "eval":
         m = structures.load(args.structure)
         f = parse_formula(args.formula, m.sig)
@@ -267,7 +283,7 @@ def _run(args) -> int:
     if args.verb == "genericity":
         seed = _seed(args)
         spec = _measure_spec(args, seed)
-        with open(args.theta, encoding="utf-8") as fh:
+        with _file_format(args.theta), open(args.theta, encoding="utf-8") as fh:
             theta = urysohn.DistanceConfiguration.from_json(json.load(fh))
         n_values = [int(s) for s in args.n_values.split(",")]
         curve = sampling.genericity_frequency(
@@ -333,7 +349,8 @@ def _run(args) -> int:
     if args.verb == "report":
         if args.structure and args.configs:
             m = structures.load(args.structure)
-            configs = urysohn.load_configurations(args.configs)
+            with _file_format(args.configs):
+                configs = urysohn.load_configurations(args.configs)
             report = urysohn.extension_property_report(
                 m, parse_rational(args.eps), configs
             )
@@ -393,7 +410,7 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, FileFormatError) as exc:
         print(f"file/format error: {exc}", file=sys.stderr)
         return 3
     except MetrikaError as exc:

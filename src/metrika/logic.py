@@ -258,9 +258,6 @@ def _term_pos(f: Formula) -> str:
     return f"({s})"
 
 
-pretty_print = _pretty
-
-
 # ------------------------------------------------------------ conditions
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, product
 
 from .errors import (
     IndexOutOfPrefixError,
@@ -32,8 +33,6 @@ class IndexEntry:
 
 
 def _tuples_with_max(k: int, mx: int):
-    from itertools import product
-
     for tup in product(range(mx + 1), repeat=k):
         if (max(tup) if tup else 0) == mx:
             yield tup
@@ -140,16 +139,10 @@ class BorelPi2:
 
 
 def fair_tuples(n: int, k: int):
-    """All tuples over {0..n-1}^k ordered by max coordinate, then lex."""
-    if k == 0:
-        yield ()
-        return
-    from itertools import product
-
-    for mx in range(n):
-        for tup in product(range(mx + 1), repeat=k):
-            if max(tup) == mx:
-                yield tup
+    """All tuples over {0..n-1}^k ordered by max coordinate, then lex
+    (for k = 0, the single empty tuple)."""
+    for mx in range(n if k else 1):
+        yield from _tuples_with_max(k, mx)
 
 
 @dataclass(frozen=True)
@@ -170,8 +163,6 @@ def pi2_depth_membership(
     """
     if mode not in ("finite", "prefix"):
         raise ValueError(f"unknown mode: {mode}")
-    from itertools import islice, product
-
     for outer in islice(fair_tuples(m.n, len(b.outer_vars)), depth):
         asg = dict(zip(b.outer_vars, outer))
         witnessed = False

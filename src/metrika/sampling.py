@@ -18,7 +18,13 @@ from .errors import RejectionBudgetExceededError
 from .evaluation import evaluate
 from .logic import Formula
 from .rationals import ONE, ZERO
-from .structures import PresentedStructure, extend_with_distances, from_distance_matrix
+from .structures import (
+    PresentedStructure,
+    admissible,
+    admissible_interval,
+    extend_with_distances,
+    from_distance_matrix,
+)
 from .urysohn import DistanceConfiguration, extension_property_report
 
 DEFAULT_GRID = Fraction(1, 2**16)
@@ -55,21 +61,14 @@ def sample_one_point(
     n = m.n
     if spec.kind == "sequential":
         s: list[Fraction] = []
-        for i in range(n):
-            lo = max([ZERO] + [abs(s[j] - m.d(i, j)) for j in range(i)])
-            hi = min([ONE] + [s[j] + m.d(i, j) for j in range(i)])
-            s.append(_grid_uniform(lo, hi, spec.grid, rng))
+        for _ in range(n):
+            s.append(_grid_uniform(*admissible_interval(m.d, s), spec.grid, rng))
         return extend_with_distances(m, s, note={"sampler": "sequential"})
     # rejection: uniform on the new point's admissible polytope
     steps = int(ONE / spec.grid)
     for _ in range(spec.max_tries):
         s = [rng.randint(0, steps) * spec.grid for _ in range(n)]
-        ok = all(
-            abs(s[i] - s[j]) <= m.d(i, j) <= s[i] + s[j]
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
-        if ok:
+        if admissible(m.d, s):
             return extend_with_distances(m, s, note={"sampler": "rejection"})
     raise RejectionBudgetExceededError(
         f"no acceptance within {spec.max_tries} proposals"
@@ -107,17 +106,15 @@ def sample_space(n: int, spec: MeasureSpec, rng: random.Random | None = None):
 
 
 def _is_metric_int(draw, n) -> bool:
-    def g(i, j):
-        return draw[(i, j)] if i < j else draw[(j, i)]
+    """Whether the draw (keyed by pairs i < j) is a metric: each point's
+    row is admissible over the points before it."""
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            dij = g(i, j)
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                if dij > g(i, k) + g(j, k):
-                    return False
+    def d(i, j):
+        return draw[(i, j)]
+
+    for k in range(2, n):
+        if not admissible(d, [draw[(i, k)] for i in range(k)]):
+            return False
     return True
 
 

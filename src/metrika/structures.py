@@ -96,51 +96,96 @@ def from_distance_matrix(rows, sig: Signature | None = None) -> PresentedStructu
 
 def validate(m: PresentedStructure) -> ValidationReport:
     """Exhaustively check the pre-structure axioms; never raises."""
-    violations: list[Violation] = []
+    violations = tuple(_violations(m, 0))
+    d = m.tables["d"]
+    is_metric = all(
+        d[(i, j)] > 0 for i in range(m.n) for j in range(m.n) if i != j
+    )
+    return ValidationReport(not violations, violations, is_metric)
+
+
+def _naming(m: PresentedStructure, arity: int, first_new: int):
+    """Tuples of `arity` points naming a point >= first_new, in lex order."""
+    return [t for t in m.tuples(arity) if max(t, default=-1) >= first_new]
+
+
+def _violations(m: PresentedStructure, first_new: int):
+    """Axiom violations among the tuples naming a point >= first_new, in
+    validate's order.  The checks of one extension of a metric prefix by a
+    single point (first_new = n - 1) cost O(n^2)."""
     n = m.n
+    new = range(first_new, n)
     for rel in m.sig.relations:
         table = m.tables[rel.name]
-        for tup, v in table.items():
+        for tup in _naming(m, rel.arity, first_new):
+            v = table[tup]
             if not ZERO <= v <= ONE:
-                violations.append(Violation("range", (rel.name,) + tup, v, ONE))
+                yield Violation("range", (rel.name,) + tup, v, ONE)
     d = m.tables["d"]
-    for i in range(n):
+    for i in new:
         if d[(i, i)] != 0:
-            violations.append(Violation("reflexivity", (i,), d[(i, i)], ZERO))
+            yield Violation("reflexivity", (i,), d[(i, i)], ZERO)
     for i in range(n):
-        for j in range(i + 1, n):
+        for j in range(max(i + 1, first_new), n):
             if d[(i, j)] != d[(j, i)]:
-                violations.append(Violation("symmetry", (i, j), d[(i, j)], d[(j, i)]))
+                yield Violation("symmetry", (i, j), d[(i, j)], d[(j, i)])
     for i in range(n):
         for j in range(n):
-            for k in range(n):
-                if d[(i, k)] > d[(i, j)] + d[(j, k)]:
-                    violations.append(
-                        Violation("triangle", (i, j, k), d[(i, k)], d[(i, j)] + d[(j, k)])
-                    )
+            dij = d[(i, j)]
+            for k in (range(n) if i >= first_new or j >= first_new else new):
+                if d[(i, k)] > dij + d[(j, k)]:
+                    yield Violation("triangle", (i, j, k), d[(i, k)], dij + d[(j, k)])
     # Lipschitz bounds for the non-metric relations.  The metric's own
     # continuity is exactly symmetry + triangle (a 1-Lipschitz-in-max bound
     # would wrongly reject valid metric spaces), so d is skipped here.
     for rel in m.sig.relations[1:]:
         table = m.tables[rel.name]
-        for u in m.tuples(rel.arity):
-            for v in m.tuples(rel.arity):
+        every = list(m.tuples(rel.arity))
+        fresh = _naming(m, rel.arity, first_new)
+        for u in every:
+            tu = table[u]
+            for v in (every if max(u, default=-1) >= first_new else fresh):
                 if u >= v:
                     continue
-                gap = max((d[(a, b)] for a, b in zip(u, v)), default=ZERO)
-                if abs(table[u] - table[v]) > rel.lipschitz * gap:
-                    violations.append(
-                        Violation(
-                            "lipschitz",
-                            (rel.name, u, v),
-                            abs(table[u] - table[v]),
-                            rel.lipschitz * gap,
-                        )
+                gap = max(map(d.__getitem__, zip(u, v)))
+                if abs(tu - table[v]) > rel.lipschitz * gap:
+                    yield Violation(
+                        "lipschitz",
+                        (rel.name, u, v),
+                        abs(tu - table[v]),
+                        rel.lipschitz * gap,
                     )
-    is_metric = all(
-        d[(i, j)] > 0 for i in range(n) for j in range(n) if i != j
-    )
-    return ValidationReport(not violations, tuple(violations), is_metric)
+
+
+# ------------------------------------------------------- admissibility
+
+
+def admissible(d, s) -> bool:
+    """Whether s is an admissible distance row for a new point over a base
+    with lookup d(i, j), i < j: |s_i - s_j| <= d(i, j) <= s_i + s_j for
+    every i < j.  This is the Katetov condition; with the s_i in [0, 1] it
+    is exactly the triangle inequality on every triple naming the new point.
+    """
+    for j in range(1, len(s)):
+        sj = s[j]
+        for i in range(j):
+            r = d(i, j)
+            if abs(s[i] - sj) > r or r > s[i] + sj:
+                return False
+    return True
+
+
+def admissible_interval(d, s) -> tuple[Fraction, Fraction]:
+    """The values t in [0, 1] for which the row s + [t] stays admissible
+    over d, given that s is: [max_j |s_j - d(j, i)|, min_j (s_j + d(j, i))]
+    cut to [0, 1], where i = len(s) and j < i.  Empty when lo > hi."""
+    i = len(s)
+    lo, hi = ZERO, ONE
+    for j in range(i):
+        r = d(j, i)
+        lo = max(lo, abs(s[j] - r))
+        hi = min(hi, s[j] + r)
+    return lo, hi
 
 
 # -------------------------------------------------------------- extension
@@ -160,7 +205,12 @@ def metric_rows(dists) -> Tables:
 def extend_point(
     m: PresentedStructure, rows: Tables, note=None
 ) -> PresentedStructure:
-    """Add point n; ``rows`` must give every tuple mentioning it."""
+    """Add point n; ``rows`` must give every tuple mentioning it.
+
+    The prefix m is assumed valid: only the tuples naming the new point
+    are checked, at O(n^2) cost for a metric-only structure.  On failure
+    the raised error carries the full ``validate`` report of the result.
+    """
     n = m.n
     tables: Tables = {}
     for rel in m.sig.relations:
@@ -174,9 +224,8 @@ def extend_point(
         tables[rel.name] = new_table
     record = {"point": n, "note": note}
     out = PresentedStructure(m.sig, n + 1, tables, m.provenance_log + (record,))
-    report = validate(out)
-    if not report.ok:
-        raise ExtensionViolatesAxiomsError(report)
+    if next(_violations(out, n), None) is not None:
+        raise ExtensionViolatesAxiomsError(validate(out))
     return out
 
 

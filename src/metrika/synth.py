@@ -28,10 +28,9 @@ from .logic import (
     metric_signature,
     parse_condition,
 )
-from .rationals import ONE, ZERO, format_rational, parse_rational
-from .structures import PresentedStructure, extend_with_distances
+from .rationals import ONE, ZERO
+from .structures import PresentedStructure, admissible, extend_with_distances
 from .urysohn import (
-    DistanceConfiguration,
     all_configurations,
     config_error,
     delta_for,
@@ -59,15 +58,6 @@ _GRAPH_CONDITIONS = _METRIC_CONDITIONS + (
 
 
 @dataclass
-class ConfigRealization:
-    theta: DistanceConfiguration
-    eps: Fraction
-    status: str = "pending"
-
-    kind = "config"
-
-
-@dataclass
 class InfRealization:
     phi: Formula
     params: tuple[int, ...]
@@ -77,9 +67,6 @@ class InfRealization:
     status: str = "pending"
 
     kind = "inf"
-
-
-ExtensionTask = ConfigRealization | InfRealization
 
 
 @dataclass(frozen=True)
@@ -112,33 +99,6 @@ def graph_spec(max_size=3) -> TheorySpec:
     sig = graph_signature()
     conds = tuple(parse_condition(s, sig) for s in _GRAPH_CONDITIONS)
     return TheorySpec("graph", sig, conds, max_size=max_size)
-
-
-def spec_to_json(spec: TheorySpec, budget=None) -> dict:
-    obj = {
-        "name": spec.name,
-        "conditions": [c.pretty() for c in spec.universal_conditions],
-        "grid": format_rational(spec.config_grid),
-        "eps": format_rational(spec.eps),
-        "config_sizes": list(spec.config_sizes),
-        "max_size": spec.max_size,
-    }
-    if budget is not None:
-        obj["budget"] = budget
-    return obj
-
-
-def spec_from_json(obj: dict) -> TheorySpec:
-    name = obj["name"]
-    if name == "empty-metric":
-        return empty_metric_spec(
-            config_sizes=tuple(obj.get("config_sizes", (2, 3))),
-            config_grid=parse_rational(obj.get("grid", "1/4")),
-            eps=parse_rational(obj.get("eps", "1/8")),
-        )
-    if name == "graph":
-        return graph_spec(max_size=int(obj.get("max_size", 3)))
-    raise MetrikaError(f"unsupported theory: {name}")
 
 
 # ----------------------------------------------------------- seed helpers
@@ -244,13 +204,13 @@ def _off_task_grid(value, config_grid, delta):
 def _metric_witness(m, theta, pts, eps, delta, config_grid, grid, rng):
     """Distance vector for the new point realizing theta within eps.
 
-    The vector is produced by katetov_witness on an augmented configuration
-    anchored at *every* point of m, which realizes any admissible vector
-    exactly.  All distances are steered onto half-grid levels that sit more
-    than delta away from the task grid: tuples through the new point then
-    never re-trigger obligations, so the worklist provably drains and the
-    closure is a finite fixpoint.  If no steered vector is admissible (off
-    the default grids) we fall back to the plain repaired witness.
+    An admissible vector is its own Katetov witness anchored at *every*
+    point of m (with zero slack), so it is returned as is.  All distances
+    are steered onto half-grid levels that sit more than delta away from
+    the task grid: tuples through the new point then never re-trigger
+    obligations, so the worklist provably drains and the closure is a
+    finite fixpoint.  If no steered vector is admissible (off the default
+    grids) we fall back to the plain repaired witness.
     """
     k = theta.n - 1
     if m.n == 0:
@@ -269,13 +229,11 @@ def _metric_witness(m, theta, pts, eps, delta, config_grid, grid, rng):
         rng.shuffle(cands)
         return cands
 
+    def anchor_d(a, b):
+        return m.d(pts[a], pts[b])
+
     for combo in product(*(anchor_candidates(t) for t in targets)):
-        ok = all(
-            abs(combo[a] - combo[b]) <= m.d(pts[a], pts[b]) <= combo[a] + combo[b]
-            for a in range(k)
-            for b in range(a + 1, k)
-        )
-        if not ok:
+        if not admissible(anchor_d, combo):
             continue
         s = []
         for x in range(m.n):
@@ -289,18 +247,8 @@ def _metric_witness(m, theta, pts, eps, delta, config_grid, grid, rng):
             continue
         if any(abs(s[pts[a]] - targets[a]) > eps for a in range(k)):
             continue
-        poly_ok = all(
-            abs(s[x] - s[y]) <= m.d(x, y) <= s[x] + s[y]
-            for x in range(m.n)
-            for y in range(x + 1, m.n)
-        )
-        if not poly_ok:
-            continue
-        rows = tuple(
-            tuple(m.d(i, j) for j in range(m.n)) + (s[i],) for i in range(m.n)
-        ) + (tuple(s) + (ZERO,),)
-        aug = DistanceConfiguration(rows)
-        return katetov_witness(m, aug, tuple(range(m.n)), ZERO)
+        if admissible(m.d, s):
+            return tuple(s)
     return katetov_witness(m, theta, pts, delta)
 
 

@@ -32,7 +32,7 @@ from .logic import (
     max_of,
 )
 from .rationals import ONE, ZERO, format_rational, parse_rational
-from .structures import PresentedStructure
+from .structures import PresentedStructure, admissible, admissible_interval
 
 
 @dataclass(frozen=True)
@@ -54,13 +54,17 @@ class DistanceConfiguration:
                     raise ValueError(f"entry ({i},{j}) outside [0,1]")
                 if self.r[i][j] != self.r[j][i]:
                     raise ValueError(f"asymmetric at ({i},{j})")
-                for k in range(n):
-                    if self.r[i][k] > self.r[i][j] + self.r[j][k]:
-                        raise ValueError(f"triangle violated at ({i},{j},{k})")
+        # the triangle inequality: each row is admissible over its prefix
+        for k in range(n):
+            if not admissible(self.d, self.r[k][:k]):
+                raise ValueError(f"triangle violated by point {k}")
 
     @property
     def n(self) -> int:
         return len(self.r)
+
+    def d(self, i: int, j: int) -> Fraction:
+        return self.r[i][j]
 
     @staticmethod
     def from_rows(rows) -> "DistanceConfiguration":
@@ -130,12 +134,7 @@ class AdmissiblePolytope:
             return False
         if any(not ZERO <= v <= ONE for v in s):
             return False
-        r = self.base.r
-        for i in range(len(s)):
-            for j in range(i + 1, len(s)):
-                if abs(s[i] - s[j]) > r[i][j] or r[i][j] > s[i] + s[j]:
-                    return False
-        return True
+        return admissible(self.base.d, s)
 
 
 def admissible_bounds(base: DistanceConfiguration, partial) -> tuple[Fraction, Fraction]:
@@ -148,17 +147,12 @@ def admissible_bounds(base: DistanceConfiguration, partial) -> tuple[Fraction, F
     i = len(partial)
     if i >= base.n:
         raise SizeMismatchError("partial vector already covers the base")
-    r = base.r
     for a in range(i):
         if not ZERO <= partial[a] <= ONE:
             raise PartialInfeasibleError(f"s_{a + 1} = {partial[a]} outside [0,1]")
-        for b in range(a + 1, i):
-            if abs(partial[a] - partial[b]) > r[a][b] or r[a][b] > partial[a] + partial[b]:
-                raise PartialInfeasibleError(
-                    f"coordinates {a + 1},{b + 1} violate the polytope constraints"
-                )
-    lo = max([ZERO] + [abs(partial[j] - r[i][j]) for j in range(i)])
-    hi = min([ONE] + [partial[j] + r[i][j] for j in range(i)])
+    if not admissible(base.d, partial):
+        raise PartialInfeasibleError("partial vector violates the polytope constraints")
+    lo, hi = admissible_interval(base.d, partial)
     if lo > hi:
         raise PartialInfeasibleError("empty interval: partial vector infeasible")
     return lo, hi
@@ -314,14 +308,10 @@ def all_configurations(n: int, denominator: int, include_zero=False):
         rows = [[ZERO] * n for _ in range(n)]
         for (i, j), v in zip(pairs, values):
             rows[i][j] = rows[j][i] = v
-        ok = all(
-            rows[i][k] <= rows[i][j] + rows[j][k]
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-        )
-        if ok:
-            out.append(DistanceConfiguration.from_rows(rows))
+        try:
+            out.append(DistanceConfiguration(tuple(map(tuple, rows))))
+        except ValueError:  # breaks the triangle inequality
+            pass
     return out
 
 

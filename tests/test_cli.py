@@ -181,6 +181,48 @@ class TestSampleAuditGenericity:
         assert lines[0] == "n,frequency" and len(lines) == 3
 
 
+    @pytest.mark.parametrize("verb", ["audit", "genericity"])
+    def test_zero_trials_usage_error(self, verb, tmp_path, capsys):
+        theta_path = tmp_path / "theta.json"
+        theta_path.write_text(json.dumps([["0", "1/2"], ["1/2", "0"]]))
+        args = {
+            "audit": ["audit", "--kind", "rejection", "--n", "3",
+                      "--formula", "d(x,y)"],
+            "genericity": ["genericity", "--theta", str(theta_path),
+                           "--n-values", "3"],
+        }[verb]
+        code = cli.main(args + ["--trials", "0", "--eps", "1/2", "--seed", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("usage error:") and len(err.splitlines()) == 1
+
+
+BAD_TRIANGLE = [["0", "1", "1/4"], ["1", "0", "1/4"], ["1/4", "1/4", "0"]]
+
+
+class TestConfigurationFiles:
+    def test_theta_breaking_triangle_is_format_error(self, tmp_path, capsys):
+        theta_path = tmp_path / "theta.json"
+        theta_path.write_text(json.dumps(BAD_TRIANGLE))
+        code = cli.main(
+            ["genericity", "--theta", str(theta_path), "--eps", "1/4",
+             "--n-values", "3", "--trials", "2", "--seed", "0"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("file/format error:") and len(err.splitlines()) == 1
+
+    def test_configs_breaking_triangle_is_format_error(self, two_point, tmp_path,
+                                                      capsys):
+        cfg_path = tmp_path / "configs.json"
+        cfg_path.write_text(json.dumps([BAD_TRIANGLE]))
+        code = cli.main(
+            ["report", "--structure", two_point, "--configs", str(cfg_path),
+             "--eps", "1/8"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("file/format error:") and len(err.splitlines()) == 1
+
+
 class TestCompareEncode:
     def test_compare_identity_success(self, two_point, capsys):
         code, out = run(

@@ -1,12 +1,17 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metrika.errors import ExtensionViolatesAxiomsError, QuotientIllDefinedError
 from metrika.logic import graph_signature, parse_formula
+from metrika.urysohn import DistanceConfiguration
 from metrika.evaluation import evaluate
+from metrika.sampling import _is_metric_int
 from metrika.structures import (
     PresentedStructure,
+    admissible,
+    admissible_interval,
     extend_with_distances,
     from_distance_matrix,
     from_json,
@@ -141,3 +146,112 @@ class TestJson:
         m = from_distance_matrix([[0, F(1, 3)], [F(1, 3), 0]])
         obj = to_json(m)
         assert obj["tables"]["d"][0][1] == "1/3"
+
+
+# ------------------------------------------------------ admissibility kernel
+
+QUARTERS = st.integers(0, 4).map(lambda k: F(k, 4))
+
+
+@st.composite
+def symmetric_matrices(draw, max_n=5):
+    """Symmetric, zero-diagonal matrices on the 1/4 grid; often not metric."""
+    n = draw(st.integers(1, max_n))
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(QUARTERS)
+    return rows
+
+
+def _metric_closure(rows):
+    n = len(rows)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                rows[i][j] = min(rows[i][j], rows[i][k] + rows[k][j])
+    return rows
+
+
+def _all_triples_ok(rows):
+    n = len(rows)
+    return all(
+        rows[i][k] <= rows[i][j] + rows[j][k]
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+    )
+
+
+@given(symmetric_matrices())
+@settings(max_examples=300)
+def test_configuration_accepts_exactly_the_metric_matrices(rows):
+    try:
+        DistanceConfiguration.from_rows(rows)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == _all_triples_ok(rows)
+
+
+@given(symmetric_matrices(), st.lists(QUARTERS, min_size=5, max_size=5))
+@settings(max_examples=300)
+def test_extension_checks_agree_with_full_validation(rows, row):
+    rows = _metric_closure(rows)
+    n = len(rows)
+    s = row[:n]
+    m = from_distance_matrix(rows)
+    out = from_distance_matrix(
+        [rows[i] + [s[i]] for i in range(n)] + [s + [F(0)]]
+    )
+    expected = validate(out)
+    assert admissible(m.d, s) == expected.ok
+    try:
+        extend_with_distances(m, s)
+    except ExtensionViolatesAxiomsError as exc:
+        assert not expected.ok
+        assert exc.report == expected
+    else:
+        assert expected.ok
+
+
+@given(symmetric_matrices(), st.lists(QUARTERS, min_size=5, max_size=5))
+@settings(max_examples=200)
+def test_interval_is_the_set_of_admissible_next_values(rows, row):
+    rows = _metric_closure(rows)
+    m = from_distance_matrix(rows)
+    s = []
+    for i in range(len(rows)):
+        lo, hi = admissible_interval(m.d, s)
+        for k in range(5):
+            t = F(k, 4)
+            assert (lo <= t <= hi) == admissible(m.d, s + [t])
+        s.append(min(max(row[i], lo), hi))
+
+
+def _is_metric_by_triples(draw, n):
+    def g(i, j):
+        return draw[(i, j)] if i < j else draw[(j, i)]
+
+    return all(
+        g(i, j) <= g(i, k) + g(j, k)
+        for i in range(n)
+        for j in range(i + 1, n)
+        for k in range(n)
+        if k not in (i, j)
+    )
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(0, 4), min_size=n * (n - 1) // 2,
+                 max_size=n * (n - 1) // 2),
+    )
+))
+@settings(max_examples=300)
+def test_integer_metric_check_agrees_with_triple_scan(case):
+    n, values = case
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    draw = dict(zip(pairs, values))
+    assert _is_metric_int(draw, n) == _is_metric_by_triples(draw, n)
