@@ -63,11 +63,27 @@ class FileFormatError(Exception):
 
 @contextmanager
 def _file_format(path):
-    """Report a ValueError raised while reading `path` as a format error."""
+    """Report a ValueError or TypeError raised while reading `path` as a
+    format error."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise FileFormatError(f"{path}: {exc}") from None
+
+
+def _load(path):
+    with _file_format(path):
+        return structures.load(path)
+
+
+def _tolerance(text):
+    """An eps for the extension obligations: a rational in (0, 1]."""
+    if text is None:
+        raise SystemExit2("--eps is required")
+    eps = parse_rational(text)
+    if not 0 < eps <= 1:
+        raise SystemExit2(f"--eps must be in (0,1], got {text}")
+    return eps
 
 
 def _parse_assignment(text) -> dict:
@@ -76,9 +92,10 @@ def _parse_assignment(text) -> dict:
         return asg
     for part in text.split(","):
         name, _, idx = part.partition("=")
-        if not idx:
-            raise SystemExit2(f"bad assignment {part!r}, expected var=point")
-        asg[name.strip()] = int(idx)
+        try:
+            asg[name.strip()] = int(idx)
+        except ValueError:
+            raise SystemExit2(f"bad assignment {part!r}, expected var=point") from None
     return asg
 
 
@@ -171,15 +188,19 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> int:
     if args.verb in ("audit", "genericity") and args.trials < 1:
         raise SystemExit2(f"--trials must be at least 1, got {args.trials}")
+    if args.verb == "sample" and args.n < 1:
+        raise SystemExit2(f"--n must be at least 1, got {args.n}")
+    if args.verb == "encode" and args.k < 0:
+        raise SystemExit2(f"--k must be at least 0, got {args.k}")
     if args.verb == "eval":
-        m = structures.load(args.structure)
+        m = _load(args.structure)
         f = parse_formula(args.formula, m.sig)
         value = evaluate(f, m, _parse_assignment(args.assign))
         print(format_rational(value))
         return 0
 
     if args.verb == "check":
-        m = structures.load(args.structure)
+        m = _load(args.structure)
         c = parse_condition(args.condition, m.sig)
         result = check_condition(c, m, mode=args.mode)
         obj = {
@@ -194,7 +215,7 @@ def _run(args) -> int:
         return 0 if result.status == "holds" else 1
 
     if args.verb == "validate":
-        m = structures.load(args.structure)
+        m = _load(args.structure)
         report = structures.validate(m)
         obj = {
             "verb": "validate",
@@ -221,7 +242,7 @@ def _run(args) -> int:
             spec = synth.empty_metric_spec(
                 config_sizes=tuple(int(s) for s in args.config_sizes.split(",")),
                 config_grid=parse_rational(args.config_grid),
-                eps=parse_rational(args.eps),
+                eps=_tolerance(args.eps),
             )
             start = synth.metric_seed(1)
         else:
@@ -287,7 +308,7 @@ def _run(args) -> int:
             theta = urysohn.DistanceConfiguration.from_json(json.load(fh))
         n_values = [int(s) for s in args.n_values.split(",")]
         curve = sampling.genericity_frequency(
-            spec, theta, parse_rational(args.eps), n_values, args.trials
+            spec, theta, _tolerance(args.eps), n_values, args.trials
         )
         obj = {
             "verb": "genericity",
@@ -305,8 +326,8 @@ def _run(args) -> int:
         return 0
 
     if args.verb == "compare":
-        a = structures.load(args.a)
-        b = structures.load(args.b)
+        a = _load(args.a)
+        b = _load(args.b)
         result = compare_mod.back_and_forth(
             a, b, parse_rational(args.eps), args.depth, node_budget=args.node_budget
         )
@@ -320,7 +341,7 @@ def _run(args) -> int:
         return 0 if result.status == "success" else 1
 
     if args.verb == "encode":
-        m = structures.load(args.structure)
+        m = _load(args.structure)
         code = polish.encode(m, args.k)
         obj = {
             "verb": "encode",
@@ -348,12 +369,11 @@ def _run(args) -> int:
 
     if args.verb == "report":
         if args.structure and args.configs:
-            m = structures.load(args.structure)
+            eps = _tolerance(args.eps)
+            m = _load(args.structure)
             with _file_format(args.configs):
                 configs = urysohn.load_configurations(args.configs)
-            report = urysohn.extension_property_report(
-                m, parse_rational(args.eps), configs
-            )
+            report = urysohn.extension_property_report(m, eps, configs)
             obj = {
                 "verb": "report",
                 "version": REPORT_VERSION,

@@ -15,7 +15,11 @@ ONE = Fraction(1)
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q", an integer, or an exact decimal literal ("0.25")."""
+    """Parse "p/q", an integer, or an exact decimal literal ("0.25").
+
+    Only strings are accepted: a JSON number is not an exact literal."""
+    if not isinstance(text, str):
+        raise ValueError(f"not a rational literal: {text!r} is not a string")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -25,7 +25,7 @@ from .structures import (
     extend_with_distances,
     from_distance_matrix,
 )
-from .urysohn import DistanceConfiguration, extension_property_report
+from .urysohn import DistanceConfiguration, extension_obligations, realized
 
 DEFAULT_GRID = Fraction(1, 2**16)
 
@@ -199,8 +199,7 @@ def genericity_frequency(
         for t_idx in range(trials):
             rng = trial_rng(spec.seed, "genericity", n, t_idx)
             m = sample_space(n, spec, rng)
-            report = extension_property_report(m, eps, [theta])
-            if report.ok:
-                good += 1
+            obligations = extension_obligations(m, [theta], eps)
+            good += all(realized(theta, m, pts, eps) for _, pts in obligations)
         curve.append((n, good / trials))
     return curve

@@ -1,21 +1,26 @@
 """Finite-budget existentially-closed chain construction.
 
-The countable chain argument collapses to a fair worklist over extension
-obligations: for the empty metric theory the obligations are distance
-configurations to realize (via the Katetov witness), for graphs the
-classical (A, B) extension axioms over the discrete metric encoding.
-Seeds are preserved as bit-identical prefixes.
+The countable chain argument collapses to a budgeted search over extension
+obligations, and each theory carries its own closure (`TheorySpec.close`).
+For the empty metric theory the obligations are distance configurations to
+realize (via the Katetov witness); they come from
+`urysohn.extension_obligations` and drain as a FIFO queue that only gains
+the tuples through each new point.  For graphs they are the classical
+(A, B) extension axioms over the discrete metric encoding, rescanned over
+every subset pass by pass until a pass adds no vertex or the budget is
+spent.  Seeds are preserved as bit-identical prefixes.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count, product
 
-from .errors import MetrikaError, NotAPrefixError, SeedViolatesTheoryError
+from .errors import NotAPrefixError, SeedViolatesTheoryError
 from .evaluation import check_condition, evaluate
 from .logic import (
     Atom,
@@ -32,10 +37,10 @@ from .rationals import ONE, ZERO
 from .structures import PresentedStructure, admissible, extend_with_distances
 from .urysohn import (
     all_configurations,
-    config_error,
     delta_for,
+    extension_obligations,
     katetov_witness,
-    restrict,
+    realized,
 )
 
 HALF = Fraction(1, 2)
@@ -64,14 +69,11 @@ class InfRealization:
     eps: Fraction
     a: tuple[int, ...] = ()
     b: tuple[int, ...] = ()
-    status: str = "pending"
-
-    kind = "inf"
 
 
 @dataclass(frozen=True)
 class TheorySpec:
-    name: str  # "empty-metric" | "graph" | "custom"
+    close: Callable[..., PresentedStructure]  # (seed, spec, budget, grid, rng_seed)
     sig: Signature
     universal_conditions: tuple[Condition, ...]
     config_sizes: tuple[int, ...] = ()
@@ -86,7 +88,7 @@ def empty_metric_spec(
     sig = metric_signature()
     conds = tuple(parse_condition(s, sig) for s in _METRIC_CONDITIONS)
     return TheorySpec(
-        "empty-metric",
+        _ec_close_metric,
         sig,
         conds,
         config_sizes=tuple(config_sizes),
@@ -98,7 +100,7 @@ def empty_metric_spec(
 def graph_spec(max_size=3) -> TheorySpec:
     sig = graph_signature()
     conds = tuple(parse_condition(s, sig) for s in _GRAPH_CONDITIONS)
-    return TheorySpec("graph", sig, conds, max_size=max_size)
+    return TheorySpec(_ec_close_graph, sig, conds, max_size=max_size)
 
 
 # ----------------------------------------------------------- seed helpers
@@ -149,11 +151,7 @@ def ec_close(
             raise SeedViolatesTheoryError(f"seed violates: {cond.pretty()}")
     if budget <= 0:
         return seed
-    if spec.name == "empty-metric":
-        return _ec_close_metric(seed, spec, budget, Fraction(grid), rng_seed)
-    if spec.name == "graph":
-        return _ec_close_graph(seed, spec, budget, rng_seed)
-    raise MetrikaError(f"unsupported theory: {spec.name}")
+    return spec.close(seed, spec, budget, Fraction(grid), rng_seed)
 
 
 def _ec_close_metric(seed, spec, budget, grid, rng_seed):
@@ -164,33 +162,20 @@ def _ec_close_metric(seed, spec, budget, grid, rng_seed):
     configs = []
     for size in spec.config_sizes:
         configs.extend(all_configurations(size, denom))
-    bases = [restrict(theta) for theta in configs]
 
     m = seed
-    queue: deque[tuple[int, tuple[int, ...]]] = deque()
-
-    def enqueue_for_points(new_from: int):
-        # tuples of anchors containing at least one point >= new_from
-        for t_idx, theta in enumerate(configs):
-            k = theta.n - 1
-            for pts in product(range(m.n), repeat=k):
-                if new_from > 0 and all(p < new_from for p in pts):
-                    continue
-                if config_error(bases[t_idx], m, pts) <= delta:
-                    queue.append((t_idx, pts))
-
-    enqueue_for_points(0)
+    queue = deque(extension_obligations(m, configs, eps))
     dequeued = 0
     while queue and dequeued < budget:
         t_idx, pts = queue.popleft()
         dequeued += 1
         theta = configs[t_idx]
-        if any(config_error(theta, m, pts + (y,)) <= eps for y in range(m.n)):
+        if realized(theta, m, pts, eps):
             continue
         h = _metric_witness(m, theta, pts, eps, delta, spec.config_grid, grid, rng)
         old_n = m.n
         m = extend_with_distances(m, h, note={"task": t_idx, "tuple": pts})
-        enqueue_for_points(old_n)
+        queue.extend(extension_obligations(m, configs, eps, first_new=old_n))
     return m
 
 
@@ -252,7 +237,7 @@ def _metric_witness(m, theta, pts, eps, delta, config_grid, grid, rng):
     return katetov_witness(m, theta, pts, delta)
 
 
-def _ec_close_graph(seed, spec, budget, rng_seed):
+def _ec_close_graph(seed, spec, budget, grid, rng_seed):
     rng = random.Random(rng_seed)
     n = seed.n
     r_table = seed.tables["R"]
@@ -264,16 +249,14 @@ def _ec_close_graph(seed, spec, budget, rng_seed):
                 adj[i] |= 1 << j
     provenance = list(seed.provenance_log)
     dequeued = 0
-    exhausted = False
     changed = True
-    while changed and not exhausted:
+    while changed:
         changed = False
         for size in range(1, spec.max_size + 1):
             for subset in combinations(range(n), size):
                 for split in range(1 << size):
                     if dequeued >= budget:
-                        exhausted = True
-                        break
+                        return _graph_structure(seed.sig, n, adj, provenance)
                     dequeued += 1
                     a_bits = 0
                     b_bits = 0
@@ -300,10 +283,6 @@ def _ec_close_graph(seed, spec, budget, rng_seed):
                     )
                     n += 1
                     changed = True
-                if exhausted:
-                    break
-            if exhausted:
-                break
     return _graph_structure(seed.sig, n, adj, provenance)
 
 

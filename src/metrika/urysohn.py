@@ -104,6 +104,34 @@ def config_error(
     return err
 
 
+def extension_obligations(m: PresentedStructure, configs, eps, first_new: int = 0):
+    """Every (theta_index, pts) whose anchor tuple pts realizes theta's
+    restriction within delta_for(eps), configuration-major with tuples in
+    product order.  With first_new > 0, only the tuples naming a point
+    >= first_new (so never the empty tuple).  Configurations that share a
+    restriction share one scan of the tuples."""
+    delta = delta_for(eps)
+    anchors: dict = {}
+    for t_idx, theta in enumerate(configs):
+        k = theta.n - 1
+        key = (k, tuple(row[:k] for row in theta.r[:k]))
+        if key not in anchors:
+            base = restrict(theta)
+            anchors[key] = [
+                pts
+                for pts in product(range(m.n), repeat=k)
+                if (not first_new or any(p >= first_new for p in pts))
+                and config_error(base, m, pts) <= delta
+            ]
+        for pts in anchors[key]:
+            yield t_idx, pts
+
+
+def realized(theta: DistanceConfiguration, m: PresentedStructure, pts, eps) -> bool:
+    """Whether some point of m completes the anchors pts to theta within eps."""
+    return any(config_error(theta, m, (*pts, y)) <= eps for y in range(m.n))
+
+
 def config_formula(theta: DistanceConfiguration, var_names=None) -> Formula:
     """The configuration as a formula (max of |d(x_i,x_j) - r_ij|)."""
     names = var_names or tuple(f"x{i + 1}" for i in range(theta.n))
@@ -273,23 +301,14 @@ def extension_property_report(
     restriction within delta_for(eps): is some prefix point within eps of
     completing the configuration?"""
     eps = Fraction(eps)
-    delta = delta_for(eps)
-    satisfied = 0
+    configs = list(configs)
     total = 0
     failures: list[ExtensionFailure] = []
-    for t_idx, theta in enumerate(configs):
-        base = restrict(theta)
-        for pts in product(range(m.n), repeat=theta.n - 1):
-            if config_error(base, m, pts) > delta:
-                continue
-            total += 1
-            if any(
-                config_error(theta, m, pts + (y,)) <= eps for y in range(m.n)
-            ):
-                satisfied += 1
-            else:
-                failures.append(ExtensionFailure(t_idx, pts))
-    return ExtensionReport(satisfied, total, tuple(failures))
+    for t_idx, pts in extension_obligations(m, configs, eps):
+        total += 1
+        if not realized(configs[t_idx], m, pts, eps):
+            failures.append(ExtensionFailure(t_idx, pts))
+    return ExtensionReport(total - len(failures), total, tuple(failures))
 
 
 # --------------------------------------------------------- config corpora

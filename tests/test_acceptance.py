@@ -4,13 +4,16 @@ Ten end-to-end criteria covering the whole workbench: exact evaluation,
 interval soundness, one-point extension witnesses, existentially-closed
 synthesis for the empty metric theory and for graphs, approximate
 back-and-forth, the randomness campaigns, encoding stability, and oracle
-equivalences.  Each test prints a single PASS/FAIL line.
+equivalences.  Each test prints a single PASS/FAIL line.  The campaigns
+carry the `slow` marker: `pytest -m "not slow"` leaves them out.
 """
 
 import random
 from contextlib import contextmanager
 from fractions import Fraction as F
 from itertools import combinations, product
+
+import pytest
 
 from metrika import (
     MeasureSpec,
@@ -64,6 +67,8 @@ ONE = F(1)
 SIG = metric_signature()
 GRID_EIGHTHS = MeasureSpec(kind="sequential", grid=F(1, 8), seed=0)
 GRID_QUARTERS = MeasureSpec(kind="sequential", grid=F(1, 4), seed=0)
+
+pytestmark = pytest.mark.slow
 
 
 @contextmanager

@@ -200,6 +200,34 @@ class TestSampleAuditGenericity:
 BAD_TRIANGLE = [["0", "1", "1/4"], ["1", "0", "1/4"], ["1/4", "1/4", "0"]]
 
 
+def assert_one_line_error(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and len(err.splitlines()) == 1
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--structure", "{s}", "--formula", "d(x,y)",
+         "--assign", "x=a"],
+        ["report", "--structure", "{s}", "--configs", "{c}"],
+        ["report", "--structure", "{s}", "--configs", "{c}", "--eps", "0"],
+        ["synth", "--theory", "empty-metric", "--eps", "0", "--budget", "5",
+         "--seed", "0", "--out", "{o}"],
+        ["sample", "--n", "0", "--seed", "0", "--out", "{o}"],
+        ["encode", "--structure", "{s}", "--k", "-1"],
+    ], ids=["assign", "report-no-eps", "report-eps-0", "synth-eps-0",
+            "sample-n-0", "encode-k-negative"])
+    def test_misuse_is_usage_error(self, argv, two_point, tmp_path, capsys):
+        cfg_path = tmp_path / "configs.json"
+        cfg_path.write_text(json.dumps([[["0", "1/2"], ["1/2", "0"]]]))
+        paths = {"s": two_point, "c": str(cfg_path),
+                 "o": str(tmp_path / "out.json")}
+        code = cli.main([a.format(**paths) for a in argv])
+        assert code == 2
+        assert_one_line_error(capsys, "usage error:")
+        assert not (tmp_path / "out.json").exists()
+
+
 class TestConfigurationFiles:
     def test_theta_breaking_triangle_is_format_error(self, tmp_path, capsys):
         theta_path = tmp_path / "theta.json"
@@ -221,6 +249,39 @@ class TestConfigurationFiles:
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("file/format error:") and len(err.splitlines()) == 1
+
+    def test_numeric_theta_entries_are_format_error(self, tmp_path, capsys):
+        theta_path = tmp_path / "theta.json"
+        theta_path.write_text(json.dumps([[0, 1], [1, 0]]))
+        code = cli.main(
+            ["genericity", "--theta", str(theta_path), "--eps", "1/4",
+             "--n-values", "3", "--trials", "2", "--seed", "0"])
+        assert code == 3
+        assert_one_line_error(capsys, "file/format error:")
+
+    def test_configs_holding_one_matrix_is_format_error(self, two_point,
+                                                       tmp_path, capsys):
+        cfg_path = tmp_path / "configs.json"
+        cfg_path.write_text(json.dumps([[0, 1], [1, 0]]))
+        code = cli.main(
+            ["report", "--structure", two_point, "--configs", str(cfg_path),
+             "--eps", "1/8"])
+        assert code == 3
+        assert_one_line_error(capsys, "file/format error:")
+
+    @pytest.mark.parametrize("corrupt", ["points", "numeric-entry"])
+    def test_bad_structure_file_is_format_error(self, corrupt, two_point,
+                                                tmp_path, capsys):
+        data = json.loads(open(two_point).read())
+        if corrupt == "points":
+            data["points"] = 3
+        else:
+            data["tables"]["d"][0][1] = 0.5
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code = cli.main(["validate", "--structure", str(path)])
+        assert code == 3
+        assert_one_line_error(capsys, "file/format error:")
 
 
 class TestCompareEncode:

@@ -1,6 +1,7 @@
 """Tests for distance configurations and the Katetov repair witness."""
 
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +28,9 @@ from metrika import (
 from metrika.urysohn import (
     AdmissiblePolytope,
     config_formula,
+    extension_obligations,
     load_configurations,
+    realized,
     save_configurations,
 )
 
@@ -329,6 +332,44 @@ def test_report_json_shape():
     obj = extension_property_report(m, F(1, 8), [theta]).to_json()
     assert obj["satisfied"] == 0 and obj["total"] == 2
     assert obj["failures"][0] == {"theta_id": 0, "tuple": [0, 1]}
+
+
+@st.composite
+def obligation_instances(draw):
+    """A grid metric space, configurations of sizes 1-3 on the same grid
+    (so that restrictions often match), and a tolerance."""
+    denom = draw(st.sampled_from([2, 4]))
+    m = from_distance_matrix(draw(grid_configs(max_n=5, denom=denom)).r)
+    configs = draw(st.lists(grid_configs(max_n=3, denom=denom), max_size=6))
+    eps = draw(st.sampled_from([F(1, 8), F(1, 4), F(1, 2)]))
+    return m, configs, eps
+
+
+def brute_force_obligations(m, configs, eps, first_new):
+    delta = delta_for(eps)
+    out = []
+    for t_idx, theta in enumerate(configs):
+        for pts in product(range(m.n), repeat=theta.n - 1):
+            if first_new > 0 and all(p < first_new for p in pts):
+                continue
+            if config_error(restrict(theta), m, pts) <= delta:
+                out.append((t_idx, pts))
+    return out
+
+
+@given(obligation_instances())
+@settings(max_examples=300)
+def test_obligations_match_brute_force_scan(inst):
+    m, configs, eps = inst
+    for first_new in range(m.n + 1):
+        assert list(extension_obligations(m, configs, eps, first_new)) == (
+            brute_force_obligations(m, configs, eps, first_new)
+        )
+    for theta in configs:
+        for pts in product(range(m.n), repeat=theta.n - 1):
+            assert realized(theta, m, pts, eps) == any(
+                config_error(theta, m, pts + (y,)) <= eps for y in range(m.n)
+            )
 
 
 # ----------------------------------------------------------------- corpora
