@@ -86,6 +86,18 @@ def _tolerance(text):
     return eps
 
 
+def _int_list(text, option, least) -> list[int]:
+    """A comma list of integers, each at least `least`."""
+    try:
+        values = [int(s) for s in text.split(",")]
+    except ValueError:
+        msg = f"{option} must be a comma list of integers, got {text!r}"
+        raise SystemExit2(msg) from None
+    if min(values) < least:
+        raise SystemExit2(f"{option} values must be at least {least}, got {text}")
+    return values
+
+
 def _parse_assignment(text) -> dict:
     asg = {}
     if not text:
@@ -192,10 +204,20 @@ def _run(args) -> int:
         raise SystemExit2(f"--n must be at least 1, got {args.n}")
     if args.verb == "encode" and args.k < 0:
         raise SystemExit2(f"--k must be at least 0, got {args.k}")
+    if args.verb == "configs" and args.size < 1:
+        raise SystemExit2(f"--size must be at least 1, got {args.size}")
+    if args.verb == "compare" and args.depth < 1:
+        raise SystemExit2(f"--depth must be at least 1, got {args.depth}")
+    if args.verb == "report" and bool(args.structure) != bool(args.configs):
+        raise SystemExit2("report needs both --structure and --configs, or neither")
     if args.verb == "eval":
         m = _load(args.structure)
         f = parse_formula(args.formula, m.sig)
-        value = evaluate(f, m, _parse_assignment(args.assign))
+        asg = _parse_assignment(args.assign)
+        for name, point in asg.items():
+            if not 0 <= point < m.n:
+                raise SystemExit2(f"{name}={point} is not a point of 0..{m.n - 1}")
+        value = evaluate(f, m, asg)
         print(format_rational(value))
         return 0
 
@@ -240,7 +262,7 @@ def _run(args) -> int:
         seed = _seed(args)
         if args.theory == "empty-metric":
             spec = synth.empty_metric_spec(
-                config_sizes=tuple(int(s) for s in args.config_sizes.split(",")),
+                config_sizes=tuple(_int_list(args.config_sizes, "--config-sizes", 1)),
                 config_grid=parse_rational(args.config_grid),
                 eps=_tolerance(args.eps),
             )
@@ -288,6 +310,10 @@ def _run(args) -> int:
         # formula free variables range over sampled metric-only structures
         sig = synth.metric_seed(1).sig
         phi = parse_formula(args.formula, sig)
+        least = max(1, len(phi.free_variables()))
+        if args.n < least:
+            msg = f"--n must be at least {least} for {args.formula!r}, got {args.n}"
+            raise SystemExit2(msg)
         report = sampling.invariance_audit(
             spec, args.n, args.trials, phi, parse_rational(args.eps), sigma=args.sigma
         )
@@ -306,7 +332,7 @@ def _run(args) -> int:
         spec = _measure_spec(args, seed)
         with _file_format(args.theta), open(args.theta, encoding="utf-8") as fh:
             theta = urysohn.DistanceConfiguration.from_json(json.load(fh))
-        n_values = [int(s) for s in args.n_values.split(",")]
+        n_values = _int_list(args.n_values, "--n-values", max(1, theta.n))
         curve = sampling.genericity_frequency(
             spec, theta, _tolerance(args.eps), n_values, args.trials
         )
@@ -411,6 +437,8 @@ def _run(args) -> int:
 
 def _measure_spec(args, seed) -> sampling.MeasureSpec:
     grid = parse_rational(args.grid) if args.grid else sampling.DEFAULT_GRID
+    if not 0 < grid <= 1:
+        raise SystemExit2(f"--grid must be in (0,1], got {args.grid}")
     return sampling.MeasureSpec(kind=args.kind, grid=grid, seed=seed)
 
 

@@ -4,8 +4,10 @@ Two semantics live here: ``evaluate`` treats the prefix as the whole
 structure (quantifiers range over the n points, values are exact
 rationals), while ``evaluate_prefix_bounds`` returns an interval that is
 guaranteed to contain the formula's value in any structure whose dense
-presentation extends the prefix: an inf over the prefix only upper-bounds
-the true inf, and dually for sup.
+presentation extends the prefix.  Only the quantifier prefix widens the
+interval (an inf over the prefix only upper-bounds the true inf, and
+dually for sup); the quantifier-free matrix below it is valued exactly by
+the same evaluator ``evaluate`` uses.
 """
 
 from __future__ import annotations
@@ -129,39 +131,10 @@ def _bounds(f, m, asg):
         else:
             asg[f.var] = shadowed
         return lo, hi
-    if isinstance(f, Const):
-        return f.value, f.value
-    if isinstance(f, Atom):
-        v = _eval(f, m, asg)
-        return v, v
-    if isinstance(f, Min):
-        a, b = _bounds(f.left, m, asg)
-        c, d = _bounds(f.right, m, asg)
-        return min(a, c), min(b, d)
-    if isinstance(f, Max):
-        a, b = _bounds(f.left, m, asg)
-        c, d = _bounds(f.right, m, asg)
-        return max(a, c), max(b, d)
-    if isinstance(f, ScaleQ):
-        a, b = _bounds(f.operand, m, asg)
-        return f.factor * a, f.factor * b
-    if isinstance(f, Neg):
-        a, b = _bounds(f.operand, m, asg)
-        return ONE - b, ONE - a
-    if isinstance(f, DotMinus):
-        a, b = _bounds(f.left, m, asg)
-        c, d = _bounds(f.right, m, asg)
-        return max(ZERO, a - d), max(ZERO, b - c)
-    if isinstance(f, TruncPlus):
-        a, b = _bounds(f.left, m, asg)
-        c, d = _bounds(f.right, m, asg)
-        return min(ONE, a + c), min(ONE, b + d)
-    if isinstance(f, AbsDiff):
-        a, b = _bounds(f.left, m, asg)
-        c, d = _bounds(f.right, m, asg)
-        lo = ZERO if (a <= d and c <= b) else max(c - b, a - d)
-        return lo, max(d - a, b - c)
-    raise TypeError(f"not a formula node: {f!r}")
+    # below the prenex prefix the formula is quantifier free: its value is
+    # fixed by the prefix, so the interval is a single point
+    v = _eval(f, m, asg)
+    return v, v
 
 
 # ------------------------------------------------------ condition checks
@@ -176,35 +149,26 @@ class ConditionCheck:
         return self.status == "holds"
 
 
-HOLDS = ConditionCheck("holds")
-FAILS = ConditionCheck("fails")
-
-
 def check_condition(c: Condition, m: PresentedStructure, mode="finite") -> ConditionCheck:
-    """Decide a condition exactly (finite mode) or soundly (prefix mode)."""
+    """Decide a condition exactly (finite mode) or soundly (prefix mode).
+
+    The verdict is taken over an interval of possible values: it holds when
+    every value satisfies the relation, fails when none does, and is unknown
+    otherwise.  Finite mode decides the single point [v, v].
+    """
     if mode == "finite":
-        v = evaluate(c.formula, m)
-        if c.relation == "<=":
-            return HOLDS if v <= c.bound else FAILS
-        if c.relation == "<":
-            return HOLDS if v < c.bound else FAILS
-        return HOLDS if v == c.bound else FAILS
-    if mode != "prefix":
-        raise ValueError(f"unknown mode: {mode}")
-    iv = evaluate_prefix_bounds(c.formula, m)
-    if c.relation == "<=":
-        if iv.hi <= c.bound:
-            return ConditionCheck("holds", iv)
-        if iv.lo > c.bound:
-            return ConditionCheck("fails", iv)
-    elif c.relation == "<":
-        if iv.hi < c.bound:
-            return ConditionCheck("holds", iv)
-        if iv.lo >= c.bound:
-            return ConditionCheck("fails", iv)
+        iv = None
+        lo = hi = evaluate(c.formula, m)
+    elif mode == "prefix":
+        iv = evaluate_prefix_bounds(c.formula, m)
+        lo, hi = iv.lo, iv.hi
     else:
-        if iv.lo == iv.hi == c.bound:
-            return ConditionCheck("holds", iv)
-        if not (iv.lo <= c.bound <= iv.hi):
-            return ConditionCheck("fails", iv)
-    return ConditionCheck("unknown", iv)
+        raise ValueError(f"unknown mode: {mode}")
+    if c.relation == "<=":
+        holds, fails = hi <= c.bound, lo > c.bound
+    elif c.relation == "<":
+        holds, fails = hi < c.bound, lo >= c.bound
+    else:
+        holds, fails = lo == hi == c.bound, not lo <= c.bound <= hi
+    status = "holds" if holds else "fails" if fails else "unknown"
+    return ConditionCheck(status, iv)

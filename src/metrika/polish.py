@@ -19,7 +19,7 @@ from .errors import (
     PointsOutOfPrefixError,
 )
 from .evaluation import evaluate
-from .logic import Formula, Signature, is_quantifier_free
+from .logic import Formula, Inf, Signature, is_quantifier_free
 from .rationals import ONE, ZERO, format_rational
 from .structures import PresentedStructure
 
@@ -163,16 +163,11 @@ def pi2_depth_membership(
     """
     if mode not in ("finite", "prefix"):
         raise ValueError(f"unknown mode: {mode}")
+    witness_inf = b.phi
+    for v in reversed(b.inner_vars):
+        witness_inf = Inf(v, witness_inf)
     for outer in islice(fair_tuples(m.n, len(b.outer_vars)), depth):
-        asg = dict(zip(b.outer_vars, outer))
-        witnessed = False
-        for inner in product(range(m.n), repeat=len(b.inner_vars)):
-            asg.update(zip(b.inner_vars, inner))
-            if evaluate(b.phi, m, asg) < b.eps:
-                witnessed = True
-                break
-        if not witnessed:
-            if mode == "finite":
-                return Pi2Result("refuted", outer)
-            return Pi2Result("unknown", outer)
+        # an inf over no witnesses (empty prefix) is ONE, never below eps
+        if not evaluate(witness_inf, m, dict(zip(b.outer_vars, outer))) < b.eps:
+            return Pi2Result("refuted" if mode == "finite" else "unknown", outer)
     return Pi2Result("consistent")

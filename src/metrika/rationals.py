@@ -26,15 +26,9 @@ def parse_rational(text: str) -> Fraction:
         raise ConstantOutOfRangeError(f"not a rational literal: {text!r}") from exc
 
 
-def parse_unit_rational(text: str) -> Fraction:
-    q = parse_rational(text)
-    return require_unit(q, context=text)
-
-
-def require_unit(q: Fraction, context=None) -> Fraction:
+def require_unit(q: Fraction) -> Fraction:
     if not ZERO <= q <= ONE:
-        where = f" in {context!r}" if context is not None else ""
-        raise ConstantOutOfRangeError(f"rational {q} outside [0,1]{where}")
+        raise ConstantOutOfRangeError(f"rational {q} outside [0,1]")
     return q
 
 

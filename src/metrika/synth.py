@@ -26,6 +26,7 @@ from .logic import (
     Atom,
     Condition,
     Formula,
+    Inf,
     Neg,
     Signature,
     graph_signature,
@@ -416,16 +417,8 @@ def ec_witness_check(
     if any(p >= m.n for p in params):
         raise ValueError("parameters must lie in the prefix")
     base = dict(zip(others, params))
-
-    def inf_over(struct):
-        best = ONE
-        for x in range(struct.n):
-            asg = dict(base)
-            asg[witness_var] = x
-            best = min(best, evaluate(phi, struct, asg))
-        return best
-
-    inf_m = inf_over(m)
-    inf_n = inf_over(n_ext)
+    inf_phi = Inf(witness_var, phi)
+    inf_m = min(ONE, evaluate(inf_phi, m, base))
+    inf_n = min(ONE, evaluate(inf_phi, n_ext, base))
     gap = max(ZERO, inf_m - inf_n)
     return WitnessCheck(inf_m <= inf_n + Fraction(tol), gap)

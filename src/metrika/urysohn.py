@@ -77,6 +77,8 @@ class DistanceConfiguration:
 
     @staticmethod
     def from_json(rows) -> "DistanceConfiguration":
+        if not all(isinstance(row, list) for row in rows):
+            raise ValueError(f"a configuration is a list of rows, got {rows!r}")
         return DistanceConfiguration(
             tuple(tuple(parse_rational(v) for v in row) for row in rows)
         )

@@ -215,12 +215,38 @@ class TestUsageErrors:
          "--seed", "0", "--out", "{o}"],
         ["sample", "--n", "0", "--seed", "0", "--out", "{o}"],
         ["encode", "--structure", "{s}", "--k", "-1"],
+        ["configs", "--size", "0", "--out", "{o}"],
+        ["synth", "--theory", "empty-metric", "--config-sizes", "0",
+         "--budget", "5", "--seed", "0", "--out", "{o}"],
+        ["synth", "--theory", "empty-metric", "--config-sizes", "x",
+         "--budget", "5", "--seed", "0", "--out", "{o}"],
+        ["genericity", "--theta", "{t}", "--eps", "1/4", "--n-values", "abc",
+         "--trials", "2", "--seed", "0", "--out", "{o}"],
+        ["genericity", "--theta", "{t}", "--eps", "1/4", "--n-values", "1",
+         "--trials", "2", "--seed", "0", "--out", "{o}"],
+        ["audit", "--kind", "sequential", "--n", "1", "--trials", "2",
+         "--formula", "d(x,y)", "--eps", "1/2", "--seed", "0", "--out", "{o}"],
+        ["compare", "--a", "{s}", "--b", "{s}", "--eps", "0", "--depth", "0",
+         "--out", "{o}"],
+        ["sample", "--n", "3", "--grid", "0", "--seed", "0", "--out", "{o}"],
+        ["sample", "--n", "3", "--grid", "2", "--seed", "0", "--out", "{o}"],
+        ["eval", "--structure", "{s}", "--formula", "d(x,y)",
+         "--assign", "x=99,y=0"],
+        ["report", "--structure", "{s}", "--eps", "1/8", "--out", "{o}"],
+        ["report", "--configs", "{c}", "--eps", "1/8", "--out", "{o}"],
     ], ids=["assign", "report-no-eps", "report-eps-0", "synth-eps-0",
-            "sample-n-0", "encode-k-negative"])
+            "sample-n-0", "encode-k-negative", "configs-size-0",
+            "synth-config-sizes-0", "synth-config-sizes-x",
+            "genericity-n-values-abc", "genericity-n-below-theta",
+            "audit-n-below-arity", "compare-depth-0", "sample-grid-0",
+            "sample-grid-2", "assign-out-of-range", "report-no-configs",
+            "report-no-structure"])
     def test_misuse_is_usage_error(self, argv, two_point, tmp_path, capsys):
         cfg_path = tmp_path / "configs.json"
         cfg_path.write_text(json.dumps([[["0", "1/2"], ["1/2", "0"]]]))
-        paths = {"s": two_point, "c": str(cfg_path),
+        theta_path = tmp_path / "theta.json"
+        theta_path.write_text(json.dumps([["0", "1/2"], ["1/2", "0"]]))
+        paths = {"s": two_point, "c": str(cfg_path), "t": str(theta_path),
                  "o": str(tmp_path / "out.json")}
         code = cli.main([a.format(**paths) for a in argv])
         assert code == 2
@@ -267,6 +293,22 @@ class TestConfigurationFiles:
             ["report", "--structure", two_point, "--configs", str(cfg_path),
              "--eps", "1/8"])
         assert code == 3
+        assert_one_line_error(capsys, "file/format error:")
+
+    @pytest.mark.parametrize("verb", ["report", "genericity"])
+    def test_matrix_of_strings_is_format_error(self, verb, two_point, tmp_path,
+                                               capsys):
+        # one level of nesting short: each row is a string, not a list
+        path = tmp_path / "cfg.json"
+        if verb == "report":
+            path.write_text(json.dumps([["0", "1/2"], ["1/2", "0"]]))
+            argv = ["report", "--structure", two_point, "--configs", str(path),
+                    "--eps", "1/8"]
+        else:
+            path.write_text(json.dumps(["0", "1/2"]))
+            argv = ["genericity", "--theta", str(path), "--eps", "1/4",
+                    "--n-values", "3", "--trials", "2", "--seed", "0"]
+        assert cli.main(argv) == 3
         assert_one_line_error(capsys, "file/format error:")
 
     @pytest.mark.parametrize("corrupt", ["points", "numeric-entry"])

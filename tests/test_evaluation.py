@@ -1,7 +1,10 @@
+import operator
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metrika.errors import NotPrenexUnsupportedError, UnboundVariableError
 from metrika.evaluation import (
@@ -9,8 +12,25 @@ from metrika.evaluation import (
     evaluate,
     evaluate_prefix_bounds,
 )
-from metrika.logic import metric_signature, parse_condition, parse_formula
-from metrika.structures import extend_with_distances, from_distance_matrix
+from metrika.logic import (
+    AbsDiff,
+    Atom,
+    Condition,
+    Const,
+    DotMinus,
+    Inf,
+    Max,
+    Min,
+    Neg,
+    ScaleQ,
+    Sup,
+    TruncPlus,
+    metric_signature,
+    parse_condition,
+    parse_formula,
+)
+from metrika.sampling import MeasureSpec, sample_space
+from metrika.structures import admissible, extend_with_distances, from_distance_matrix
 
 SIG = metric_signature()
 
@@ -94,6 +114,95 @@ class TestPrefixBounds:
                 assert iv.contains_interval(iv_ext)
 
 
+# ------------------------------------------- random prenex formulas
+
+QUARTERS = [F(k, 4) for k in range(5)]
+VARS = ("x", "y", "z")
+
+_leaves = st.one_of(
+    st.builds(lambda v, w: Atom("d", (v, w)), st.sampled_from(VARS), st.sampled_from(VARS)),
+    st.sampled_from(QUARTERS).map(Const),
+)
+
+
+def _connectives(sub):
+    return st.one_of(
+        st.builds(Min, sub, sub),
+        st.builds(Max, sub, sub),
+        st.builds(Neg, sub),
+        st.builds(DotMinus, sub, sub),
+        st.builds(TruncPlus, sub, sub),
+        st.builds(AbsDiff, sub, sub),
+        st.builds(ScaleQ, st.sampled_from(QUARTERS), sub),
+    )
+
+
+_matrices = st.recursive(_leaves, _connectives, max_leaves=6)
+_prefixes = st.lists(st.tuples(st.sampled_from((Inf, Sup)), st.sampled_from(VARS)), max_size=3)
+
+
+def _quantify(prefix, body):
+    for quantifier, var in reversed(prefix):
+        body = quantifier(var, body)
+    return body
+
+
+def _grid_extensions(m):
+    """Every one-point extension of m with distances on the 1/4 grid."""
+    return [
+        extend_with_distances(m, list(s))
+        for s in product(QUARTERS, repeat=m.n)
+        if admissible(m.d, s)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(0, 2**16),
+    _prefixes,
+    _matrices,
+    st.lists(st.integers(0, 2), min_size=3, max_size=3),
+)
+def test_prefix_bounds_on_random_prenex_formulas(n, seed, prefix, matrix, points):
+    m = sample_space(n, MeasureSpec("sequential", grid=F(1, 4), seed=seed))
+    asg = {v: p % n for v, p in zip(VARS, points)}
+    # the quantifier-free matrix is valued exactly: a single point
+    v = evaluate(matrix, m, asg)
+    iv = evaluate_prefix_bounds(matrix, m, asg)
+    assert (iv.lo, iv.hi) == (v, v)
+
+    f = _quantify(prefix, matrix)
+    iv = evaluate_prefix_bounds(f, m, asg)
+    for ext in _grid_extensions(m):
+        assert evaluate(f, ext, asg) in iv
+        # intervals nest as the prefix grows
+        assert iv.contains_interval(evaluate_prefix_bounds(f, ext, asg))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**16), _prefixes, _matrices)
+def test_condition_verdicts_on_random_prenex_sentences(n, seed, prefix, matrix):
+    m = sample_space(n, MeasureSpec("sequential", grid=F(1, 4), seed=seed))
+    # close the formula under sup so the condition is a sentence
+    f = _quantify(prefix, matrix)
+    f = _quantify([(Sup, v) for v in f.free_variables()], f)
+    value = evaluate(f, m)
+    ext_values = [evaluate(f, ext) for ext in _grid_extensions(m)]
+    satisfies = {"<=": operator.le, "<": operator.lt, "=": operator.eq}
+    for relation, sat in satisfies.items():
+        for bound in QUARTERS:
+            c = Condition(f, relation, bound)
+            finite = check_condition(c, m, mode="finite")
+            assert finite.status == ("holds" if sat(value, bound) else "fails")
+            assert finite.interval is None
+            prefix_check = check_condition(c, m, mode="prefix")
+            if prefix_check.status == "holds":
+                assert all(sat(v, bound) for v in ext_values)
+            elif prefix_check.status == "fails":
+                assert not any(sat(v, bound) for v in ext_values)
+
+
 class TestCheckCondition:
     def test_reflexive_sup(self, tri_space):
         c = parse_condition("sup x. d(x,x) <= 0", SIG)
@@ -119,6 +228,24 @@ class TestCheckCondition:
         c = parse_condition("sup x. sup y. d(x,y) < 1/4", SIG)
         res = check_condition(c, two_point_half, mode="prefix")
         assert res.status == "fails"
+
+    @pytest.mark.parametrize("text, status", [
+        # on d(0,1) = 1/2: inf-inf bounds [0, 0], sup-sup bounds [1/2, 1]
+        ("inf x. inf y. d(x,y) = 0", "holds"),
+        ("inf x. inf y. d(x,y) = 1/4", "fails"),
+        ("sup x. sup y. d(x,y) = 1/4", "fails"),
+        ("sup x. sup y. d(x,y) = 1/2", "unknown"),
+        ("sup x. sup y. d(x,y) = 1", "unknown"),
+        ("sup x. sup y. d(x,y) <= 3/4", "unknown"),
+        ("sup x. sup y. d(x,y) <= 1/4", "fails"),
+        ("inf x. inf y. d(x,y) <= 0", "holds"),
+        ("sup x. sup y. d(x,y) < 1/2", "fails"),
+    ])
+    def test_prefix_verdicts(self, text, status, two_point_half):
+        c = parse_condition(text, SIG)
+        res = check_condition(c, two_point_half, mode="prefix")
+        assert res.status == status
+        assert res.interval is not None
 
     def test_closed_conditions_survive_quotient(self):
         m = from_distance_matrix(
