@@ -76,11 +76,19 @@ def _load(path):
         return structures.load(path)
 
 
+def _rational(text, option):
+    """The value of an option that takes a rational literal."""
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise SystemExit2(f"{option}: {exc}") from None
+
+
 def _tolerance(text):
     """An eps for the extension obligations: a rational in (0, 1]."""
     if text is None:
         raise SystemExit2("--eps is required")
-    eps = parse_rational(text)
+    eps = _rational(text, "--eps")
     if not 0 < eps <= 1:
         raise SystemExit2(f"--eps must be in (0,1], got {text}")
     return eps
@@ -210,6 +218,8 @@ def _run(args) -> int:
         raise SystemExit2(f"--depth must be at least 1, got {args.depth}")
     if args.verb == "report" and bool(args.structure) != bool(args.configs):
         raise SystemExit2("report needs both --structure and --configs, or neither")
+    if args.verb == "report" and not (args.structure or args.artifacts):
+        raise SystemExit2("report needs --structure and --configs, or --artifacts")
     if args.verb == "eval":
         m = _load(args.structure)
         f = parse_formula(args.formula, m.sig)
@@ -263,7 +273,7 @@ def _run(args) -> int:
         if args.theory == "empty-metric":
             spec = synth.empty_metric_spec(
                 config_sizes=tuple(_int_list(args.config_sizes, "--config-sizes", 1)),
-                config_grid=parse_rational(args.config_grid),
+                config_grid=_rational(args.config_grid, "--config-grid"),
                 eps=_tolerance(args.eps),
             )
             start = synth.metric_seed(1)
@@ -271,7 +281,7 @@ def _run(args) -> int:
             spec = synth.graph_spec(max_size=args.max_size)
             start = synth.graph_seed(1)
         out = synth.ec_close(
-            start, spec, args.budget, grid=parse_rational(args.grid), rng_seed=seed
+            start, spec, args.budget, grid=_rational(args.grid, "--grid"), rng_seed=seed
         )
         structures.save(out, args.out, include_provenance=True)
         _emit(
@@ -315,7 +325,7 @@ def _run(args) -> int:
             msg = f"--n must be at least {least} for {args.formula!r}, got {args.n}"
             raise SystemExit2(msg)
         report = sampling.invariance_audit(
-            spec, args.n, args.trials, phi, parse_rational(args.eps), sigma=args.sigma
+            spec, args.n, args.trials, phi, _rational(args.eps, "--eps"), sigma=args.sigma
         )
         obj = {
             "verb": "audit",
@@ -355,7 +365,7 @@ def _run(args) -> int:
         a = _load(args.a)
         b = _load(args.b)
         result = compare_mod.back_and_forth(
-            a, b, parse_rational(args.eps), args.depth, node_budget=args.node_budget
+            a, b, _rational(args.eps, "--eps"), args.depth, node_budget=args.node_budget
         )
         obj = {
             "verb": "compare",
@@ -379,7 +389,7 @@ def _run(args) -> int:
         return 0
 
     if args.verb == "configs":
-        grid = parse_rational(args.grid)
+        grid = _rational(args.grid, "--grid")
         configs = urysohn.all_configurations(args.size, grid.denominator)
         urysohn.save_configurations(configs, args.out)
         _emit(
@@ -436,7 +446,7 @@ def _run(args) -> int:
 
 
 def _measure_spec(args, seed) -> sampling.MeasureSpec:
-    grid = parse_rational(args.grid) if args.grid else sampling.DEFAULT_GRID
+    grid = _rational(args.grid, "--grid") if args.grid else sampling.DEFAULT_GRID
     if not 0 < grid <= 1:
         raise SystemExit2(f"--grid must be in (0,1], got {args.grid}")
     return sampling.MeasureSpec(kind=args.kind, grid=grid, seed=seed)

@@ -3,6 +3,11 @@
 A partial correspondence is a finite injective pairing of points; its
 distortion is the sup-norm gap of relation values over matched tuples, so
 distortion <= eps bounds every quantifier-free atom's value difference.
+
+The search compares integers: both structures' tables are scaled by the
+lcm L of all their denominators, and a gap |A - B| exceeds eps exactly
+when the scaled gap exceeds floor(eps * L).  Only ``distortion`` and the
+reported result use rationals.
 """
 
 from __future__ import annotations
@@ -10,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import floor
 
 from .rationals import ZERO
-from .structures import PresentedStructure
+from .structures import PresentedStructure, scaled_tables, tuples_naming
 
 
 @dataclass(frozen=True)
@@ -89,23 +95,27 @@ def back_and_forth(
         raise ValueError("depth must be >= 1")
     if depth > min(m.n, n.n):
         return BackAndForthResult("failure", None, 0)
-    eps = Fraction(eps)
+    scale, (a_tables, b_tables) = scaled_tables(m, n)
+    threshold = floor(Fraction(eps) * scale)
+    rels = [(a_tables[r.name], b_tables[r.name], r.arity) for r in m.sig.relations]
+    naming: dict[tuple[int, int], list] = {}
     nodes = 0
     best_stuck: list[tuple[int, int]] = []
 
     def extension_ok(pairs, cand):
-        # only tuples involving the new pair can raise the distortion
-        new = len(pairs)
+        # only tuples naming the new pair can raise the distortion
         allp = pairs + [cand]
+        k = len(allp)
         left = [p[0] for p in allp]
         right = [p[1] for p in allp]
-        for rel in m.sig.relations:
-            for idx in product(range(len(allp)), repeat=rel.arity):
-                if new not in idx:
-                    continue
-                a = tuple(left[i] for i in idx)
-                b = tuple(right[i] for i in idx)
-                if abs(m.value(rel.name, a) - n.value(rel.name, b)) > eps:
+        for a, b, arity in rels:
+            idxs = naming.get((k, arity))
+            if idxs is None:
+                idxs = naming[(k, arity)] = tuples_naming(k, arity, k - 1)
+            for idx in idxs:
+                a_idx = tuple(map(left.__getitem__, idx))
+                b_idx = tuple(map(right.__getitem__, idx))
+                if abs(a[a_idx] - b[b_idx]) > threshold:
                     return False
         return True
 

@@ -8,6 +8,12 @@ presentation extends the prefix.  Only the quantifier prefix widens the
 interval (an inf over the prefix only upper-bounds the true inf, and
 dually for sup); the quantifier-free matrix below it is valued exactly by
 the same evaluator ``evaluate`` uses.
+
+In both, a quantifier stops scanning points once its value reaches the
+lattice bound: 0 for an inf (the upper bound, in prefix mode), 1 for a
+sup (the lower bound).  That is exact only when no value can undercut 0
+or top 1, so it is guarded by ``PresentedStructure.unit_valued``: every
+table value in [0, 1].
 """
 
 from __future__ import annotations
@@ -81,17 +87,16 @@ def _eval(f, m, asg) -> Fraction:
     if isinstance(f, AbsDiff):
         return abs(_eval(f.left, m, asg) - _eval(f.right, m, asg))
     if isinstance(f, (Inf, Sup)):
+        pick = min if isinstance(f, Inf) else max
+        final = _final(f, m)
         shadowed = asg.get(f.var)
         best = None
         for p in range(m.n):
             asg[f.var] = p
             v = _eval(f.body, m, asg)
-            if best is None:
-                best = v
-            elif isinstance(f, Inf):
-                best = min(best, v)
-            else:
-                best = max(best, v)
+            best = v if best is None else pick(best, v)
+            if best == final:
+                break
         if shadowed is None:
             asg.pop(f.var, None)
         else:
@@ -101,6 +106,17 @@ def _eval(f, m, asg) -> Fraction:
             return ONE if isinstance(f, Inf) else ZERO
         return best
     raise TypeError(f"not a formula node: {f!r}")
+
+
+def _final(q, m):
+    """The value at which the quantifier q can stop scanning points: 0 for
+    an inf and 1 for a sup, when every table value of m is in [0, 1].  Then
+    so is every value (constants and scale factors are in [0, 1] and each
+    connective maps [0, 1] into itself), and nothing undercuts 0 or tops 1.
+    Otherwise None: the scan must see every point."""
+    if not m.unit_valued():
+        return None
+    return ZERO if isinstance(q, Inf) else ONE
 
 
 # --------------------------------------------------------- prefix bounds
@@ -116,6 +132,7 @@ def evaluate_prefix_bounds(f: Formula, m: PresentedStructure, asg=None) -> Value
 
 def _bounds(f, m, asg):
     if isinstance(f, (Inf, Sup)):
+        final = _final(f, m)
         shadowed = asg.get(f.var)
         lo, hi = ZERO, ONE
         for p in range(m.n):
@@ -124,8 +141,12 @@ def _bounds(f, m, asg):
             if isinstance(f, Inf):
                 # the true inf over the completion may undercut every prefix point
                 hi = min(hi, h)
+                if hi == final:
+                    break
             else:
                 lo = max(lo, l)
+                if lo == final:
+                    break
         if shadowed is None:
             asg.pop(f.var, None)
         else:

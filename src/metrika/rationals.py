@@ -17,13 +17,15 @@ ONE = Fraction(1)
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q", an integer, or an exact decimal literal ("0.25").
 
-    Only strings are accepted: a JSON number is not an exact literal."""
+    Only strings are accepted: a JSON number is not an exact literal.  Text
+    that is not a rational raises ValueError, a format error, not a domain
+    error."""
     if not isinstance(text, str):
         raise ValueError(f"not a rational literal: {text!r} is not a string")
     try:
         return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConstantOutOfRangeError(f"not a rational literal: {text!r}") from exc
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a rational literal: {text!r}") from None
 
 
 def require_unit(q: Fraction) -> Fraction:

@@ -8,9 +8,11 @@ returns a new structure sharing the old prefix bit-for-bit.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .errors import ExtensionViolatesAxiomsError, QuotientIllDefinedError
 from .logic import Relation, Signature
@@ -39,13 +41,14 @@ class ValidationReport:
 class PresentedStructure:
     """n named points with total interpretation tables for every relation."""
 
-    __slots__ = ("sig", "n", "tables", "provenance_log")
+    __slots__ = ("sig", "n", "tables", "provenance_log", "_unit")
 
     def __init__(self, sig: Signature, n: int, tables: Tables, provenance_log=()):
         self.sig = sig
         self.n = n
         self.tables = tables
         self.provenance_log = tuple(provenance_log)
+        self._unit = None
         for rel in sig.relations:
             table = tables.get(rel.name)
             if table is None or len(table) != n**rel.arity:
@@ -59,6 +62,15 @@ class PresentedStructure:
 
     def tuples(self, arity: int):
         return product(range(self.n), repeat=arity)
+
+    def unit_valued(self) -> bool:
+        """Whether every table value lies in [0, 1]; scanned once, on the
+        first call (a structure read by ``from_json`` is known to be)."""
+        if self._unit is None:
+            self._unit = all(
+                ZERO <= v <= ONE for table in self.tables.values() for v in table.values()
+            )
+        return self._unit
 
     def __eq__(self, other):
         return (
@@ -104,9 +116,31 @@ def validate(m: PresentedStructure) -> ValidationReport:
     return ValidationReport(not violations, violations, is_metric)
 
 
-def _naming(m: PresentedStructure, arity: int, first_new: int):
-    """Tuples of `arity` points naming a point >= first_new, in lex order."""
-    return [t for t in m.tuples(arity) if max(t, default=-1) >= first_new]
+def tuples_naming(n: int, arity: int, first_new: int) -> list[tuple[int, ...]]:
+    """Tuples of `arity` points of 0..n-1 naming a point >= first_new, in
+    lex order, built directly rather than by filtering every tuple."""
+    if arity == 0:
+        return []
+    tail = tuples_naming(n, arity - 1, first_new)
+    every = list(product(range(n), repeat=arity - 1))
+    return [(i,) + t for i in range(n) for t in (every if i >= first_new else tail)]
+
+
+def scaled_tables(*ms: PresentedStructure) -> tuple[int, list[dict]]:
+    """Every table of every structure in ms as integers over one shared
+    denominator L, the lcm of all their denominators.  Returns L and, per
+    structure, relation name -> {tuple: value * L}.  For an integer x,
+    x > q * L exactly when x > floor(q * L), so a comparison against a
+    rational threshold becomes one integer comparison."""
+    tables = [m.tables for m in ms]
+    L = lcm(*(v.denominator for t in tables for table in t.values() for v in table.values()))
+    return L, [
+        {
+            name: {tup: v.numerator * (L // v.denominator) for tup, v in table.items()}
+            for name, table in t.items()
+        }
+        for t in tables
+    ]
 
 
 def _violations(m: PresentedStructure, first_new: int):
@@ -117,7 +151,7 @@ def _violations(m: PresentedStructure, first_new: int):
     new = range(first_new, n)
     for rel in m.sig.relations:
         table = m.tables[rel.name]
-        for tup in _naming(m, rel.arity, first_new):
+        for tup in tuples_naming(n, rel.arity, first_new):
             v = table[tup]
             if not ZERO <= v <= ONE:
                 yield Violation("range", (rel.name,) + tup, v, ONE)
@@ -138,22 +172,33 @@ def _violations(m: PresentedStructure, first_new: int):
     # Lipschitz bounds for the non-metric relations.  The metric's own
     # continuity is exactly symmetry + triangle (a 1-Lipschitz-in-max bound
     # would wrongly reject valid metric spaces), so d is skipped here.
-    for rel in m.sig.relations[1:]:
-        table = m.tables[rel.name]
+    # With the constant p/q and the tables scaled to integers,
+    # |A_u - A_v| > (p/q) * gap is |a_u - a_v| * q > p * gap.
+    rels = m.sig.relations[1:]
+    if not rels:
+        return
+    _, (scaled,) = scaled_tables(m)
+    gaps = scaled["d"]
+    for rel in rels:
+        table, a = m.tables[rel.name], scaled[rel.name]
+        p, q = rel.lipschitz.numerator, rel.lipschitz.denominator
         every = list(m.tuples(rel.arity))
-        fresh = _naming(m, rel.arity, first_new)
-        for u in every:
-            tu = table[u]
-            for v in (every if max(u, default=-1) >= first_new else fresh):
-                if u >= v:
-                    continue
-                gap = max(map(d.__getitem__, zip(u, v)))
-                if abs(tu - table[v]) > rel.lipschitz * gap:
+        fresh = tuples_naming(n, rel.arity, first_new)
+        for iu, u in enumerate(every):
+            au = a[u]
+            # the pairs u < v: every later tuple, or only the fresh ones
+            # when u names no new point
+            if max(u, default=-1) >= first_new:
+                later = every[iu + 1:]
+            else:
+                later = fresh[bisect_right(fresh, u):]
+            for v in later:
+                if abs(au - a[v]) * q > p * max(map(gaps.__getitem__, zip(u, v))):
                     yield Violation(
                         "lipschitz",
                         (rel.name, u, v),
-                        abs(tu - table[v]),
-                        rel.lipschitz * gap,
+                        abs(table[u] - table[v]),
+                        rel.lipschitz * max(map(d.__getitem__, zip(u, v))),
                     )
 
 
@@ -274,7 +319,10 @@ def _nest(table, arity, n, prefix=()):
 
 def _unnest(nested, arity, prefix, out):
     if arity == 0:
-        out[prefix] = parse_rational(nested)
+        v = parse_rational(nested)
+        if not 0 <= v.numerator <= v.denominator:
+            raise ValueError(f"entry {prefix} = {format_rational(v)} is outside [0, 1]")
+        out[prefix] = v
         return
     for i, sub in enumerate(nested):
         _unnest(sub, arity - 1, prefix + (i,), out)
@@ -323,9 +371,16 @@ def from_json(obj: dict) -> PresentedStructure:
     tables: Tables = {}
     for rel in rels:
         out: dict[tuple[int, ...], Fraction] = {}
-        _unnest(obj["tables"][rel.name], rel.arity, (), out)
+        try:
+            _unnest(obj["tables"][rel.name], rel.arity, (), out)
+        except ValueError as exc:
+            raise ValueError(f"table {rel.name}: {exc}") from None
         tables[rel.name] = out
-    return PresentedStructure(sig, n, tables)
+    m = PresentedStructure(sig, n, tables)
+    # _unnest checked that every entry is in [0, 1]; the rest of validate
+    # (its Lipschitz scan is quartic in n) is left to the caller
+    m._unit = True
+    return m
 
 
 def save(m: PresentedStructure, path, include_provenance=False) -> None:

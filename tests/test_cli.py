@@ -234,13 +234,21 @@ class TestUsageErrors:
          "--assign", "x=99,y=0"],
         ["report", "--structure", "{s}", "--eps", "1/8", "--out", "{o}"],
         ["report", "--configs", "{c}", "--eps", "1/8", "--out", "{o}"],
+        ["report", "--eps", "1/8", "--out", "{o}"],
+        ["sample", "--n", "3", "--grid", "abc", "--seed", "1", "--out", "{o}"],
+        ["compare", "--a", "{s}", "--b", "{s}", "--eps", "abc", "--depth", "1",
+         "--out", "{o}"],
+        ["synth", "--theory", "empty-metric", "--eps", "abc", "--budget", "5",
+         "--seed", "0", "--out", "{o}"],
+        ["configs", "--size", "2", "--grid", "1/0", "--out", "{o}"],
     ], ids=["assign", "report-no-eps", "report-eps-0", "synth-eps-0",
             "sample-n-0", "encode-k-negative", "configs-size-0",
             "synth-config-sizes-0", "synth-config-sizes-x",
             "genericity-n-values-abc", "genericity-n-below-theta",
             "audit-n-below-arity", "compare-depth-0", "sample-grid-0",
             "sample-grid-2", "assign-out-of-range", "report-no-configs",
-            "report-no-structure"])
+            "report-no-structure", "report-no-inputs", "sample-grid-abc",
+            "compare-eps-abc", "synth-eps-abc", "configs-grid-1-over-0"])
     def test_misuse_is_usage_error(self, argv, two_point, tmp_path, capsys):
         cfg_path = tmp_path / "configs.json"
         cfg_path.write_text(json.dumps([[["0", "1/2"], ["1/2", "0"]]]))
@@ -323,6 +331,36 @@ class TestConfigurationFiles:
         path.write_text(json.dumps(data))
         code = cli.main(["validate", "--structure", str(path)])
         assert code == 3
+        assert_one_line_error(capsys, "file/format error:")
+
+    @pytest.mark.parametrize("entry", ["3/2", "-1/4", "abc"])
+    @pytest.mark.parametrize("verb", ["validate", "eval"])
+    def test_bad_table_entry_is_format_error(self, verb, entry, two_point,
+                                             tmp_path, capsys):
+        data = json.loads(open(two_point).read())
+        data["tables"]["d"][0][1] = entry
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        argv = {"validate": ["validate", "--structure", str(path)],
+                "eval": ["eval", "--structure", str(path), "--formula",
+                         "d(x,y)", "--assign", "x=0,y=1"]}[verb]
+        assert cli.main(argv) == 3
+        assert_one_line_error(capsys, "file/format error:")
+
+    @pytest.mark.parametrize("verb", ["report", "genericity"])
+    def test_non_rational_entry_is_format_error(self, verb, two_point,
+                                                tmp_path, capsys):
+        matrix = [["0", "abc"], ["abc", "0"]]
+        path = tmp_path / "cfg.json"
+        if verb == "report":
+            path.write_text(json.dumps([matrix]))
+            argv = ["report", "--structure", two_point, "--configs", str(path),
+                    "--eps", "1/8"]
+        else:
+            path.write_text(json.dumps(matrix))
+            argv = ["genericity", "--theta", str(path), "--eps", "1/4",
+                    "--n-values", "3", "--trials", "2", "--seed", "0"]
+        assert cli.main(argv) == 3
         assert_one_line_error(capsys, "file/format error:")
 
 

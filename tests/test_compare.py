@@ -1,16 +1,21 @@
 """Tests for distortion and the approximate back-and-forth search."""
 
 from fractions import Fraction as F
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
+
 from metrika import (
     MeasureSpec,
     back_and_forth,
     distortion,
     sample_space,
 )
+from metrika.compare import BackAndForthResult, PartialCorrespondence, _Budget
 from metrika.sampling import trial_rng
 from metrika.structures import PresentedStructure, from_distance_matrix
-from metrika.logic import metric_signature
+from metrika.logic import Relation, Signature, metric_signature
 
 ZERO = F(0)
 ONE = F(1)
@@ -146,3 +151,96 @@ class TestGraphExactness:
         res = back_and_forth(g1, g2, eps=HALF, depth=4)
         assert res.status == "success"
         assert res.correspondence.distortion == ZERO
+
+
+# ------------------------------------- integer search vs a rational reference
+
+MIXED = [F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(5, 6), F(1)]
+# on the 1/12 grid of the table values, and off it
+EPSILONS = [F(0), F(1, 4), F(1, 3), F(1, 2), F(1, 5), F(2, 7), F(3, 10), F(1)]
+
+
+def _reference_back_and_forth(m, n, eps, depth, node_budget):
+    """back_and_forth as it reads with rational arithmetic throughout: every
+    extension re-checks every index tuple naming the new pair, |A - B| > eps
+    on Fractions."""
+    if depth > min(m.n, n.n):
+        return BackAndForthResult("failure", None, 0)
+    nodes = 0
+    best_stuck = []
+
+    def extension_ok(pairs):
+        new = len(pairs) - 1
+        for rel in m.sig.relations:
+            for idx in product(range(len(pairs)), repeat=rel.arity):
+                if new in idx:
+                    a = tuple(pairs[i][0] for i in idx)
+                    b = tuple(pairs[i][1] for i in idx)
+                    if abs(m.value(rel.name, a) - n.value(rel.name, b)) > eps:
+                        return False
+        return True
+
+    def search(pairs):
+        nonlocal nodes, best_stuck
+        if len(pairs) == depth:
+            return pairs
+        side = len(pairs) % 2
+        used = {p[side] for p in pairs}
+        taken = {p[1 - side] for p in pairs}
+        sizes = (m.n, n.n) if side == 0 else (n.n, m.n)
+        for s in (i for i in range(sizes[0]) if i not in used):
+            for c in (j for j in range(sizes[1]) if j not in taken):
+                nodes += 1
+                if nodes > node_budget:
+                    raise _Budget()
+                cand = (s, c) if side == 0 else (c, s)
+                if extension_ok(pairs + [cand]):
+                    found = search(pairs + [cand])
+                    if found is not None:
+                        return found
+        if len(pairs) >= len(best_stuck):
+            best_stuck = list(pairs)
+        return None
+
+    try:
+        found = search([])
+    except _Budget:
+        return BackAndForthResult("budget-exhausted", None, nodes, tuple(best_stuck))
+    if found is None:
+        return BackAndForthResult("failure", None, nodes, tuple(best_stuck))
+    pc = PartialCorrespondence(tuple(found), distortion(found, m, n))
+    return BackAndForthResult("success", pc, nodes)
+
+
+@st.composite
+def _structure_pairs(draw):
+    """Two structures over d and a second relation P of arity 1 or 2, with
+    table values of mixed denominators (not necessarily metric)."""
+    arity = draw(st.integers(1, 2))
+    sig = Signature((Relation("d", 2, ONE), Relation("P", arity, ONE)))
+
+    def structure():
+        size = draw(st.integers(1, 4))
+        tables = {
+            rel.name: {
+                t: draw(st.sampled_from(MIXED))
+                for t in product(range(size), repeat=rel.arity)
+            }
+            for rel in sig.relations
+        }
+        return PresentedStructure(sig, size, tables)
+
+    return structure(), structure()
+
+
+@settings(max_examples=400)
+@given(
+    _structure_pairs(),
+    st.sampled_from(EPSILONS),
+    st.integers(1, 4),
+    st.sampled_from([4, 30, 100_000]),
+)
+def test_integer_search_matches_rational_reference(pair, eps, depth, node_budget):
+    m, n = pair
+    got = back_and_forth(m, n, eps, depth, node_budget=node_budget)
+    assert got == _reference_back_and_forth(m, n, eps, depth, node_budget)

@@ -1,4 +1,5 @@
 import operator
+from dataclasses import fields, replace
 from fractions import Fraction as F
 from itertools import product
 
@@ -18,6 +19,7 @@ from metrika.logic import (
     Condition,
     Const,
     DotMinus,
+    Formula,
     Inf,
     Max,
     Min,
@@ -201,6 +203,85 @@ def test_condition_verdicts_on_random_prenex_sentences(n, seed, prefix, matrix):
                 assert all(sat(v, bound) for v in ext_values)
             elif prefix_check.status == "fails":
                 assert not any(sat(v, bound) for v in ext_values)
+
+
+# ------------------------------------- early exit vs quantifiers that scan
+
+MIXED = [F(0), F(1, 3), F(1, 2), F(2, 3), F(1)]
+
+_quantified = st.recursive(
+    _leaves,
+    lambda sub: st.one_of(
+        _connectives(sub),
+        st.builds(Inf, st.sampled_from(VARS), sub),
+        st.builds(Sup, st.sampled_from(VARS), sub),
+    ),
+    max_leaves=8,
+)
+
+# unit-valued d tables with mixed denominators, not necessarily metric
+_unit_rows = st.integers(1, 3).flatmap(
+    lambda n: st.lists(
+        st.lists(st.sampled_from(MIXED), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+def _full_scan_eval(f, m, asg):
+    """evaluate with every quantifier scanning every point."""
+    if isinstance(f, (Inf, Sup)):
+        values = [_full_scan_eval(f.body, m, {**asg, f.var: p}) for p in range(m.n)]
+        if not values:
+            return F(1) if isinstance(f, Inf) else F(0)
+        return min(values) if isinstance(f, Inf) else max(values)
+    if isinstance(f, (Const, Atom)):
+        return evaluate(f, m, asg)
+    # a connective: value its subformulas here, then apply it to constants
+    children = {
+        fd.name: Const(_full_scan_eval(getattr(f, fd.name), m, asg))
+        for fd in fields(f)
+        if isinstance(getattr(f, fd.name), Formula)
+    }
+    return evaluate(replace(f, **children), m, asg)
+
+
+def _full_scan_bounds(f, m, asg):
+    """evaluate_prefix_bounds of a prenex f with every quantifier scanning
+    every point, as (lo, hi)."""
+    if isinstance(f, (Inf, Sup)):
+        below = [_full_scan_bounds(f.body, m, {**asg, f.var: p}) for p in range(m.n)]
+        if isinstance(f, Inf):
+            return F(0), min([F(1)] + [hi for _, hi in below])
+        return max([F(0)] + [lo for lo, _ in below]), F(1)
+    v = evaluate(f, m, asg)
+    return v, v
+
+
+@settings(max_examples=300)
+@given(_unit_rows, _quantified, st.lists(st.integers(0, 2), min_size=3, max_size=3))
+def test_early_exit_matches_full_scans(rows, f, points):
+    m = from_distance_matrix(rows)
+    asg = {v: p % m.n for v, p in zip(VARS, points)}
+    assert evaluate(f, m, asg) == _full_scan_eval(f, m, asg)
+
+
+@settings(max_examples=300)
+@given(_unit_rows, _prefixes, _matrices, st.lists(st.integers(0, 2), min_size=3, max_size=3))
+def test_bounds_early_exit_matches_full_scans(rows, prefix, matrix, points):
+    m = from_distance_matrix(rows)
+    asg = {v: p % m.n for v, p in zip(VARS, points)}
+    f = _quantify(prefix, matrix)
+    iv = evaluate_prefix_bounds(f, m, asg)
+    assert (iv.lo, iv.hi) == _full_scan_bounds(f, m, asg)
+
+
+def test_early_exit_needs_unit_tables():
+    # d(0,1) = -1/2 undercuts the 0 at which an inf over unit values stops
+    m = from_distance_matrix([[0, F(-1, 2)], [F(-1, 2), 0]])
+    f = parse_formula("inf y. d(x,y)", SIG)
+    assert evaluate(f, m, {"x": 0}) == F(-1, 2)
+    with pytest.raises(ValueError):
+        evaluate_prefix_bounds(f, m, {"x": 0})
 
 
 class TestCheckCondition:

@@ -1,17 +1,21 @@
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from metrika.errors import ExtensionViolatesAxiomsError, QuotientIllDefinedError
-from metrika.logic import graph_signature, parse_formula
+from metrika.logic import Relation, Signature, graph_signature, parse_formula
 from metrika.urysohn import DistanceConfiguration
 from metrika.evaluation import evaluate
 from metrika.sampling import _is_metric_int
 from metrika.structures import (
     PresentedStructure,
+    ValidationReport,
+    Violation,
     admissible,
     admissible_interval,
+    extend_point,
     extend_with_distances,
     from_distance_matrix,
     from_json,
@@ -255,3 +259,92 @@ def test_integer_metric_check_agrees_with_triple_scan(case):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     draw = dict(zip(pairs, values))
     assert _is_metric_int(draw, n) == _is_metric_by_triples(draw, n)
+
+
+# ------------------------------------------ Lipschitz scan vs a rational reference
+
+MIXED = [F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(1)]
+
+
+def _reference_validate(m):
+    """validate with rational arithmetic throughout, in its order."""
+    n, d = m.n, m.tables["d"]
+    out = []
+    for rel in m.sig.relations:
+        for t in product(range(n), repeat=rel.arity):
+            v = m.tables[rel.name][t]
+            if not 0 <= v <= 1:
+                out.append(Violation("range", (rel.name,) + t, v, F(1)))
+    out += [
+        Violation("reflexivity", (i,), d[(i, i)], F(0)) for i in range(n) if d[(i, i)] != 0
+    ]
+    out += [
+        Violation("symmetry", (i, j), d[(i, j)], d[(j, i)])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if d[(i, j)] != d[(j, i)]
+    ]
+    out += [
+        Violation("triangle", (i, j, k), d[(i, k)], d[(i, j)] + d[(j, k)])
+        for i, j, k in product(range(n), repeat=3)
+        if d[(i, k)] > d[(i, j)] + d[(j, k)]
+    ]
+    for rel in m.sig.relations[1:]:
+        table = m.tables[rel.name]
+        for u, v in product(product(range(n), repeat=rel.arity), repeat=2):
+            if u < v:
+                diff = abs(table[u] - table[v])
+                bound = rel.lipschitz * max(d[(a, b)] for a, b in zip(u, v))
+                if diff > bound:
+                    out.append(Violation("lipschitz", (rel.name, u, v), diff, bound))
+    is_metric = all(d[(i, j)] > 0 for i in range(n) for j in range(n) if i != j)
+    return ValidationReport(not out, tuple(out), is_metric)
+
+
+def _points(violation):
+    w = violation.witness
+    if violation.axiom == "range":
+        return w[1:]
+    if violation.axiom == "lipschitz":
+        return w[1] + w[2]
+    return w
+
+
+@st.composite
+def _lipschitz_structures(draw):
+    """d symmetric with a zero diagonal (often not a metric) and P of arity
+    1 or 2 with Lipschitz constant 2/3 or 3/2; values of mixed denominators,
+    so P often breaks its bound."""
+    rel = Relation("P", draw(st.integers(1, 2)), draw(st.sampled_from([F(2, 3), F(3, 2)])))
+    sig = Signature((Relation("d", 2, F(1)), rel))
+    n = draw(st.integers(1, 4))
+    d = {(i, i): F(0) for i in range(n)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[(i, j)] = d[(j, i)] = draw(st.sampled_from(MIXED))
+    p = {t: draw(st.sampled_from(MIXED)) for t in product(range(n), repeat=rel.arity)}
+    return PresentedStructure(sig, n, {"d": d, "P": p})
+
+
+@settings(max_examples=400)
+@given(_lipschitz_structures())
+def test_lipschitz_scan_matches_rational_reference(m):
+    expected = _reference_validate(m)
+    assert validate(m) == expected
+    # adding the last point checks only the tuples naming it
+    last = m.n - 1
+    prefix = PresentedStructure(m.sig, last, {
+        name: {t: v for t, v in table.items() if max(t) < last}
+        for name, table in m.tables.items()
+    })
+    rows = {
+        name: {t: v for t, v in table.items() if last in t}
+        for name, table in m.tables.items()
+    }
+    try:
+        extend_point(prefix, rows)
+    except ExtensionViolatesAxiomsError as exc:
+        assert exc.report == expected
+        assert any(last in _points(v) for v in expected.violations)
+    else:
+        assert not any(last in _points(v) for v in expected.violations)
