@@ -119,6 +119,15 @@ def _parse_assignment(text) -> dict:
     return asg
 
 
+def _add_max_tries(q) -> None:
+    q.add_argument(
+        "--max-tries",
+        type=int,
+        default=sampling.MeasureSpec.max_tries,
+        help="rejection-sampler proposals per sampled space before exit 4",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="metrika")
     sub = p.add_subparsers(dest="verb", required=True)
@@ -151,6 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--kind", choices=("sequential", "rejection"), default="sequential")
     q.add_argument("--grid", default=None)
+    _add_max_tries(q)
     q.add_argument("--seed", type=int)
     q.add_argument("--out", required=True)
 
@@ -162,6 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--eps", required=True)
     q.add_argument("--sigma", type=float, default=3.0)
     q.add_argument("--grid", default=None)
+    _add_max_tries(q)
     q.add_argument("--seed", type=int)
     q.add_argument("--out")
 
@@ -172,6 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n-values", required=True, help="comma list, e.g. 3,5,8,12")
     q.add_argument("--trials", type=int, required=True)
     q.add_argument("--grid", default=None)
+    _add_max_tries(q)
     q.add_argument("--seed", type=int)
     q.add_argument("--out")
     q.add_argument("--csv")
@@ -208,6 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> int:
     if args.verb in ("audit", "genericity") and args.trials < 1:
         raise SystemExit2(f"--trials must be at least 1, got {args.trials}")
+    if args.verb in ("sample", "audit", "genericity") and args.max_tries < 1:
+        raise SystemExit2(f"--max-tries must be at least 1, got {args.max_tries}")
     if args.verb == "sample" and args.n < 1:
         raise SystemExit2(f"--n must be at least 1, got {args.n}")
     if args.verb == "encode" and args.k < 0:
@@ -449,7 +463,9 @@ def _measure_spec(args, seed) -> sampling.MeasureSpec:
     grid = _rational(args.grid, "--grid") if args.grid else sampling.DEFAULT_GRID
     if not 0 < grid <= 1:
         raise SystemExit2(f"--grid must be in (0,1], got {args.grid}")
-    return sampling.MeasureSpec(kind=args.kind, grid=grid, seed=seed)
+    return sampling.MeasureSpec(
+        kind=args.kind, grid=grid, seed=seed, max_tries=args.max_tries
+    )
 
 
 def _write_curve_csv(path, rows) -> None:

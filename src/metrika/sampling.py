@@ -4,7 +4,10 @@ Two samplers: ``sequential`` draws each new distance uniformly from its
 admissible interval (fast, full support on the grid, not obviously
 exchangeable); ``rejection`` draws whole distance matrices uniformly and
 keeps the metric ones (exchangeable by construction, exponential cost).
-Distances live on a fine rational grid so every draw is exact.
+Distances live on a fine rational grid so every draw is exact.  Both
+samplers build and check a space over integers, on a ``MetricBuilder``
+whose denominator is the lcm of the grid's and the prefix's, and freeze
+it to Fractions once, at the end.
 """
 
 from __future__ import annotations
@@ -16,18 +19,14 @@ from itertools import permutations
 
 from .errors import RejectionBudgetExceededError
 from .evaluation import evaluate
-from .logic import Formula
+from .logic import Formula, metric_signature
 from .rationals import ONE, ZERO
-from .structures import (
-    PresentedStructure,
-    admissible,
-    admissible_interval,
-    extend_with_distances,
-    from_distance_matrix,
-)
+from .structures import MetricBuilder, PresentedStructure, admissible_interval
 from .urysohn import DistanceConfiguration, extension_obligations, realized
 
 DEFAULT_GRID = Fraction(1, 2**16)
+
+_POINT = PresentedStructure(metric_signature(), 1, {"d": {(0, 0): ZERO}})
 
 
 @dataclass(frozen=True)
@@ -44,35 +43,48 @@ class MeasureSpec:
             raise ValueError(f"grid step must be in (0,1], got {self.grid}")
 
 
-def _grid_uniform(lo: Fraction, hi: Fraction, step: Fraction, rng) -> Fraction:
-    """Uniform draw from the grid points of [lo, hi] (falls back to lo when
-    the interval is shorter than the grid and holds no lattice point)."""
-    lo_idx = -((-lo.numerator * step.denominator) // (lo.denominator * step.numerator))
-    hi_idx = (hi.numerator * step.denominator) // (hi.denominator * step.numerator)
+def _grid_uniform(lo: int, hi: int, g: int, rng) -> int:
+    """Uniform draw from the multiples of g in [lo, hi] (falls back to lo
+    when the interval is shorter than the grid and holds none of them)."""
+    lo_idx = -(-lo // g)
+    hi_idx = hi // g
     if lo_idx > hi_idx:
         return lo
-    return rng.randint(lo_idx, hi_idx) * step
+    return rng.randint(lo_idx, hi_idx) * g
+
+
+def _sequential_row(b: MetricBuilder, g: int, rng) -> list[int]:
+    """A new point's distances, each uniform on the grid points of its
+    admissible interval given the ones drawn before it."""
+    s: list[int] = []
+    for _ in range(b.n):
+        s.append(_grid_uniform(*admissible_interval(b.d, s, b.L), g, rng))
+    return s
+
+
+def _budget_exceeded(spec: MeasureSpec, n: int) -> RejectionBudgetExceededError:
+    return RejectionBudgetExceededError(
+        f"rejection sampler: no {n}-point metric space accepted "
+        f"within {spec.max_tries} proposals"
+    )
 
 
 def sample_one_point(
     m: PresentedStructure, spec: MeasureSpec, rng: random.Random
 ) -> PresentedStructure:
     """Extend m by one point with random admissible distances."""
-    n = m.n
+    b = MetricBuilder(m, spec.grid)
+    g = int(spec.grid * b.L)
     if spec.kind == "sequential":
-        s: list[Fraction] = []
-        for _ in range(n):
-            s.append(_grid_uniform(*admissible_interval(m.d, s), spec.grid, rng))
-        return extend_with_distances(m, s, note={"sampler": "sequential"})
+        b.add(_sequential_row(b, g, rng), note={"sampler": "sequential"})
+        return b.freeze()
     # rejection: uniform on the new point's admissible polytope
     steps = int(ONE / spec.grid)
     for _ in range(spec.max_tries):
-        s = [rng.randint(0, steps) * spec.grid for _ in range(n)]
-        if admissible(m.d, s):
-            return extend_with_distances(m, s, note={"sampler": "rejection"})
-    raise RejectionBudgetExceededError(
-        f"no acceptance within {spec.max_tries} proposals"
-    )
+        s = [rng.randint(0, steps) * g for _ in range(m.n)]
+        if b.try_add(s, note={"sampler": "rejection"}):
+            return b.freeze()
+    raise _budget_exceeded(spec, m.n + 1)
 
 
 def sample_space(n: int, spec: MeasureSpec, rng: random.Random | None = None):
@@ -86,36 +98,27 @@ def sample_space(n: int, spec: MeasureSpec, rng: random.Random | None = None):
         raise ValueError("need at least one point")
     rng = rng if rng is not None else random.Random(spec.seed)
     if spec.kind == "sequential":
-        m = from_distance_matrix([[ZERO]])
+        b = MetricBuilder(_POINT, spec.grid)
+        g = int(spec.grid * b.L)
         for _ in range(n - 1):
-            m = sample_one_point(m, spec, rng)
-        return m
-    # joint rejection on integer grid coordinates, for speed
+            b.add(_sequential_row(b, g, rng), note={"sampler": "sequential"})
+        return b.freeze()
+    # joint rejection: draw every distance, then check the rows in order
     steps = int(ONE / spec.grid)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # column k lists the draw positions of the pairs (i, k), i < k
+    cols = [[pairs.index((i, k)) for i in range(k)] for k in range(n)]
+    b = MetricBuilder(_POINT, spec.grid)
+    g = int(spec.grid * b.L)
     for _ in range(spec.max_tries):
-        draw = {p: rng.randint(0, steps) for p in pairs}
-        if _is_metric_int(draw, n):
-            rows = [[ZERO] * n for _ in range(n)]
-            for (i, j), v in draw.items():
-                rows[i][j] = rows[j][i] = v * spec.grid
-            return from_distance_matrix(rows)
-    raise RejectionBudgetExceededError(
-        f"no acceptance within {spec.max_tries} proposals"
-    )
-
-
-def _is_metric_int(draw, n) -> bool:
-    """Whether the draw (keyed by pairs i < j) is a metric: each point's
-    row is admissible over the points before it."""
-
-    def d(i, j):
-        return draw[(i, j)]
-
-    for k in range(2, n):
-        if not admissible(d, [draw[(i, k)] for i in range(k)]):
-            return False
-    return True
+        draw = [rng.randint(0, steps) * g for _ in pairs]
+        for k in range(1, n):
+            if not b.try_add([draw[p] for p in cols[k]]):
+                b.truncate(1)
+                break
+        else:
+            return b.freeze(provenance=False)
+    raise _budget_exceeded(spec, n)
 
 
 def trial_rng(master_seed, *labels) -> random.Random:

@@ -11,7 +11,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import lcm
 
 from .errors import ExtensionViolatesAxiomsError, QuotientIllDefinedError
@@ -220,12 +220,13 @@ def admissible(d, s) -> bool:
     return True
 
 
-def admissible_interval(d, s) -> tuple[Fraction, Fraction]:
-    """The values t in [0, 1] for which the row s + [t] stays admissible
+def admissible_interval(d, s, unit=ONE):
+    """The values t in [0, unit] for which the row s + [t] stays admissible
     over d, given that s is: [max_j |s_j - d(j, i)|, min_j (s_j + d(j, i))]
-    cut to [0, 1], where i = len(s) and j < i.  Empty when lo > hi."""
+    cut to [0, unit], where i = len(s) and j < i.  Empty when lo > hi.
+    The unit is ONE for rational rows, or L for rows of integers over L."""
     i = len(s)
-    lo, hi = ZERO, ONE
+    lo, hi = unit * 0, unit
     for j in range(i):
         r = d(j, i)
         lo = max(lo, abs(s[j] - r))
@@ -276,6 +277,93 @@ def extend_point(
 
 def extend_with_distances(m, dists, note=None) -> PresentedStructure:
     return extend_point(m, metric_rows(list(dists)), note=note)
+
+
+class MetricBuilder:
+    """A metric-only structure grown point by point over integers.
+
+    Every distance is held as an integer over one denominator L, the lcm
+    of `grid`'s denominator and the prefix's: ``rows[j][i]`` is d(i, j)
+    for i < j, the row point j was added with.  The prefix is assumed
+    valid, as for ``extend_point``; each new row gets exactly the check
+    ``extend_point`` makes of it (every entry in 0..L, then the Katetov
+    row test), and ``freeze`` builds the ``PresentedStructure`` once, at
+    the end.
+    """
+
+    __slots__ = ("sig", "L", "rows", "_base", "_log", "_notes")
+
+    def __init__(self, prefix: PresentedStructure, grid: Fraction = ONE):
+        if len(prefix.sig.relations) != 1:
+            raise ValueError("MetricBuilder grows metric-only structures")
+        d = prefix.tables["d"]
+        self.sig = prefix.sig
+        self.L = L = lcm(grid.denominator, *(v.denominator for v in d.values()))
+        self.rows = [
+            [d[(i, j)].numerator * (L // d[(i, j)].denominator) for i in range(j)]
+            for j in range(prefix.n)
+        ]
+        self._base = prefix.n
+        self._log = prefix.provenance_log
+        self._notes: list = []
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
+
+    def d(self, i: int, j: int) -> int:
+        """d(i, j) over L, for i < j."""
+        return self.rows[j][i]
+
+    def try_add(self, row, note=None) -> bool:
+        """Add a point with row[i] = d(i, new) over L, if that keeps the
+        structure valid; False, and nothing added, if not."""
+        n = len(self.rows)
+        if len(row) != n:
+            raise ValueError(f"point {n} needs {n} distances, got {len(row)}")
+        if row and (min(row) < 0 or max(row) > self.L or not admissible(self.d, row)):
+            return False
+        self.rows.append(list(row))
+        self._notes.append(note)
+        return True
+
+    def add(self, row, note=None) -> None:
+        """``try_add``, raising as ``extend_point`` does on a bad row."""
+        if not self.try_add(row, note):
+            table = self.freeze().tables["d"]
+            table.update(metric_rows([Fraction(v, self.L) for v in row])["d"])
+            m = PresentedStructure(self.sig, len(row) + 1, {"d": table})
+            raise ExtensionViolatesAxiomsError(validate(m))
+
+    def truncate(self, n: int) -> None:
+        """Drop the points added from point n on; n >= the prefix size."""
+        if n < self._base:
+            raise ValueError(f"cannot drop prefix points: {n} < {self._base}")
+        del self.rows[n:]
+        del self._notes[n - self._base:]
+
+    def freeze(self, provenance=True) -> PresentedStructure:
+        """The structure built so far, with one Fraction per distinct
+        distance.  Each added point leaves the record ``extend_point``
+        writes; provenance=False keeps only the prefix's records."""
+        rows, L = self.rows, self.L
+        values = set(chain.from_iterable(rows))
+        frac = {v: Fraction(v, L) for v in values}
+        frac[0] = ZERO
+        n = len(rows)
+        table = {
+            (i, j): frac[rows[j][i] if i < j else rows[i][j] if j < i else 0]
+            for i in range(n)
+            for j in range(n)
+        }
+        log = self._log
+        if provenance:
+            log += tuple(
+                {"point": self._base + k, "note": note} for k, note in enumerate(self._notes)
+            )
+        m = PresentedStructure(self.sig, n, {"d": table}, log)
+        m._unit = all(0 <= v <= L for v in values)
+        return m
 
 
 # --------------------------------------------------------------- quotient

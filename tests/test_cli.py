@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -195,6 +196,37 @@ class TestSampleAuditGenericity:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("usage error:") and len(err.splitlines()) == 1
+
+    def test_rejection_budget_is_one_line_domain_error(self, tmp_path, capsys):
+        # 2000 proposals of 28 distances each on the 2^-16 grid: none is a
+        # metric, and the run ends well within a second
+        start = time.perf_counter()
+        code = cli.main(
+            ["sample", "--n", "8", "--kind", "rejection", "--max-tries", "2000",
+             "--seed", "0", "--out", str(tmp_path / "m.json")])
+        assert time.perf_counter() - start < 2
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "2000 proposals" in err and "8-point" in err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("verb", ["sample", "audit", "genericity"])
+    def test_max_tries_below_one_usage_error(self, verb, tmp_path, capsys):
+        theta_path = tmp_path / "theta.json"
+        theta_path.write_text(json.dumps([["0", "1/2"], ["1/2", "0"]]))
+        args = {
+            "sample": ["sample", "--n", "3", "--out", str(tmp_path / "m.json")],
+            "audit": ["audit", "--n", "3", "--trials", "5", "--formula",
+                      "d(x,y)", "--eps", "1/2"],
+            "genericity": ["genericity", "--theta", str(theta_path),
+                           "--n-values", "3", "--trials", "5", "--eps", "1/2"],
+        }[verb]
+        code = cli.main(args + ["--kind", "rejection", "--max-tries", "0",
+                                "--seed", "0"])
+        assert code == 2
+        assert_one_line_error(capsys, "usage error:")
+        assert not (tmp_path / "m.json").exists()
 
 
 BAD_TRIANGLE = [["0", "1", "1/4"], ["1", "0", "1/4"], ["1/4", "1/4", "0"]]

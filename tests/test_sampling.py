@@ -5,6 +5,7 @@ from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metrika import (
     MeasureSpec,
@@ -18,7 +19,12 @@ from metrika import (
 )
 from metrika.logic import metric_signature
 from metrika.sampling import trial_rng
-from metrika.structures import from_distance_matrix
+from metrika.structures import (
+    admissible,
+    admissible_interval,
+    extend_with_distances,
+    from_distance_matrix,
+)
 from metrika.urysohn import DistanceConfiguration
 
 ZERO = F(0)
@@ -177,3 +183,103 @@ class TestGenericityFrequency:
         freqs = dict(curve)
         assert freqs[8] >= freqs[3] - 0.1
         assert freqs[8] > 0.6
+
+
+# ------------------------------------------- the samplers vs a rational reference
+#
+# The reference is the Fraction form of both samplers: every point added by
+# extend_with_distances, each distance drawn by a Fraction grid draw, and a
+# joint rejection draw rebuilt by from_distance_matrix.
+
+
+def _ref_grid_uniform(lo, hi, step, rng):
+    lo_idx = -((-lo.numerator * step.denominator) // (lo.denominator * step.numerator))
+    hi_idx = (hi.numerator * step.denominator) // (hi.denominator * step.numerator)
+    if lo_idx > hi_idx:
+        return lo
+    return rng.randint(lo_idx, hi_idx) * step
+
+
+def _ref_sample_one_point(m, spec, rng):
+    n = m.n
+    if spec.kind == "sequential":
+        s = []
+        for _ in range(n):
+            s.append(_ref_grid_uniform(*admissible_interval(m.d, s), spec.grid, rng))
+        return extend_with_distances(m, s, note={"sampler": "sequential"})
+    steps = int(ONE / spec.grid)
+    for _ in range(spec.max_tries):
+        s = [rng.randint(0, steps) * spec.grid for _ in range(n)]
+        if admissible(m.d, s):
+            return extend_with_distances(m, s, note={"sampler": "rejection"})
+    raise RejectionBudgetExceededError("budget")
+
+
+def _ref_sample_space(n, spec, rng):
+    if spec.kind == "sequential":
+        m = from_distance_matrix([[ZERO]])
+        for _ in range(n - 1):
+            m = _ref_sample_one_point(m, spec, rng)
+        return m
+    steps = int(ONE / spec.grid)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for _ in range(spec.max_tries):
+        draw = {p: rng.randint(0, steps) for p in pairs}
+
+        def d(i, j):
+            return draw[(i, j)]
+
+        if all(admissible(d, [draw[(i, k)] for i in range(k)]) for k in range(2, n)):
+            rows = [[ZERO] * n for _ in range(n)]
+            for (i, j), v in draw.items():
+                rows[i][j] = rows[j][i] = v * spec.grid
+            return from_distance_matrix(rows)
+    raise RejectionBudgetExceededError("budget")
+
+
+def _outcome(sampler, *args, rng):
+    """What a sampler returns (tables and provenance) or that it ran out of
+    proposals, with the state its random stream is left in."""
+    try:
+        m = sampler(*args, rng)
+        result = (m.n, m.tables, m.provenance_log)
+    except RejectionBudgetExceededError:
+        result = "budget"
+    return result, rng.getstate()
+
+
+KINDS = st.sampled_from(["sequential", "rejection"])
+GRIDS = st.sampled_from([F(1, 4), F(1, 8), F(1, 16), F(2, 5), F(3, 7), F(1, 2**16)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(KINDS, GRIDS, st.integers(1, 9), st.integers(0, 2**32))
+def test_sample_space_matches_rational_reference(kind, grid, n, seed):
+    spec = MeasureSpec(kind=kind, grid=grid, seed=seed, max_tries=40)
+    got = _outcome(sample_space, n, spec, rng=random.Random(seed))
+    assert got == _outcome(_ref_sample_space, n, spec, rng=random.Random(seed))
+
+
+@settings(max_examples=200, deadline=None)
+@given(KINDS, GRIDS, st.sampled_from([F(1, 3), F(1, 4), F(2, 5), F(1, 8)]),
+       st.integers(1, 8), st.integers(0, 2**32))
+def test_sample_one_point_matches_rational_reference(kind, grid, prefix_grid, n, seed):
+    # a prefix off the sampling grid (1/3 against 1/8, say) can leave an
+    # interval holding no grid point, where the draw falls back to lo
+    prefix = _ref_sample_space(n, MeasureSpec("sequential", grid=prefix_grid), random.Random(seed))
+    spec = MeasureSpec(kind=kind, grid=grid, seed=seed, max_tries=40)
+    got = _outcome(sample_one_point, prefix, spec, rng=random.Random(seed + 1))
+    assert got == _outcome(_ref_sample_one_point, prefix, spec, rng=random.Random(seed + 1))
+
+
+def test_off_grid_prefix_takes_the_lo_fallback():
+    # d(0,1) = 1/3: a draw of s0 = 0 leaves s1 in [1/3, 1/3], off the 1/8 grid
+    prefix = from_distance_matrix([[ZERO, F(1, 3)], [F(1, 3), ZERO]])
+    spec = MeasureSpec(kind="sequential", grid=F(1, 8))
+    off_grid = 0
+    for seed in range(60):
+        m = sample_one_point(prefix, spec, random.Random(seed))
+        ref = _ref_sample_one_point(prefix, spec, random.Random(seed))
+        assert m.tables == ref.tables and m.provenance_log == ref.provenance_log
+        off_grid += any(8 % m.d(i, 2).denominator for i in range(2))
+    assert off_grid > 0

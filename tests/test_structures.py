@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 from itertools import product
+from math import ceil, floor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,13 +9,14 @@ from metrika.errors import ExtensionViolatesAxiomsError, QuotientIllDefinedError
 from metrika.logic import Relation, Signature, graph_signature, parse_formula
 from metrika.urysohn import DistanceConfiguration
 from metrika.evaluation import evaluate
-from metrika.sampling import _is_metric_int
 from metrika.structures import (
+    MetricBuilder,
     PresentedStructure,
     ValidationReport,
     Violation,
     admissible,
     admissible_interval,
+    empty_structure,
     extend_point,
     extend_with_distances,
     from_distance_matrix,
@@ -255,10 +257,71 @@ def _is_metric_by_triples(draw, n):
 ))
 @settings(max_examples=300)
 def test_integer_metric_check_agrees_with_triple_scan(case):
+    # the rejection sampler's check: the rows of a joint draw, added in order
     n, values = case
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     draw = dict(zip(pairs, values))
-    assert _is_metric_int(draw, n) == _is_metric_by_triples(draw, n)
+    b = MetricBuilder(from_distance_matrix([[0]]), F(1, 4))
+    accepted = all(b.try_add([draw[(i, k)] for i in range(k)]) for k in range(1, n))
+    assert accepted == _is_metric_by_triples(draw, n)
+
+
+# ------------------------------------------ integer builder vs extend_point
+
+
+@st.composite
+def _valid_prefixes(draw):
+    """A metric prefix of 0..5 points on a grid of denominator 2, 3, 4 or
+    6, grown by extend_with_distances so that it carries provenance."""
+    q = draw(st.sampled_from([2, 3, 4, 6]))
+    m = empty_structure(from_distance_matrix([[0]]).sig)
+    for _ in range(draw(st.integers(0, 5))):
+        s = []
+        for _ in range(m.n):
+            lo, hi = admissible_interval(m.d, s)
+            s.append(F(draw(st.integers(ceil(lo * q), floor(hi * q))), q))
+        m = extend_with_distances(m, s, note={"q": q})
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(_valid_prefixes(), st.sampled_from([F(1, 2), F(1, 3), F(1, 4), F(2, 5)]),
+       st.data())
+def test_builder_agrees_with_extend_point(prefix, grid, data):
+    b = MetricBuilder(prefix, grid)
+    m = prefix
+    for _ in range(data.draw(st.integers(1, 4))):
+        L, n = b.L, b.n
+        length = data.draw(st.sampled_from([n, n, n, n + 1] + ([n - 1] if n else [])))
+        if data.draw(st.booleans()) and length == n:
+            # an admissible row, often on the interval's edge
+            row = []
+            for _ in range(n):
+                lo, hi = admissible_interval(b.d, row, L)
+                row.append(data.draw(st.sampled_from([lo, hi]) | st.integers(lo, hi)))
+        else:
+            row = data.draw(st.lists(st.integers(-1, L + 1), min_size=length,
+                                     max_size=length))
+        note = data.draw(st.sampled_from([None, "x", {"sampler": "t"}]))
+        try:
+            expected = extend_with_distances(m, [F(v, L) for v in row], note=note)
+        except (ValueError, ExtensionViolatesAxiomsError) as exc:
+            with pytest.raises(type(exc)) as got:
+                b.add(row, note)
+            if isinstance(exc, ExtensionViolatesAxiomsError):
+                assert got.value.report == exc.report == validate(
+                    from_distance_matrix(
+                        [[m.d(i, j) for j in range(n)] + [F(row[i], L)] for i in range(n)]
+                        + [[F(v, L) for v in row] + [F(0)]]
+                    )
+                )
+            continue
+        b.add(row, note)
+        m = expected
+    frozen = b.freeze()
+    assert frozen == m
+    assert frozen.provenance_log == m.provenance_log
+    assert frozen.unit_valued()
 
 
 # ------------------------------------------ Lipschitz scan vs a rational reference
