@@ -84,6 +84,22 @@ def _rational(text, option):
         raise SystemExit2(f"{option}: {exc}") from None
 
 
+def _unit_fraction(text, option):
+    """A grid of configuration entries: 1/q for an integer q >= 1."""
+    grid = _rational(text, option)
+    if grid.numerator != 1:
+        raise SystemExit2(f"{option} must be 1/q for an integer q >= 1, got {text}")
+    return grid
+
+
+def _step(text, option):
+    """A grid step for new distances: a rational in (0, 1]."""
+    grid = _rational(text, option)
+    if not 0 < grid <= 1:
+        raise SystemExit2(f"{option} must be in (0,1], got {text}")
+    return grid
+
+
 def _tolerance(text):
     """An eps for the extension obligations: a rational in (0, 1]."""
     if text is None:
@@ -228,6 +244,10 @@ def _run(args) -> int:
         raise SystemExit2(f"--k must be at least 0, got {args.k}")
     if args.verb == "configs" and args.size < 1:
         raise SystemExit2(f"--size must be at least 1, got {args.size}")
+    if args.verb == "synth" and args.budget < 0:
+        raise SystemExit2(f"--budget must be at least 0, got {args.budget}")
+    if args.verb == "synth" and args.max_size < 1:
+        raise SystemExit2(f"--max-size must be at least 1, got {args.max_size}")
     if args.verb == "compare" and args.depth < 1:
         raise SystemExit2(f"--depth must be at least 1, got {args.depth}")
     if args.verb == "report" and bool(args.structure) != bool(args.configs):
@@ -284,19 +304,18 @@ def _run(args) -> int:
 
     if args.verb == "synth":
         seed = _seed(args)
+        grid = _step(args.grid, "--grid")
         if args.theory == "empty-metric":
             spec = synth.empty_metric_spec(
                 config_sizes=tuple(_int_list(args.config_sizes, "--config-sizes", 1)),
-                config_grid=_rational(args.config_grid, "--config-grid"),
+                config_grid=_unit_fraction(args.config_grid, "--config-grid"),
                 eps=_tolerance(args.eps),
             )
             start = synth.metric_seed(1)
         else:
             spec = synth.graph_spec(max_size=args.max_size)
             start = synth.graph_seed(1)
-        out = synth.ec_close(
-            start, spec, args.budget, grid=_rational(args.grid, "--grid"), rng_seed=seed
-        )
+        out = synth.ec_close(start, spec, args.budget, grid=grid, rng_seed=seed)
         structures.save(out, args.out, include_provenance=True)
         _emit(
             {
@@ -403,7 +422,7 @@ def _run(args) -> int:
         return 0
 
     if args.verb == "configs":
-        grid = _rational(args.grid, "--grid")
+        grid = _unit_fraction(args.grid, "--grid")
         configs = urysohn.all_configurations(args.size, grid.denominator)
         urysohn.save_configurations(configs, args.out)
         _emit(
@@ -460,9 +479,7 @@ def _run(args) -> int:
 
 
 def _measure_spec(args, seed) -> sampling.MeasureSpec:
-    grid = _rational(args.grid, "--grid") if args.grid else sampling.DEFAULT_GRID
-    if not 0 < grid <= 1:
-        raise SystemExit2(f"--grid must be in (0,1], got {args.grid}")
+    grid = _step(args.grid, "--grid") if args.grid else sampling.DEFAULT_GRID
     return sampling.MeasureSpec(
         kind=args.kind, grid=grid, seed=seed, max_tries=args.max_tries
     )

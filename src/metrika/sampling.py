@@ -22,7 +22,7 @@ from .evaluation import evaluate
 from .logic import Formula, metric_signature
 from .rationals import ONE, ZERO
 from .structures import MetricBuilder, PresentedStructure, admissible_interval
-from .urysohn import DistanceConfiguration, extension_obligations, realized
+from .urysohn import DistanceConfiguration, ObligationScan
 
 DEFAULT_GRID = Fraction(1, 2**16)
 
@@ -193,7 +193,7 @@ def genericity_frequency(
     """Fraction of sampled n-point spaces in which every tuple realizing
     theta's restriction within delta_for(eps) admits a completing point
     within eps.  Returns the (n, frequency) curve."""
-    eps = Fraction(eps)
+    scan = ObligationScan([theta], eps)
     curve = []
     for n in n_values:
         if theta.n > n:
@@ -201,8 +201,8 @@ def genericity_frequency(
         good = 0
         for t_idx in range(trials):
             rng = trial_rng(spec.seed, "genericity", n, t_idx)
-            m = sample_space(n, spec, rng)
-            obligations = extension_obligations(m, [theta], eps)
-            good += all(realized(theta, m, pts, eps) for _, pts in obligations)
+            space = scan.space(sample_space(n, spec, rng))
+            obligations = scan.obligations(space)
+            good += all(scan.realized(0, pts, space) for _, pts in obligations)
         curve.append((n, good / trials))
     return curve

@@ -283,22 +283,24 @@ class MetricBuilder:
     """A metric-only structure grown point by point over integers.
 
     Every distance is held as an integer over one denominator L, the lcm
-    of `grid`'s denominator and the prefix's: ``rows[j][i]`` is d(i, j)
-    for i < j, the row point j was added with.  The prefix is assumed
-    valid, as for ``extend_point``; each new row gets exactly the check
-    ``extend_point`` makes of it (every entry in 0..L, then the Katetov
-    row test), and ``freeze`` builds the ``PresentedStructure`` once, at
-    the end.
+    of the `grids`' denominators and the prefix's: ``rows[j][i]`` is
+    d(i, j) for i < j, the row point j was added with.  The prefix is
+    assumed valid, as for ``extend_point``; each new row gets exactly the
+    check ``extend_point`` makes of it (every entry in 0..L, then the
+    Katetov row test), and ``freeze`` builds the ``PresentedStructure``
+    once, at the end.
     """
 
     __slots__ = ("sig", "L", "rows", "_base", "_log", "_notes")
 
-    def __init__(self, prefix: PresentedStructure, grid: Fraction = ONE):
+    def __init__(self, prefix: PresentedStructure, *grids: Fraction):
         if len(prefix.sig.relations) != 1:
             raise ValueError("MetricBuilder grows metric-only structures")
         d = prefix.tables["d"]
         self.sig = prefix.sig
-        self.L = L = lcm(grid.denominator, *(v.denominator for v in d.values()))
+        self.L = L = lcm(
+            *(g.denominator for g in grids), *(v.denominator for v in d.values())
+        )
         self.rows = [
             [d[(i, j)].numerator * (L // d[(i, j)].denominator) for i in range(j)]
             for j in range(prefix.n)
@@ -314,6 +316,12 @@ class MetricBuilder:
     def d(self, i: int, j: int) -> int:
         """d(i, j) over L, for i < j."""
         return self.rows[j][i]
+
+    def dist(self, i: int, j: int) -> int:
+        """d(i, j) over L, for any i and j."""
+        if i < j:
+            return self.rows[j][i]
+        return self.rows[i][j] if j < i else 0
 
     def try_add(self, row, note=None) -> bool:
         """Add a point with row[i] = d(i, new) over L, if that keeps the

@@ -3,9 +3,12 @@
 The countable chain argument collapses to a budgeted search over extension
 obligations, and each theory carries its own closure (`TheorySpec.close`).
 For the empty metric theory the obligations are distance configurations to
-realize (via the Katetov witness); they come from
-`urysohn.extension_obligations` and drain as a FIFO queue that only gains
-the tuples through each new point.  For graphs they are the classical
+realize (via the Katetov witness).  The space grows on one
+`structures.MetricBuilder`, which checks each witness row as it is added
+and freezes once, at the end; one `urysohn.ObligationScan` scores the
+obligations in integers over the builder's denominator, and they drain as
+a FIFO queue that only gains the tuples through each new point.  For
+graphs they are the classical
 (A, B) extension axioms over the discrete metric encoding, rescanned over
 every subset pass by pass until a pass adds no vertex or the budget is
 spent.  Seeds are preserved as bit-identical prefixes.
@@ -35,14 +38,8 @@ from .logic import (
     parse_condition,
 )
 from .rationals import ONE, ZERO
-from .structures import PresentedStructure, admissible, extend_with_distances
-from .urysohn import (
-    all_configurations,
-    delta_for,
-    extension_obligations,
-    katetov_witness,
-    realized,
-)
+from .structures import MetricBuilder, PresentedStructure, admissible
+from .urysohn import ObligationScan, all_configurations, delta_for, katetov_witness
 
 HALF = Fraction(1, 2)
 
@@ -164,20 +161,47 @@ def _ec_close_metric(seed, spec, budget, grid, rng_seed):
     for size in spec.config_sizes:
         configs.extend(all_configurations(size, denom))
 
-    m = seed
-    queue = deque(extension_obligations(m, configs, eps))
+    scan = ObligationScan(configs, eps)
+    # every witness distance lies on the lattice spanned by the seed's
+    # distances, grid, config_grid (which the configurations lie on) and
+    # eps (the Katetov slack), so the builder's L holds them all exactly
+    b = MetricBuilder(seed, grid, spec.config_grid, eps)
+    m = _FractionView(b)
+    queue = deque(scan.obligations(b))
     dequeued = 0
     while queue and dequeued < budget:
         t_idx, pts = queue.popleft()
         dequeued += 1
-        theta = configs[t_idx]
-        if realized(theta, m, pts, eps):
+        if scan.realized(t_idx, pts, b):
             continue
-        h = _metric_witness(m, theta, pts, eps, delta, spec.config_grid, grid, rng)
-        old_n = m.n
-        m = extend_with_distances(m, h, note={"task": t_idx, "tuple": pts})
-        queue.extend(extension_obligations(m, configs, eps, first_new=old_n))
-    return m
+        row = _metric_witness(m, configs[t_idx], pts, eps, delta, spec.config_grid, grid, rng)
+        old_n = b.n
+        b.add(row, note={"task": t_idx, "tuple": pts})
+        queue.extend(scan.obligations(b, first_new=old_n))
+    return b.freeze()
+
+
+class _FractionView:
+    """A ``MetricBuilder`` read as Fractions, with the ``n`` and ``d(i, j)``
+    of a structure, for the witness search."""
+
+    __slots__ = ("builder",)
+
+    def __init__(self, b: MetricBuilder):
+        self.builder = b
+
+    @property
+    def n(self) -> int:
+        return self.builder.n
+
+    def d(self, i: int, j: int) -> Fraction:
+        return Fraction(self.builder.dist(i, j), self.builder.L)
+
+    def scaled(self, values) -> list[int]:
+        """Rational distances as integers over the builder's L, which
+        every witness distance's denominator divides."""
+        L = self.builder.L
+        return [v.numerator * (L // v.denominator) for v in values]
 
 
 def _off_task_grid(value, config_grid, delta):
@@ -188,7 +212,8 @@ def _off_task_grid(value, config_grid, delta):
 
 
 def _metric_witness(m, theta, pts, eps, delta, config_grid, grid, rng):
-    """Distance vector for the new point realizing theta within eps.
+    """Distance row, over the builder's L, for the new point realizing
+    theta within eps.
 
     An admissible vector is its own Katetov witness anchored at *every*
     point of m (with zero slack), so it is returned as is.  All distances
@@ -196,11 +221,12 @@ def _metric_witness(m, theta, pts, eps, delta, config_grid, grid, rng):
     the task grid: tuples through the new point then never re-trigger
     obligations, so the worklist provably drains and the closure is a
     finite fixpoint.  If no steered vector is admissible (off the default
-    grids) we fall back to the plain repaired witness.
+    grids) we fall back to the plain repaired witness.  The steering reads
+    Fractions from the view m; the admissibility test reads integers.
     """
     k = theta.n - 1
     if m.n == 0:
-        return ()
+        return []
     targets = [theta.r[a][k] for a in range(k)]
     cap = ONE - grid
 
@@ -233,9 +259,10 @@ def _metric_witness(m, theta, pts, eps, delta, config_grid, grid, rng):
             continue
         if any(abs(s[pts[a]] - targets[a]) > eps for a in range(k)):
             continue
-        if admissible(m.d, s):
-            return tuple(s)
-    return katetov_witness(m, theta, pts, delta)
+        row = m.scaled(s)
+        if admissible(m.builder.d, row):
+            return row
+    return m.scaled(katetov_witness(m, theta, pts, delta))
 
 
 def _ec_close_graph(seed, spec, budget, grid, rng_seed):

@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import lcm
 
 from .errors import (
     PartialInfeasibleError,
@@ -32,7 +33,12 @@ from .logic import (
     max_of,
 )
 from .rationals import ONE, ZERO, format_rational, parse_rational
-from .structures import PresentedStructure, admissible, admissible_interval
+from .structures import (
+    PresentedStructure,
+    admissible,
+    admissible_interval,
+    tuples_naming,
+)
 
 
 @dataclass(frozen=True)
@@ -46,17 +52,19 @@ class DistanceConfiguration:
         for row in self.r:
             if len(row) != n:
                 raise ValueError("distance matrix must be square")
+        # the checks read the entries as integers over their lcm L
+        L, s = _scaled(self.r)
         for i in range(n):
-            if self.r[i][i] != 0:
+            if s[i][i] != 0:
                 raise ValueError(f"nonzero diagonal at {i}")
             for j in range(n):
-                if not ZERO <= self.r[i][j] <= ONE:
+                if not 0 <= s[i][j] <= L:
                     raise ValueError(f"entry ({i},{j}) outside [0,1]")
-                if self.r[i][j] != self.r[j][i]:
+                if s[i][j] != s[j][i]:
                     raise ValueError(f"asymmetric at ({i},{j})")
         # the triangle inequality: each row is admissible over its prefix
         for k in range(n):
-            if not admissible(self.d, self.r[k][:k]):
+            if not admissible(lambda i, j: s[i][j], s[k][:k]):
                 raise ValueError(f"triangle violated by point {k}")
 
     @property
@@ -76,12 +84,18 @@ class DistanceConfiguration:
         return [[format_rational(v) for v in row] for row in self.r]
 
     @staticmethod
-    def from_json(rows) -> "DistanceConfiguration":
+    def from_json(rows, parse=parse_rational) -> "DistanceConfiguration":
         if not all(isinstance(row, list) for row in rows):
             raise ValueError(f"a configuration is a list of rows, got {rows!r}")
-        return DistanceConfiguration(
-            tuple(tuple(parse_rational(v) for v in row) for row in rows)
-        )
+        return DistanceConfiguration(tuple(tuple(parse(v) for v in row) for row in rows))
+
+
+def _scaled(r, L=1):
+    """The rational matrix r as integers over lcm(L, r's denominators):
+    returns that denominator and the integer rows."""
+    ratios = [[v.as_integer_ratio() for v in row] for row in r]
+    L = lcm(L, *{q for row in ratios for _, q in row})
+    return L, [[p * (L // q) for p, q in row] for row in ratios]
 
 
 def restrict(theta: DistanceConfiguration) -> DistanceConfiguration:
@@ -106,32 +120,121 @@ def config_error(
     return err
 
 
+class ObligationScan:
+    """The extension obligations of one configuration list at one eps,
+    scored in integers.
+
+    The scan reads an integer space: a size ``n``, a denominator ``L``
+    that ``self.L`` (the lcm of the configurations' denominators) divides,
+    and ``dist(i, j)``, d(i, j) over L for every i and j, as on a
+    ``MetricBuilder``; ``space(m)`` reads a structure so.  Each distance
+    error is then an integer over L, and it is within eps (or delta)
+    exactly when it is at most floor(eps * L).  The configurations are
+    grouped by restriction once, when the scan is built.
+    """
+
+    def __init__(self, configs, eps):
+        self.configs = list(configs)
+        self.eps = Fraction(eps)
+        self.delta = delta_for(self.eps)
+        if any(theta.n < 1 for theta in self.configs):
+            raise SizeMismatchError("cannot restrict an empty configuration")
+        self.L = lcm(
+            *{v.denominator for theta in self.configs for row in theta.r for v in row}
+        )
+        self._r = [_scaled(theta.r, self.L)[1] for theta in self.configs]
+        # per configuration its restriction (k, the k x k upper triangle);
+        # per anchor count k the distinct restrictions, in first-seen order
+        self._keys = []
+        self._groups: dict[int, dict] = {}
+        for r in self._r:
+            k = len(r) - 1
+            key = tuple(r[i][j] for i, j in combinations(range(k), 2))
+            self._keys.append((k, key))
+            self._groups.setdefault(k, {})[key] = None
+
+    def space(self, m: PresentedStructure) -> "_ScaledSpace":
+        """m's distances as an integer space over lcm(self.L, m's
+        denominators)."""
+        return _ScaledSpace(m, self.L)
+
+    def _factor(self, L: int) -> int:
+        if L % self.L:
+            raise ValueError(f"distances over {L} cannot be scored over {self.L}")
+        return L // self.L
+
+    def obligations(self, space, first_new: int = 0):
+        """Every (theta_index, pts) whose anchor tuple pts realizes theta's
+        restriction within delta, configuration-major with tuples in
+        product order.  With first_new > 0, only the tuples naming a point
+        >= first_new (so never the empty tuple)."""
+        n, L, d = space.n, space.L, space.dist
+        f = self._factor(L)
+        delta = self.delta.numerator * L // self.delta.denominator
+        anchors = {}
+        for k, keys in self._groups.items():
+            pairs = list(combinations(range(k), 2))
+            if first_new:
+                tuples = tuples_naming(n, k, first_new)
+            else:
+                tuples = product(range(n), repeat=k)
+            scored = [(pts, [d(pts[i], pts[j]) for i, j in pairs]) for pts in tuples]
+            for key in keys:
+                want = [r * f for r in key]
+                anchors[k, key] = [
+                    pts
+                    for pts, got in scored
+                    if all(abs(g - w) <= delta for g, w in zip(got, want))
+                ]
+        for t_idx, key in enumerate(self._keys):
+            for pts in anchors[key]:
+                yield t_idx, pts
+
+    def realized(self, t_idx: int, pts, space) -> bool:
+        """Whether some point completes the anchors pts to configuration
+        t_idx within eps."""
+        r = self._r[t_idx]
+        k = len(r) - 1
+        if len(pts) != k:
+            raise SizeMismatchError(f"expected {k + 1} points, got {len(pts) + 1}")
+        L, d = space.L, space.dist
+        f = self._factor(L)
+        eps = self.eps.numerator * L // self.eps.denominator
+        for i, j in combinations(range(k), 2):
+            if abs(d(pts[i], pts[j]) - r[i][j] * f) > eps:
+                return False
+        col = [(p, r[a][k] * f) for a, p in enumerate(pts)]
+        return any(all(abs(d(p, y) - c) <= eps for p, c in col) for y in range(space.n))
+
+
+class _ScaledSpace:
+    """A structure's distances read as integers over a denominator L."""
+
+    __slots__ = ("n", "L", "_table")
+
+    def __init__(self, m: PresentedStructure, L: int):
+        self._table = table = m.tables["d"]
+        self.n = m.n
+        self.L = lcm(L, *{v.denominator for v in table.values()})
+
+    def dist(self, i: int, j: int) -> int:
+        v = self._table[i, j]
+        return v.numerator * (self.L // v.denominator)
+
+
 def extension_obligations(m: PresentedStructure, configs, eps, first_new: int = 0):
     """Every (theta_index, pts) whose anchor tuple pts realizes theta's
     restriction within delta_for(eps), configuration-major with tuples in
     product order.  With first_new > 0, only the tuples naming a point
-    >= first_new (so never the empty tuple).  Configurations that share a
-    restriction share one scan of the tuples."""
-    delta = delta_for(eps)
-    anchors: dict = {}
-    for t_idx, theta in enumerate(configs):
-        k = theta.n - 1
-        key = (k, tuple(row[:k] for row in theta.r[:k]))
-        if key not in anchors:
-            base = restrict(theta)
-            anchors[key] = [
-                pts
-                for pts in product(range(m.n), repeat=k)
-                if (not first_new or any(p >= first_new for p in pts))
-                and config_error(base, m, pts) <= delta
-            ]
-        for pts in anchors[key]:
-            yield t_idx, pts
+    >= first_new (so never the empty tuple)."""
+    scan = ObligationScan(configs, eps)
+    yield from scan.obligations(scan.space(m), first_new)
 
 
 def realized(theta: DistanceConfiguration, m: PresentedStructure, pts, eps) -> bool:
     """Whether some point of m completes the anchors pts to theta within eps."""
-    return any(config_error(theta, m, (*pts, y)) <= eps for y in range(m.n))
+    scan = ObligationScan([theta], eps)
+    return scan.realized(0, tuple(pts), scan.space(m))
 
 
 def config_formula(theta: DistanceConfiguration, var_names=None) -> Formula:
@@ -302,13 +405,13 @@ def extension_property_report(
     """For every configuration and every prefix tuple realizing its
     restriction within delta_for(eps): is some prefix point within eps of
     completing the configuration?"""
-    eps = Fraction(eps)
-    configs = list(configs)
+    scan = ObligationScan(configs, eps)
+    space = scan.space(m)
     total = 0
     failures: list[ExtensionFailure] = []
-    for t_idx, pts in extension_obligations(m, configs, eps):
+    for t_idx, pts in scan.obligations(space):
         total += 1
-        if not realized(configs[t_idx], m, pts, eps):
+        if not scan.realized(t_idx, pts, space):
             failures.append(ExtensionFailure(t_idx, pts))
     return ExtensionReport(total - len(failures), total, tuple(failures))
 
@@ -344,4 +447,14 @@ def save_configurations(configs, path) -> None:
 def load_configurations(path):
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    return [DistanceConfiguration.from_json(rows) for rows in data]
+    memo: dict[str, Fraction] = {}
+
+    def parse(text):
+        # each distinct entry string is parsed once
+        if isinstance(text, str) and text in memo:
+            return memo[text]
+        value = parse_rational(text)
+        memo[text] = value
+        return value
+
+    return [DistanceConfiguration.from_json(rows, parse) for rows in data]

@@ -1,12 +1,15 @@
 """End-to-end tests for the metrika command line."""
 
+import io
 import json
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from metrika import all_configurations, cli
 from metrika.rationals import ZERO, ONE
@@ -131,6 +134,13 @@ class TestSynthAndReport:
             ["synth", "--theory", "empty-metric", "--budget", "10",
              "--out", str(tmp_path / "x.json")], capsys)
         assert code == 2
+
+    def test_budget_zero_writes_the_seed(self, tmp_path, capsys):
+        code, out = run(
+            ["synth", "--theory", "empty-metric", "--budget", "0",
+             "--seed", "0", "--out", str(tmp_path / "x.json")], capsys)
+        assert code == 0
+        assert json.loads(out)["points"] == 1
 
     def test_report_fails_on_unsaturated_structure(self, two_point, tmp_path,
                                                    capsys):
@@ -273,6 +283,21 @@ class TestUsageErrors:
         ["synth", "--theory", "empty-metric", "--eps", "abc", "--budget", "5",
          "--seed", "0", "--out", "{o}"],
         ["configs", "--size", "2", "--grid", "1/0", "--out", "{o}"],
+        ["configs", "--size", "2", "--grid", "2/7", "--out", "{o}"],
+        ["configs", "--size", "2", "--grid", "3/2", "--out", "{o}"],
+        ["configs", "--size", "2", "--grid", "0", "--out", "{o}"],
+        ["synth", "--theory", "empty-metric", "--config-grid", "0",
+         "--budget", "5", "--seed", "0", "--out", "{o}"],
+        ["synth", "--theory", "empty-metric", "--config-grid", "2/7",
+         "--budget", "5", "--seed", "0", "--out", "{o}"],
+        ["synth", "--theory", "empty-metric", "--grid", "0", "--budget", "5",
+         "--seed", "0", "--out", "{o}"],
+        ["synth", "--theory", "empty-metric", "--grid", "3/2", "--budget", "5",
+         "--seed", "0", "--out", "{o}"],
+        ["synth", "--theory", "empty-metric", "--budget", "-1", "--seed", "0",
+         "--out", "{o}"],
+        ["synth", "--theory", "graph", "--max-size", "0", "--budget", "5",
+         "--seed", "0", "--out", "{o}"],
     ], ids=["assign", "report-no-eps", "report-eps-0", "synth-eps-0",
             "sample-n-0", "encode-k-negative", "configs-size-0",
             "synth-config-sizes-0", "synth-config-sizes-x",
@@ -280,7 +305,10 @@ class TestUsageErrors:
             "audit-n-below-arity", "compare-depth-0", "sample-grid-0",
             "sample-grid-2", "assign-out-of-range", "report-no-configs",
             "report-no-structure", "report-no-inputs", "sample-grid-abc",
-            "compare-eps-abc", "synth-eps-abc", "configs-grid-1-over-0"])
+            "compare-eps-abc", "synth-eps-abc", "configs-grid-1-over-0",
+            "configs-grid-2-over-7", "configs-grid-3-over-2", "configs-grid-0",
+            "synth-config-grid-0", "synth-config-grid-2-over-7", "synth-grid-0",
+            "synth-grid-3-over-2", "synth-budget-negative", "synth-max-size-0"])
     def test_misuse_is_usage_error(self, argv, two_point, tmp_path, capsys):
         cfg_path = tmp_path / "configs.json"
         cfg_path.write_text(json.dumps([[["0", "1/2"], ["1/2", "0"]]]))
@@ -461,3 +489,76 @@ class TestEntryPoint:
             [sys.executable, "-m", "metrika.cli"], capture_output=True,
             text=True)
         assert proc.returncode == 2
+
+
+# ---------------------------------------------------------------- argv fuzz
+
+VALUES = ["0", "-1", "1", "1/0", "3/2", "2/7", "abc", "1/8", "1/4", "1/16"]
+
+
+def option(name, values, required=False):
+    """The option with a value drawn from `values`; or, unless it is
+    required, nothing."""
+    given_ = st.sampled_from(values).map(lambda v: [name, v])
+    return given_ if required else st.one_of(st.just([]), given_)
+
+
+def fuzz_argv(verb, *options):
+    return st.tuples(*options).map(lambda opts: [verb] + [a for o in opts for a in o])
+
+
+SYNTH_ARGV = fuzz_argv(
+    "synth",
+    option("--theory", ["empty-metric", "graph", "abc"], True),
+    option("--budget", ["0", "-1", "1", "20", "1/8", "abc"], True),
+    option("--grid", VALUES),
+    option("--eps", VALUES),
+    option("--config-grid", VALUES),
+    option("--config-sizes", ["1", "2", "2,3", "3,2", "0", "-1", "abc", ""]),
+    option("--max-size", ["0", "-1", "1", "3", "abc"]),
+    option("--seed", ["0", "1", "-1", "abc"], True),
+    option("--out", ["{dir}/synth.json", "{dir}/missing/synth.json"], True),
+)
+CONFIGS_ARGV = fuzz_argv(
+    "configs",
+    option("--size", ["0", "-1", "1", "2", "3", "abc"], True),
+    option("--grid", VALUES),
+    option("--out", ["{dir}/configs.json", "{dir}/missing/configs.json"], True),
+)
+REPORT_ARGV = fuzz_argv(
+    "report",
+    option("--structure", ["{dir}/two.json", "{dir}/bad.json", "{dir}/none.json"], True),
+    option("--configs", ["{dir}/c2.json", "{dir}/c3.json", "{dir}/empty.json",
+                         "{dir}/bad.json", "{dir}/none.json"], True),
+    option("--eps", VALUES, True),
+    option("--out", ["{dir}/report.json"]),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    save(from_distance_matrix([[ZERO, F(1, 2)], [F(1, 2), ZERO]]), d / "two.json")
+    (d / "c2.json").write_text(json.dumps([[["0", "1/2"], ["1/2", "0"]]]))
+    (d / "c3.json").write_text(json.dumps(
+        [[["0", "1/2", "1/4"], ["1/2", "0", "1/4"], ["1/4", "1/4", "0"]]]))
+    (d / "empty.json").write_text("[[]]")
+    (d / "bad.json").write_text("{")
+    return str(d)
+
+
+@given(st.one_of(SYNTH_ARGV, CONFIGS_ARGV, REPORT_ARGV))
+@example(["synth", "--theory", "empty-metric", "--budget", "5", "--config-grid", "0",
+          "--seed", "0", "--out", "{dir}/synth.json"])
+@settings(max_examples=300)
+def test_argv_fuzz_exits_with_a_documented_code(fuzz_dir, argv):
+    argv = [a.replace("{dir}", fuzz_dir) for a in argv]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 1, 2, 3, 4), (argv, code)
+    assert code != 1 or argv[0] == "report", argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -1,7 +1,9 @@
 """Tests for the existentially-closed chain builder."""
 
+import random
+from collections import deque
 from fractions import Fraction as F
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -24,8 +26,14 @@ from metrika import (
     validate,
 )
 from metrika.logic import AbsDiff, Atom, Const, max_of
-from metrika.structures import PresentedStructure
-from metrika.urysohn import all_configurations
+from metrika.structures import PresentedStructure, admissible, extend_with_distances
+from metrika.urysohn import (
+    all_configurations,
+    config_error,
+    delta_for,
+    katetov_witness,
+    restrict,
+)
 
 ZERO = F(0)
 ONE = F(1)
@@ -106,6 +114,118 @@ class TestEcCloseMetric:
         assert is_prefix(seed, out)
         rep = extension_property_report(out, F(1, 8), metric_configs())
         assert rep.satisfied == rep.total
+
+
+# ------------------------------------------- metric closure, Fraction reference
+
+
+def reference_obligations(m, configs, eps, first_new=0):
+    """Extension obligations scored in Fractions: every restriction's
+    tuples filtered from the full product by config_error."""
+    delta = delta_for(eps)
+    anchors = {}
+    for t_idx, theta in enumerate(configs):
+        k = theta.n - 1
+        key = (k, tuple(row[:k] for row in theta.r[:k]))
+        if key not in anchors:
+            base = restrict(theta)
+            anchors[key] = [
+                pts
+                for pts in product(range(m.n), repeat=k)
+                if (not first_new or any(p >= first_new for p in pts))
+                and config_error(base, m, pts) <= delta
+            ]
+        for pts in anchors[key]:
+            yield t_idx, pts
+
+
+def reference_off_task_grid(value, config_grid, delta):
+    lo = (value / config_grid).__floor__() * config_grid
+    return abs(value - lo) > delta and abs(value - lo - config_grid) > delta
+
+
+def reference_witness(m, theta, pts, eps, delta, config_grid, grid, rng):
+    """The steered witness on a Fraction structure."""
+    k = theta.n - 1
+    if m.n == 0:
+        return ()
+    targets = [theta.r[a][k] for a in range(k)]
+    cap = ONE - grid
+
+    def anchor_candidates(t):
+        cands = [
+            c
+            for c in (t - grid, t + grid, t)
+            if ZERO < c <= cap
+            and abs(c - t) <= eps
+            and reference_off_task_grid(c, config_grid, delta)
+        ]
+        rng.shuffle(cands)
+        return cands
+
+    def anchor_d(a, b):
+        return m.d(pts[a], pts[b])
+
+    for combo in product(*(anchor_candidates(t) for t in targets)):
+        if not admissible(anchor_d, combo):
+            continue
+        s = []
+        for x in range(m.n):
+            v = min([cap] + [combo[a] + m.d(x, pts[a]) for a in range(k)])
+            while v > ZERO and not reference_off_task_grid(v, config_grid, delta):
+                v -= grid
+            s.append(v)
+        for a in range(k):
+            s[pts[a]] = combo[a]
+        if any(not ZERO < v <= ONE for v in s):
+            continue
+        if any(abs(s[pts[a]] - targets[a]) > eps for a in range(k)):
+            continue
+        if admissible(m.d, s):
+            return tuple(s)
+    return katetov_witness(m, theta, pts, delta)
+
+
+def reference_ec_close_metric(seed, spec, budget, grid, rng_seed):
+    """The metric closure grown by extend_with_distances, in Fractions."""
+    eps = spec.eps
+    delta = delta_for(eps)
+    rng = random.Random(f"metrika-ec-metric:{rng_seed}")
+    configs = []
+    for size in spec.config_sizes:
+        configs.extend(all_configurations(size, spec.config_grid.denominator))
+    m = seed
+    queue = deque(reference_obligations(m, configs, eps))
+    dequeued = 0
+    while queue and dequeued < budget:
+        t_idx, pts = queue.popleft()
+        dequeued += 1
+        theta = configs[t_idx]
+        if any(config_error(theta, m, (*pts, y)) <= eps for y in range(m.n)):
+            continue
+        h = reference_witness(m, theta, pts, eps, delta, spec.config_grid, grid, rng)
+        old_n = m.n
+        m = extend_with_distances(m, h, note={"task": t_idx, "tuple": pts})
+        queue.extend(reference_obligations(m, configs, eps, first_new=old_n))
+    return m
+
+
+@pytest.mark.parametrize("config_grid", [F(1, 3), F(1, 4), F(1, 8)])
+@pytest.mark.parametrize("grid", [F(1, 16), F(2, 5), F(1, 6)])
+@pytest.mark.parametrize("eps", [F(1, 5), F(1, 8), F(1, 16)])
+def test_integer_closure_matches_fraction_reference(config_grid, grid, eps):
+    spec = empty_metric_spec(config_grid=config_grid, eps=eps)
+    seed = PresentedStructure(
+        metric_signature(), 2, {"d": {(0, 0): ZERO, (1, 1): ZERO,
+                                      (0, 1): F(1, 2), (1, 0): F(1, 2)}},
+        ({"seed": "two points"},),
+    )
+    for rng_seed, start in ((0, metric_seed(1)), (1, metric_seed(1)), (2, seed)):
+        got = ec_close(start, spec, 40, grid, rng_seed)
+        want = reference_ec_close_metric(start, spec, 40, grid, rng_seed)
+        assert got.n == want.n
+        assert got.tables == want.tables
+        assert got.provenance_log == want.provenance_log
 
 
 # ---------------------------------------------------------------- graph path

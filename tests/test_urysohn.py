@@ -395,3 +395,129 @@ def test_configurations_file_round_trip(tmp_path):
     path = tmp_path / "configs.json"
     save_configurations(configs, path)
     assert load_configurations(path) == configs
+
+
+# ----------------------------------------- integer paths vs Fraction references
+
+
+def reference_config_check(r):
+    """The checks of a distance matrix in Fraction arithmetic: the message
+    of the first that fails, in DistanceConfiguration's order, or None."""
+    n = len(r)
+    for row in r:
+        if len(row) != n:
+            return "distance matrix must be square"
+    for i in range(n):
+        if r[i][i] != 0:
+            return f"nonzero diagonal at {i}"
+        for j in range(n):
+            if not F(0) <= r[i][j] <= F(1):
+                return f"entry ({i},{j}) outside [0,1]"
+            if r[i][j] != r[j][i]:
+                return f"asymmetric at ({i},{j})"
+    for k in range(n):
+        for j in range(k):
+            for i in range(j):
+                if not abs(r[k][i] - r[k][j]) <= r[i][j] <= r[k][i] + r[k][j]:
+                    return f"triangle violated by point {k}"
+    return None
+
+
+def entries():
+    """Ints and Fractions of mixed denominators, a few outside [0, 1]."""
+    return st.one_of(
+        st.integers(-1, 2),
+        st.builds(F, st.integers(-1, 9), st.integers(1, 8)),
+    )
+
+
+@st.composite
+def candidate_matrices(draw):
+    """Mostly symmetric matrices with a mostly zero diagonal, so that every
+    check, the triangle test included, is reached; sometimes ragged."""
+    n = draw(st.integers(0, 4))
+    rows = [[draw(entries()) for _ in range(n)] for _ in range(n)]
+    if draw(st.integers(0, 9)):
+        for i in range(n):
+            rows[i][i] = 0 if draw(st.integers(0, 9)) else rows[i][i]
+            for j in range(i):
+                if draw(st.integers(0, 9)):
+                    rows[i][j] = rows[j][i]
+    if n and not draw(st.integers(0, 9)):
+        rows[draw(st.integers(0, n - 1))].append(F(0))
+    return tuple(tuple(row) for row in rows)
+
+
+@given(candidate_matrices())
+@settings(max_examples=600)
+def test_configuration_checks_match_fraction_reference(r):
+    try:
+        DistanceConfiguration(r)
+        got = None
+    except ValueError as exc:
+        got = str(exc)
+    assert got == reference_config_check(r)
+
+
+def reference_all_configurations(n, denominator, include_zero):
+    start = 0 if include_zero else 1
+    grid = [F(k, denominator) for k in range(start, denominator + 1)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    out = []
+    for values in product(grid, repeat=len(pairs)):
+        rows = [[F(0)] * n for _ in range(n)]
+        for (i, j), v in zip(pairs, values):
+            rows[i][j] = rows[j][i] = v
+        if reference_config_check(rows) is None:
+            out.append(tuple(map(tuple, rows)))
+    return out
+
+
+@pytest.mark.parametrize("include_zero", [False, True])
+def test_all_configurations_match_fraction_reference(include_zero):
+    for n in (1, 2, 3):
+        for denominator in range(1, 9):
+            got = all_configurations(n, denominator, include_zero)
+            assert [c.r for c in got] == (
+                reference_all_configurations(n, denominator, include_zero)
+            )
+            assert all(type(v) is F for c in got for row in c.r for v in row)
+
+
+@st.composite
+def mixed_grid_instances(draw):
+    """A space and configurations on different grids, and an eps whose
+    delta is rarely a multiple of the common denominator's step."""
+    m = from_distance_matrix(
+        draw(grid_configs(max_n=6, denom=draw(st.sampled_from([2, 3, 4, 6, 8])))).r
+    )
+    configs = draw(
+        st.lists(
+            grid_configs(max_n=3, denom=draw(st.sampled_from([2, 3, 4, 5, 8]))),
+            max_size=6,
+        )
+    )
+    eps = draw(st.sampled_from([F(1, 5), F(1, 8), F(1, 16), F(1, 4), F(1, 3), F(2, 7)]))
+    return m, configs, eps
+
+
+@given(mixed_grid_instances())
+@settings(max_examples=300)
+def test_integer_scan_matches_fraction_reference(inst):
+    m, configs, eps = inst
+    for first_new in range(m.n + 1):
+        assert list(extension_obligations(m, configs, eps, first_new)) == (
+            brute_force_obligations(m, configs, eps, first_new)
+        )
+    for theta in configs:
+        for pts in product(range(m.n), repeat=theta.n - 1):
+            assert realized(theta, m, pts, eps) == any(
+                config_error(theta, m, pts + (y,)) <= eps for y in range(m.n)
+            )
+    report = extension_property_report(m, eps, configs)
+    failures = [
+        (t_idx, pts)
+        for t_idx, pts in brute_force_obligations(m, configs, eps, 0)
+        if not any(config_error(configs[t_idx], m, pts + (y,)) <= eps for y in range(m.n))
+    ]
+    assert [(f.theta_index, f.pts) for f in report.failures] == failures
