@@ -250,6 +250,8 @@ def _run(args) -> int:
         raise SystemExit2(f"--max-size must be at least 1, got {args.max_size}")
     if args.verb == "compare" and args.depth < 1:
         raise SystemExit2(f"--depth must be at least 1, got {args.depth}")
+    if args.verb == "compare" and args.node_budget < 1:
+        raise SystemExit2(f"--node-budget must be at least 1, got {args.node_budget}")
     if args.verb == "report" and bool(args.structure) != bool(args.configs):
         raise SystemExit2("report needs both --structure and --configs, or neither")
     if args.verb == "report" and not (args.structure or args.artifacts):
@@ -395,11 +397,14 @@ def _run(args) -> int:
         return 0
 
     if args.verb == "compare":
+        eps = _rational(args.eps, "--eps")
+        if eps < 0:
+            raise SystemExit2(f"--eps must be at least 0, got {args.eps}")
         a = _load(args.a)
         b = _load(args.b)
-        result = compare_mod.back_and_forth(
-            a, b, _rational(args.eps, "--eps"), args.depth, node_budget=args.node_budget
-        )
+        if a.sig != b.sig:
+            raise FileFormatError(f"{args.a} and {args.b}: structures must share a signature")
+        result = compare_mod.back_and_forth(a, b, eps, args.depth, node_budget=args.node_budget)
         obj = {
             "verb": "compare",
             "version": REPORT_VERSION,

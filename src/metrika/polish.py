@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
+from itertools import islice
 
 from .errors import (
     IndexOutOfPrefixError,
@@ -21,7 +21,7 @@ from .errors import (
 from .evaluation import evaluate
 from .logic import Formula, Inf, Signature, is_quantifier_free
 from .rationals import ONE, ZERO, format_rational
-from .structures import PresentedStructure
+from .structures import PresentedStructure, tuples_naming
 
 INDEX_ORDER_VERSION = "maxpoint-lex-1"
 
@@ -32,19 +32,15 @@ class IndexEntry:
     tup: tuple[int, ...]
 
 
-def _tuples_with_max(k: int, mx: int):
-    for tup in product(range(mx + 1), repeat=k):
-        if (max(tup) if tup else 0) == mx:
-            yield tup
-
-
 def index_enumeration(sig: Signature, count: int) -> tuple[IndexEntry, ...]:
     """First `count` entries of the fixed dovetailed enumeration."""
     out: list[IndexEntry] = []
     mx = 0
     while len(out) < count:
         for rel in sig.relations:
-            for tup in _tuples_with_max(rel.arity, mx):
+            if rel.arity == 0 and mx == 0:
+                out.append(IndexEntry(rel.name, ()))
+            for tup in tuples_naming(mx + 1, rel.arity, mx):
                 out.append(IndexEntry(rel.name, tup))
         mx += 1
     return tuple(out[:count])
@@ -141,8 +137,11 @@ class BorelPi2:
 def fair_tuples(n: int, k: int):
     """All tuples over {0..n-1}^k ordered by max coordinate, then lex
     (for k = 0, the single empty tuple)."""
-    for mx in range(n if k else 1):
-        yield from _tuples_with_max(k, mx)
+    if k == 0:
+        yield ()
+        return
+    for mx in range(n):
+        yield from tuples_naming(mx + 1, k, mx)
 
 
 @dataclass(frozen=True)

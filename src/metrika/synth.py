@@ -3,15 +3,17 @@
 The countable chain argument collapses to a budgeted search over extension
 obligations, and each theory carries its own closure (`TheorySpec.close`).
 For the empty metric theory the obligations are distance configurations to
-realize (via the Katetov witness).  The space grows on one
-`structures.MetricBuilder`, which checks each witness row as it is added
-and freezes once, at the end; one `urysohn.ObligationScan` scores the
-obligations in integers over the builder's denominator, and they drain as
-a FIFO queue that only gains the tuples through each new point.  For
-graphs they are the classical
-(A, B) extension axioms over the discrete metric encoding, rescanned over
-every subset pass by pass until a pass adds no vertex or the budget is
-spent.  Seeds are preserved as bit-identical prefixes.
+realize, and the whole closure runs on integers over one denominator L.
+The space grows on one `structures.MetricBuilder`; one
+`urysohn.ObligationScan` scores the obligations on the builder's integers,
+and they drain as a FIFO queue that only gains the tuples through each new
+point.  The witness steers each new row on those integers and hands it to
+the builder, which gives every added point one range and Katetov check;
+the repaired Katetov row (`urysohn.katetov_row`) is the fallback.  The
+structure is frozen once, at the end.  For graphs the obligations are the
+classical (A, B) extension axioms over the discrete metric encoding,
+rescanned over every subset pass by pass until a pass adds no vertex or
+the budget is spent.  Seeds are preserved as bit-identical prefixes.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .logic import (
 )
 from .rationals import ONE, ZERO
 from .structures import MetricBuilder, PresentedStructure, admissible
-from .urysohn import ObligationScan, all_configurations, delta_for, katetov_witness
+from .urysohn import ObligationScan, all_configurations, katetov_row
 
 HALF = Fraction(1, 2)
 
@@ -153,20 +155,22 @@ def ec_close(
 
 
 def _ec_close_metric(seed, spec, budget, grid, rng_seed):
-    eps = spec.eps
-    delta = delta_for(eps)
     rng = random.Random(f"metrika-ec-metric:{rng_seed}")
     denom = spec.config_grid.denominator
     configs = []
     for size in spec.config_sizes:
         configs.extend(all_configurations(size, denom))
 
-    scan = ObligationScan(configs, eps)
+    scan = ObligationScan(configs, spec.eps)
     # every witness distance lies on the lattice spanned by the seed's
     # distances, grid, config_grid (which the configurations lie on) and
     # eps (the Katetov slack), so the builder's L holds them all exactly
-    b = MetricBuilder(seed, grid, spec.config_grid, eps)
-    m = _FractionView(b)
+    b = MetricBuilder(seed, grid, spec.config_grid, spec.eps)
+
+    def scaled(q):
+        return q.numerator * (b.L // q.denominator)
+
+    grid_l, config_grid_l, eps_l = map(scaled, (grid, spec.config_grid, spec.eps))
     queue = deque(scan.obligations(b))
     dequeued = 0
     while queue and dequeued < budget:
@@ -174,95 +178,70 @@ def _ec_close_metric(seed, spec, budget, grid, rng_seed):
         dequeued += 1
         if scan.realized(t_idx, pts, b):
             continue
-        row = _metric_witness(m, configs[t_idx], pts, eps, delta, spec.config_grid, grid, rng)
+        r, k = configs[t_idx].r, len(pts)
+        targets = [scaled(r[a][k]) for a in range(k)]
         old_n = b.n
-        b.add(row, note={"task": t_idx, "tuple": pts})
+        note = {"task": t_idx, "tuple": pts}
+        _add_metric_witness(b, targets, pts, grid_l, config_grid_l, eps_l, rng, note)
         queue.extend(scan.obligations(b, first_new=old_n))
     return b.freeze()
 
 
-class _FractionView:
-    """A ``MetricBuilder`` read as Fractions, with the ``n`` and ``d(i, j)``
-    of a structure, for the witness search."""
-
-    __slots__ = ("builder",)
-
-    def __init__(self, b: MetricBuilder):
-        self.builder = b
-
-    @property
-    def n(self) -> int:
-        return self.builder.n
-
-    def d(self, i: int, j: int) -> Fraction:
-        return Fraction(self.builder.dist(i, j), self.builder.L)
-
-    def scaled(self, values) -> list[int]:
-        """Rational distances as integers over the builder's L, which
-        every witness distance's denominator divides."""
-        L = self.builder.L
-        return [v.numerator * (L // v.denominator) for v in values]
+def _off_task_grid(v, config_grid, eps):
+    """True when v is farther than delta = 2 eps / 3 from every task-grid
+    level (all integers over one L), so no tuple using it can ever spawn a
+    new extension obligation."""
+    below = v % config_grid  # v's distance to the level below it
+    return 3 * below > 2 * eps and 3 * (config_grid - below) > 2 * eps
 
 
-def _off_task_grid(value, config_grid, delta):
-    """True when `value` is farther than delta from every task-grid level,
-    so no tuple using it can ever spawn a new extension obligation."""
-    lo = (value / config_grid).__floor__() * config_grid
-    return abs(value - lo) > delta and abs(value - lo - config_grid) > delta
-
-
-def _metric_witness(m, theta, pts, eps, delta, config_grid, grid, rng):
-    """Distance row, over the builder's L, for the new point realizing
-    theta within eps.
+def _add_metric_witness(b, targets, pts, grid, config_grid, eps, rng, note):
+    """Add to the builder b a new point at distance targets[a] from each
+    anchor pts[a], within eps; every length is an integer over b.L.
 
     An admissible vector is its own Katetov witness anchored at *every*
-    point of m (with zero slack), so it is returned as is.  All distances
-    are steered onto half-grid levels that sit more than delta away from
-    the task grid: tuples through the new point then never re-trigger
-    obligations, so the worklist provably drains and the closure is a
-    finite fixpoint.  If no steered vector is admissible (off the default
-    grids) we fall back to the plain repaired witness.  The steering reads
-    Fractions from the view m; the admissibility test reads integers.
+    point of b (with zero slack), so each steered candidate row goes to
+    ``b.try_add`` as is, which gives it the one range and Katetov check.
+    All distances are steered onto half-grid levels that sit more than
+    delta away from the task grid: tuples through the new point then
+    never re-trigger obligations, so the worklist provably drains and the
+    closure is a finite fixpoint.  If no steered row is admissible (off
+    the default grids) the repaired Katetov row is added instead, with
+    slack 3 delta/2 = eps.
     """
-    k = theta.n - 1
-    if m.n == 0:
-        return []
-    targets = [theta.r[a][k] for a in range(k)]
-    cap = ONE - grid
+    n = b.n
+    cap = b.L - grid
 
     def anchor_candidates(t):
         cands = [
             c
             for c in (t - grid, t + grid, t)
-            if ZERO < c <= cap
-            and abs(c - t) <= eps
-            and _off_task_grid(c, config_grid, delta)
+            if 0 < c <= cap and abs(c - t) <= eps and _off_task_grid(c, config_grid, eps)
         ]
         rng.shuffle(cands)
         return cands
 
-    def anchor_d(a, b):
-        return m.d(pts[a], pts[b])
+    def anchor_d(i, j):
+        return b.dist(pts[i], pts[j])
 
-    for combo in product(*(anchor_candidates(t) for t in targets)):
+    for combo in product(*map(anchor_candidates, targets)):
         if not admissible(anchor_d, combo):
             continue
         s = []
-        for x in range(m.n):
-            v = min([cap] + [combo[a] + m.d(x, pts[a]) for a in range(k)])
-            while v > ZERO and not _off_task_grid(v, config_grid, delta):
+        for x in range(n):
+            v = min([cap] + [c + b.dist(x, p) for p, c in zip(pts, combo)])
+            while v > 0 and not _off_task_grid(v, config_grid, eps):
                 v -= grid
             s.append(v)
-        for a in range(k):
-            s[pts[a]] = combo[a]
-        if any(not ZERO < v <= ONE for v in s):
+        for p, c in zip(pts, combo):
+            s[p] = c
+        if any(v <= 0 for v in s):
             continue
-        if any(abs(s[pts[a]] - targets[a]) > eps for a in range(k)):
+        if any(abs(s[p] - t) > eps for p, t in zip(pts, targets)):
             continue
-        row = m.scaled(s)
-        if admissible(m.builder.d, row):
-            return row
-    return m.scaled(katetov_witness(m, theta, pts, delta))
+        if b.try_add(s, note):
+            return
+    b.add(katetov_row(n, b.dist, pts, targets, eps, b.L), note)
 
 
 def _ec_close_graph(seed, spec, budget, grid, rng_seed):

@@ -222,21 +222,6 @@ class _ScaledSpace:
         return v.numerator * (self.L // v.denominator)
 
 
-def extension_obligations(m: PresentedStructure, configs, eps, first_new: int = 0):
-    """Every (theta_index, pts) whose anchor tuple pts realizes theta's
-    restriction within delta_for(eps), configuration-major with tuples in
-    product order.  With first_new > 0, only the tuples naming a point
-    >= first_new (so never the empty tuple)."""
-    scan = ObligationScan(configs, eps)
-    yield from scan.obligations(scan.space(m), first_new)
-
-
-def realized(theta: DistanceConfiguration, m: PresentedStructure, pts, eps) -> bool:
-    """Whether some point of m completes the anchors pts to theta within eps."""
-    scan = ObligationScan([theta], eps)
-    return scan.realized(0, tuple(pts), scan.space(m))
-
-
 def config_formula(theta: DistanceConfiguration, var_names=None) -> Formula:
     """The configuration as a formula (max of |d(x_i,x_j) - r_ij|)."""
     names = var_names or tuple(f"x{i + 1}" for i in range(theta.n))
@@ -311,9 +296,9 @@ def katetov_witness(
     """Distances from a realizable new point to every point of m.
 
     Given anchors pts realizing theta's restriction within delta, the
-    repaired Katetov function h(x) = min(1, min_k(s_k + 3 delta/2 + d(x, a_k)))
-    always extends m validly and places the new point within 3 delta/2 of
-    every prescribed distance s_k = r[k][n].
+    repaired Katetov row (``katetov_row``) with slack 3 delta/2 always
+    extends m validly and places the new point within 3 delta/2 of every
+    prescribed distance s_k = r[k][n].
     """
     pts = tuple(pts)
     k = theta.n - 1
@@ -326,14 +311,16 @@ def katetov_witness(
             f"restriction error {err} exceeds delta {delta}"
         )
     s = [theta.r[a][k] for a in range(k)]
-    slack = 3 * delta / 2
-    h = []
-    for x in range(m.n):
-        if k == 0:
-            h.append(ONE)
-        else:
-            h.append(min(ONE, min(s[a] + slack + m.d(x, pts[a]) for a in range(k))))
-    return tuple(h)
+    return tuple(katetov_row(m.n, m.d, pts, s, 3 * delta / 2))
+
+
+def katetov_row(n, d, pts, s, slack, unit=ONE) -> list:
+    """The repaired Katetov row h(x) = min(unit, min_a(s_a + slack + d(x, pts_a)))
+    for x in 0..n-1, over a space with lookup d(i, j): distances from a
+    new point to every point, given its prescribed distance s_a to each
+    anchor pts_a.  The unit is ONE for rational distances, or L for
+    distances as integers over L."""
+    return [min([unit] + [sa + slack + d(x, p) for p, sa in zip(pts, s)]) for x in range(n)]
 
 
 # ----------------------------------------------------------- axiom schema

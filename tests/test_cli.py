@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from metrika import all_configurations, cli
+from metrika import all_configurations, cli, graph_seed
 from metrika.rationals import ZERO, ONE
 from metrika.structures import from_distance_matrix, save
 
@@ -298,6 +298,12 @@ class TestUsageErrors:
          "--out", "{o}"],
         ["synth", "--theory", "graph", "--max-size", "0", "--budget", "5",
          "--seed", "0", "--out", "{o}"],
+        ["compare", "--a", "{s}", "--b", "{s}", "--eps", "1/4", "--depth", "1",
+         "--node-budget", "-1", "--out", "{o}"],
+        ["compare", "--a", "{s}", "--b", "{s}", "--eps", "1/4", "--depth", "1",
+         "--node-budget", "0", "--out", "{o}"],
+        ["compare", "--a", "{s}", "--b", "{s}", "--eps", "-1", "--depth", "1",
+         "--out", "{o}"],
     ], ids=["assign", "report-no-eps", "report-eps-0", "synth-eps-0",
             "sample-n-0", "encode-k-negative", "configs-size-0",
             "synth-config-sizes-0", "synth-config-sizes-x",
@@ -308,7 +314,9 @@ class TestUsageErrors:
             "compare-eps-abc", "synth-eps-abc", "configs-grid-1-over-0",
             "configs-grid-2-over-7", "configs-grid-3-over-2", "configs-grid-0",
             "synth-config-grid-0", "synth-config-grid-2-over-7", "synth-grid-0",
-            "synth-grid-3-over-2", "synth-budget-negative", "synth-max-size-0"])
+            "synth-grid-3-over-2", "synth-budget-negative", "synth-max-size-0",
+            "compare-node-budget-negative", "compare-node-budget-0",
+            "compare-eps-negative"])
     def test_misuse_is_usage_error(self, argv, two_point, tmp_path, capsys):
         cfg_path = tmp_path / "configs.json"
         cfg_path.write_text(json.dumps([[["0", "1/2"], ["1/2", "0"]]]))
@@ -441,6 +449,19 @@ class TestCompareEncode:
         assert code == 1
         assert json.loads(out)["status"] == "failure"
 
+    def test_compare_across_signatures_is_format_error(self, two_point, tmp_path,
+                                                       capsys):
+        graph = tmp_path / "graph.json"
+        save(graph_seed(2), graph)
+        code = cli.main(["compare", "--a", two_point, "--b", str(graph),
+                         "--eps", "1/4", "--depth", "1", "--out",
+                         str(tmp_path / "out.json")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("file/format error:") and len(err.splitlines()) == 1
+        assert two_point in err and str(graph) in err
+        assert not (tmp_path / "out.json").exists()
+
     def test_encode_values(self, two_point, capsys):
         code, out = run(
             ["encode", "--structure", two_point, "--k", "4"], capsys)
@@ -533,12 +554,51 @@ REPORT_ARGV = fuzz_argv(
     option("--eps", VALUES, True),
     option("--out", ["{dir}/report.json"]),
 )
+STRUCTURES = ["{dir}/two.json", "{dir}/graph.json", "{dir}/asym.json",
+              "{dir}/point.json", "{dir}/bad.json", "{dir}/none.json"]
+COMPARE_ARGV = fuzz_argv(
+    "compare",
+    option("--a", STRUCTURES, True),
+    option("--b", STRUCTURES, True),
+    option("--eps", VALUES, True),
+    option("--depth", ["0", "-1", "1", "2", "3", "abc"], True),
+    option("--node-budget", ["0", "-1", "1", "10", "abc"]),
+    option("--out", ["{dir}/compare.json", "{dir}/missing/compare.json"]),
+)
+ENCODE_ARGV = fuzz_argv(
+    "encode",
+    option("--structure", STRUCTURES, True),
+    option("--k", ["0", "-1", "1", "4", "8", "9", "abc"], True),
+    option("--out", ["{dir}/encode.json", "{dir}/missing/encode.json"]),
+)
+EVAL_ARGV = fuzz_argv(
+    "eval",
+    option("--structure", STRUCTURES, True),
+    option("--formula", ["d(x,y)", "R(x,y)", "sup x. d(x,y)", "inf x. sup y. d(x,y)",
+                         "max(d(x,y), 3/2)", "d(x,x,y)", "d(x", "abc", ""], True),
+    option("--assign", ["x=0,y=1", "x=0", "y=1,x=1,z=0", "x=a", "x=-1,y=0",
+                        "x=9,y=0", "nonsense", ""]),
+)
+CHECK_ARGV = fuzz_argv(
+    "check",
+    option("--structure", STRUCTURES, True),
+    option("--condition", ["sup x. d(x,x) <= 0", "sup x. sup y. R(x,y) < 1/2",
+                           "inf x. d(x,x) = 0", "sup x. d(x,y) <= 0",
+                           "sup x. d(x,x) <= 3/2", "sup x. d(x,x) >= 0", "abc", ""], True),
+    option("--mode", ["finite", "prefix", "abc"]),
+)
+VALIDATE_ARGV = fuzz_argv("validate", option("--structure", STRUCTURES, True))
 
 
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("fuzz")
     save(from_distance_matrix([[ZERO, F(1, 2)], [F(1, 2), ZERO]]), d / "two.json")
+    save(graph_seed(3), d / "graph.json")
+    save(from_distance_matrix([[ZERO]]), d / "point.json")
+    asym = json.loads((d / "two.json").read_text())
+    asym["tables"]["d"][0][1] = "3/4"
+    (d / "asym.json").write_text(json.dumps(asym))
     (d / "c2.json").write_text(json.dumps([[["0", "1/2"], ["1/2", "0"]]]))
     (d / "c3.json").write_text(json.dumps(
         [[["0", "1/2", "1/4"], ["1/2", "0", "1/4"], ["1/4", "1/4", "0"]]]))
@@ -547,7 +607,8 @@ def fuzz_dir(tmp_path_factory):
     return str(d)
 
 
-@given(st.one_of(SYNTH_ARGV, CONFIGS_ARGV, REPORT_ARGV))
+@given(st.one_of(SYNTH_ARGV, CONFIGS_ARGV, REPORT_ARGV, COMPARE_ARGV, ENCODE_ARGV,
+                 EVAL_ARGV, CHECK_ARGV, VALIDATE_ARGV))
 @example(["synth", "--theory", "empty-metric", "--budget", "5", "--config-grid", "0",
           "--seed", "0", "--out", "{dir}/synth.json"])
 @settings(max_examples=300)
@@ -560,5 +621,5 @@ def test_argv_fuzz_exits_with_a_documented_code(fuzz_dir, argv):
         except SystemExit as exc:  # argparse rejects the command line
             code = exc.code
     assert code in (0, 1, 2, 3, 4), (argv, code)
-    assert code != 1 or argv[0] == "report", argv
+    assert code != 1 or argv[0] in ("check", "validate", "report", "compare"), argv
     assert "Traceback" not in err.getvalue(), argv

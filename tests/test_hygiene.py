@@ -1,0 +1,64 @@
+"""Source hygiene, read with the stdlib ``ast``: no unused import in the
+package or its tests, and no private module-level function or class that
+nothing in the package references."""
+
+import ast
+from pathlib import Path
+
+import metrika
+
+PACKAGE = Path(metrika.__file__).parent
+MODULES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+TESTS = {path.name: ast.parse(path.read_text(), str(path))
+         for path in sorted(Path(__file__).parent.glob("*.py"))}
+
+
+def names_read(node) -> set[str]:
+    """Every name node reads: bare names, attributes, names imported from
+    another module, and identifiers written as strings (annotations and
+    ``__all__``)."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.update(sub.value.replace(".", " ").split())
+    return out
+
+
+def test_no_unused_imports():
+    unused = []
+    # the package's own __init__ imports are its exports
+    sources = [(f"metrika/{name}", tree) for name, tree in MODULES.items() if name != "__init__.py"]
+    sources += [(f"tests/{name}", tree) for name, tree in TESTS.items()]
+    for name, tree in sources:
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unused.append(f"{name}:{node.lineno} {bound}")
+    assert not unused
+
+
+def test_no_unreferenced_private_definitions():
+    unreferenced = []
+    for name, tree in MODULES.items():
+        for i, stmt in enumerate(tree.body):
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not stmt.name.startswith("_"):
+                continue
+            # references from anywhere but the definition itself
+            elsewhere = [s for j, s in enumerate(tree.body) if j != i]
+            elsewhere += [t for other, t in MODULES.items() if other != name]
+            if not any(stmt.name in names_read(node) for node in elsewhere):
+                unreferenced.append(f"{name}:{stmt.lineno} {stmt.name}")
+    assert not unreferenced

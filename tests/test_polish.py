@@ -1,6 +1,8 @@
 """Tests for the product-space encoding and its open sets."""
 
 from fractions import Fraction as F
+from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +23,7 @@ from metrika import (
     parse_formula,
     pi2_depth_membership,
 )
+from metrika.logic import Relation
 from metrika.polish import Code, fair_tuples
 
 
@@ -195,6 +198,38 @@ def test_fair_tuples_order():
     assert got[:4] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert len(got) == 9
     assert len(set(got)) == 9
+
+
+def reference_tuples_with_max(k, mx):
+    """The tuples over 0..mx whose max is mx, filtered from the full
+    product (an empty tuple has max 0)."""
+    for tup in product(range(mx + 1), repeat=k):
+        if (max(tup) if tup else 0) == mx:
+            yield tup
+
+
+def test_fair_tuples_match_product_filter_reference():
+    for n in range(7):
+        for k in range(4):
+            want = [t for mx in range(n if k else 1)
+                    for t in reference_tuples_with_max(k, mx)]
+            assert list(fair_tuples(n, k)) == want, (n, k)
+
+
+def test_index_enumeration_matches_product_filter_reference():
+    # Signature refuses arity 0, so a stand-in carries the relations
+    sig = SimpleNamespace(relations=(
+        Relation("d", 2, F(1)), Relation("P", 0, F(1)),
+        Relation("R", 2, F(1)), Relation("T", 3, F(1, 2))))
+    count = 200
+    want, mx = [], 0
+    while len(want) < count:
+        for rel in sig.relations:
+            want += [(rel.name, t) for t in reference_tuples_with_max(rel.arity, mx)]
+        mx += 1
+    got = [(e.relation, e.tup) for e in index_enumeration(sig, count)]
+    assert got == want[:count]
+    assert got.count(("P", ())) == 1
 
 
 def test_pi2_self_witness_consistent():

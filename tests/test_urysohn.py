@@ -27,10 +27,9 @@ from metrika import (
 )
 from metrika.urysohn import (
     AdmissiblePolytope,
+    ObligationScan,
     config_formula,
-    extension_obligations,
     load_configurations,
-    realized,
     save_configurations,
 )
 
@@ -361,13 +360,15 @@ def brute_force_obligations(m, configs, eps, first_new):
 @settings(max_examples=300)
 def test_obligations_match_brute_force_scan(inst):
     m, configs, eps = inst
+    scan = ObligationScan(configs, eps)
+    space = scan.space(m)
     for first_new in range(m.n + 1):
-        assert list(extension_obligations(m, configs, eps, first_new)) == (
+        assert list(scan.obligations(space, first_new)) == (
             brute_force_obligations(m, configs, eps, first_new)
         )
-    for theta in configs:
+    for t_idx, theta in enumerate(configs):
         for pts in product(range(m.n), repeat=theta.n - 1):
-            assert realized(theta, m, pts, eps) == any(
+            assert scan.realized(t_idx, pts, space) == any(
                 config_error(theta, m, pts + (y,)) <= eps for y in range(m.n)
             )
 
@@ -505,13 +506,15 @@ def mixed_grid_instances(draw):
 @settings(max_examples=300)
 def test_integer_scan_matches_fraction_reference(inst):
     m, configs, eps = inst
+    scan = ObligationScan(configs, eps)
+    space = scan.space(m)
     for first_new in range(m.n + 1):
-        assert list(extension_obligations(m, configs, eps, first_new)) == (
+        assert list(scan.obligations(space, first_new)) == (
             brute_force_obligations(m, configs, eps, first_new)
         )
-    for theta in configs:
+    for t_idx, theta in enumerate(configs):
         for pts in product(range(m.n), repeat=theta.n - 1):
-            assert realized(theta, m, pts, eps) == any(
+            assert scan.realized(t_idx, pts, space) == any(
                 config_error(theta, m, pts + (y,)) <= eps for y in range(m.n)
             )
     report = extension_property_report(m, eps, configs)
