@@ -1,7 +1,7 @@
-"""Batch front door.  Every verb is a thin adapter over one module
-operation family; randomized verbs require a seed and are bit-reproducible
-given it.  Reports are JSON (exact rationals as strings) with input file
-hashes; exit codes: 0 ok, 2 usage, 3 file/format, 4 domain error."""
+"""Batch front door: one handler per verb (``HANDLERS``), each a thin adapter
+over one module operation family.  Randomized verbs require a seed and are
+bit-reproducible given it.  Reports (``_emit``) are JSON with exact rationals
+as strings and input file hashes; exit codes: 0 ok, 2 usage, 3 file/format, 4 domain error."""
 
 from __future__ import annotations
 
@@ -31,14 +31,15 @@ def _hash_file(path) -> str:
     return h.hexdigest()
 
 
-def _input_hashes(*paths) -> dict:
-    return {str(p): _hash_file(p) for p in paths if p}
-
-
-def _emit(obj, out_path=None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=False)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+def _emit(verb, inputs, fields, out=None) -> None:
+    """Write one report to `out` or stdout: the verb, the report version, the
+    hashes of the files the verb read (if any), then the verb's own fields."""
+    obj = {"verb": verb, "version": REPORT_VERSION}
+    if inputs:
+        obj["inputs"] = {str(p): _hash_file(p) for p in inputs}
+    text = json.dumps({**obj, **fields}, indent=2)
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -104,10 +105,12 @@ def _tolerance(text):
     """An eps for the extension obligations: a rational in (0, 1]."""
     if text is None:
         raise SystemExit2("--eps is required")
-    eps = _rational(text, "--eps")
-    if not 0 < eps <= 1:
-        raise SystemExit2(f"--eps must be in (0,1], got {text}")
-    return eps
+    return _step(text, "--eps")
+
+
+def _at_least(value, least, option) -> None:
+    if value < least:
+        raise SystemExit2(f"{option} must be at least {least}, got {value}")
 
 
 def _int_list(text, option, least) -> list[int]:
@@ -124,9 +127,7 @@ def _int_list(text, option, least) -> list[int]:
 
 def _parse_assignment(text) -> dict:
     asg = {}
-    if not text:
-        return asg
-    for part in text.split(","):
+    for part in text.split(",") if text else ():
         name, _, idx = part.partition("=")
         try:
             asg[name.strip()] = int(idx)
@@ -233,261 +234,183 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _run(args) -> int:
-    if args.verb in ("audit", "genericity") and args.trials < 1:
-        raise SystemExit2(f"--trials must be at least 1, got {args.trials}")
-    if args.verb in ("sample", "audit", "genericity") and args.max_tries < 1:
-        raise SystemExit2(f"--max-tries must be at least 1, got {args.max_tries}")
-    if args.verb == "sample" and args.n < 1:
-        raise SystemExit2(f"--n must be at least 1, got {args.n}")
-    if args.verb == "encode" and args.k < 0:
-        raise SystemExit2(f"--k must be at least 0, got {args.k}")
-    if args.verb == "configs" and args.size < 1:
-        raise SystemExit2(f"--size must be at least 1, got {args.size}")
-    if args.verb == "synth" and args.budget < 0:
-        raise SystemExit2(f"--budget must be at least 0, got {args.budget}")
-    if args.verb == "synth" and args.max_size < 1:
-        raise SystemExit2(f"--max-size must be at least 1, got {args.max_size}")
-    if args.verb == "compare" and args.depth < 1:
-        raise SystemExit2(f"--depth must be at least 1, got {args.depth}")
-    if args.verb == "compare" and args.node_budget < 1:
-        raise SystemExit2(f"--node-budget must be at least 1, got {args.node_budget}")
-    if args.verb == "report" and bool(args.structure) != bool(args.configs):
+def _measure_spec(args, n=None) -> sampling.MeasureSpec:
+    """The sampler that --kind, --grid, --max-tries and the seed name;
+    `sample` passes its --n, checked after --max-tries."""
+    _at_least(args.max_tries, 1, "--max-tries")
+    if n is not None:
+        _at_least(n, 1, "--n")
+    seed = _seed(args)
+    grid = _step(args.grid, "--grid") if args.grid else sampling.DEFAULT_GRID
+    return sampling.MeasureSpec(kind=args.kind, grid=grid, seed=seed, max_tries=args.max_tries)
+
+
+def _eval(args) -> int:
+    m = _load(args.structure)
+    f = parse_formula(args.formula, m.sig)
+    asg = _parse_assignment(args.assign)
+    for name, point in asg.items():
+        if not 0 <= point < m.n:
+            raise SystemExit2(f"{name}={point} is not a point of 0..{m.n - 1}")
+    print(format_rational(evaluate(f, m, asg)))
+    return 0
+
+
+def _check(args) -> int:
+    m = _load(args.structure)
+    result = check_condition(parse_condition(args.condition, m.sig), m, mode=args.mode)
+    fields = {"status": result.status}
+    if result.interval is not None:
+        fields["interval"] = [str(result.interval.lo), str(result.interval.hi)]
+    _emit("check", [args.structure], fields)
+    return 0 if result.status == "holds" else 1
+
+
+def _validate(args) -> int:
+    report = structures.validate(_load(args.structure))
+    violations = [
+        {
+            "axiom": v.axiom,
+            "witness": [str(x) for x in v.witness],
+            "lhs": str(v.lhs),
+            "rhs": str(v.rhs),
+        }
+        for v in report.violations
+    ]
+    fields = {"ok": report.ok, "is_metric": report.is_metric, "violations": violations}
+    _emit("validate", [args.structure], fields)
+    return 0 if report.ok else 1
+
+
+def _synth(args) -> int:
+    _at_least(args.budget, 0, "--budget")
+    _at_least(args.max_size, 1, "--max-size")
+    seed = _seed(args)
+    grid = _step(args.grid, "--grid")
+    if args.theory == "empty-metric":
+        spec = synth.empty_metric_spec(
+            config_sizes=tuple(_int_list(args.config_sizes, "--config-sizes", 1)),
+            config_grid=_unit_fraction(args.config_grid, "--config-grid"),
+            eps=_tolerance(args.eps),
+        )
+        start = synth.metric_seed(1)
+    else:
+        spec = synth.graph_spec(max_size=args.max_size)
+        start = synth.graph_seed(1)
+    out = synth.ec_close(start, spec, args.budget, grid=grid, rng_seed=seed)
+    structures.save(out, args.out, include_provenance=True)
+    fields = {"theory": args.theory, "seed": seed, "budget": args.budget}
+    _emit("synth", [], {**fields, "points": out.n, "out": args.out})
+    return 0
+
+
+def _sample(args) -> int:
+    spec = _measure_spec(args, args.n)
+    m = sampling.sample_space(args.n, spec)
+    structures.save(m, args.out)
+    fields = {"kind": args.kind, "seed": spec.seed, "points": m.n, "out": args.out}
+    _emit("sample", [], fields)
+    return 0
+
+
+def _audit(args) -> int:
+    _at_least(args.trials, 1, "--trials")
+    spec = _measure_spec(args)
+    # formula free variables range over sampled metric-only structures
+    phi = parse_formula(args.formula, synth.metric_seed(1).sig)
+    least = max(1, len(phi.free_variables()))
+    if args.n < least:
+        raise SystemExit2(f"--n must be at least {least} for {args.formula!r}, got {args.n}")
+    eps = _rational(args.eps, "--eps")
+    report = sampling.invariance_audit(spec, args.n, args.trials, phi, eps, sigma=args.sigma)
+    fields = {"kind": args.kind, "seed": spec.seed, **report.to_json()}
+    _emit("audit", [], fields, args.out)
+    return 0
+
+
+def _genericity(args) -> int:
+    _at_least(args.trials, 1, "--trials")
+    spec = _measure_spec(args)
+    with _file_format(args.theta), open(args.theta, encoding="utf-8") as fh:
+        theta = urysohn.DistanceConfiguration.from_json(json.load(fh))
+    n_values = _int_list(args.n_values, "--n-values", max(1, theta.n))
+    eps = _tolerance(args.eps)
+    curve = sampling.genericity_frequency(spec, theta, eps, n_values, args.trials)
+    rows = [{"n": n, "frequency": f} for n, f in curve]
+    fields = {"kind": args.kind, "seed": spec.seed, "eps": args.eps, "trials": args.trials}
+    _emit("genericity", [args.theta], {**fields, "curve": rows}, args.out)
+    if args.csv:
+        _write_curve_csv(args.csv, rows)
+    return 0
+
+
+def _compare(args) -> int:
+    _at_least(args.depth, 1, "--depth")
+    _at_least(args.node_budget, 1, "--node-budget")
+    eps = _rational(args.eps, "--eps")
+    if eps < 0:
+        raise SystemExit2(f"--eps must be at least 0, got {args.eps}")
+    a = _load(args.a)
+    b = _load(args.b)
+    if a.sig != b.sig:
+        raise FileFormatError(f"{args.a} and {args.b}: structures must share a signature")
+    result = compare_mod.back_and_forth(a, b, eps, args.depth, node_budget=args.node_budget)
+    _emit("compare", [args.a, args.b], result.to_json(), args.out)
+    return 0 if result.status == "success" else 1
+
+
+def _encode(args) -> int:
+    _at_least(args.k, 0, "--k")
+    code = polish.encode(_load(args.structure), args.k)
+    _emit("encode", [args.structure], code.to_json(), args.out)
+    return 0
+
+
+def _configs(args) -> int:
+    _at_least(args.size, 1, "--size")
+    grid = _unit_fraction(args.grid, "--grid")
+    configs = urysohn.all_configurations(args.size, grid.denominator)
+    urysohn.save_configurations(configs, args.out)
+    _emit("configs", [], {"size": args.size, "count": len(configs), "out": args.out})
+    return 0
+
+
+def _report(args) -> int:
+    if bool(args.structure) != bool(args.configs):
         raise SystemExit2("report needs both --structure and --configs, or neither")
-    if args.verb == "report" and not (args.structure or args.artifacts):
+    if not (args.structure or args.artifacts):
         raise SystemExit2("report needs --structure and --configs, or --artifacts")
-    if args.verb == "eval":
+    if args.structure:
+        eps = _tolerance(args.eps)
         m = _load(args.structure)
-        f = parse_formula(args.formula, m.sig)
-        asg = _parse_assignment(args.assign)
-        for name, point in asg.items():
-            if not 0 <= point < m.n:
-                raise SystemExit2(f"{name}={point} is not a point of 0..{m.n - 1}")
-        value = evaluate(f, m, asg)
-        print(format_rational(value))
-        return 0
-
-    if args.verb == "check":
-        m = _load(args.structure)
-        c = parse_condition(args.condition, m.sig)
-        result = check_condition(c, m, mode=args.mode)
-        obj = {
-            "verb": "check",
-            "version": REPORT_VERSION,
-            "inputs": _input_hashes(args.structure),
-            "status": result.status,
-        }
-        if result.interval is not None:
-            obj["interval"] = [str(result.interval.lo), str(result.interval.hi)]
-        _emit(obj)
-        return 0 if result.status == "holds" else 1
-
-    if args.verb == "validate":
-        m = _load(args.structure)
-        report = structures.validate(m)
-        obj = {
-            "verb": "validate",
-            "version": REPORT_VERSION,
-            "inputs": _input_hashes(args.structure),
-            "ok": report.ok,
-            "is_metric": report.is_metric,
-            "violations": [
-                {
-                    "axiom": v.axiom,
-                    "witness": [str(x) for x in v.witness],
-                    "lhs": str(v.lhs),
-                    "rhs": str(v.rhs),
-                }
-                for v in report.violations
-            ],
-        }
-        _emit(obj)
+        with _file_format(args.configs):
+            configs = urysohn.load_configurations(args.configs)
+        report = urysohn.extension_property_report(m, eps, configs)
+        _emit("report", [args.structure, args.configs], report.to_json(), args.out)
         return 0 if report.ok else 1
-
-    if args.verb == "synth":
-        seed = _seed(args)
-        grid = _step(args.grid, "--grid")
-        if args.theory == "empty-metric":
-            spec = synth.empty_metric_spec(
-                config_sizes=tuple(_int_list(args.config_sizes, "--config-sizes", 1)),
-                config_grid=_unit_fraction(args.config_grid, "--config-grid"),
-                eps=_tolerance(args.eps),
-            )
-            start = synth.metric_seed(1)
-        else:
-            spec = synth.graph_spec(max_size=args.max_size)
-            start = synth.graph_seed(1)
-        out = synth.ec_close(start, spec, args.budget, grid=grid, rng_seed=seed)
-        structures.save(out, args.out, include_provenance=True)
-        _emit(
-            {
-                "verb": "synth",
-                "version": REPORT_VERSION,
-                "theory": args.theory,
-                "seed": seed,
-                "budget": args.budget,
-                "points": out.n,
-                "out": args.out,
-            }
-        )
-        return 0
-
-    if args.verb == "sample":
-        seed = _seed(args)
-        spec = _measure_spec(args, seed)
-        m = sampling.sample_space(args.n, spec)
-        structures.save(m, args.out)
-        _emit(
-            {
-                "verb": "sample",
-                "version": REPORT_VERSION,
-                "kind": args.kind,
-                "seed": seed,
-                "points": m.n,
-                "out": args.out,
-            }
-        )
-        return 0
-
-    if args.verb == "audit":
-        seed = _seed(args)
-        spec = _measure_spec(args, seed)
-        # formula free variables range over sampled metric-only structures
-        sig = synth.metric_seed(1).sig
-        phi = parse_formula(args.formula, sig)
-        least = max(1, len(phi.free_variables()))
-        if args.n < least:
-            msg = f"--n must be at least {least} for {args.formula!r}, got {args.n}"
-            raise SystemExit2(msg)
-        report = sampling.invariance_audit(
-            spec, args.n, args.trials, phi, _rational(args.eps, "--eps"), sigma=args.sigma
-        )
-        obj = {
-            "verb": "audit",
-            "version": REPORT_VERSION,
-            "kind": args.kind,
-            "seed": seed,
-            **report.to_json(),
-        }
-        _emit(obj, args.out)
-        return 0
-
-    if args.verb == "genericity":
-        seed = _seed(args)
-        spec = _measure_spec(args, seed)
-        with _file_format(args.theta), open(args.theta, encoding="utf-8") as fh:
-            theta = urysohn.DistanceConfiguration.from_json(json.load(fh))
-        n_values = _int_list(args.n_values, "--n-values", max(1, theta.n))
-        curve = sampling.genericity_frequency(
-            spec, theta, _tolerance(args.eps), n_values, args.trials
-        )
-        obj = {
-            "verb": "genericity",
-            "version": REPORT_VERSION,
-            "inputs": _input_hashes(args.theta),
-            "kind": args.kind,
-            "seed": seed,
-            "eps": args.eps,
-            "trials": args.trials,
-            "curve": [{"n": n, "frequency": f} for n, f in curve],
-        }
-        _emit(obj, args.out)
-        if args.csv:
-            _write_curve_csv(args.csv, obj["curve"])
-        return 0
-
-    if args.verb == "compare":
-        eps = _rational(args.eps, "--eps")
-        if eps < 0:
-            raise SystemExit2(f"--eps must be at least 0, got {args.eps}")
-        a = _load(args.a)
-        b = _load(args.b)
-        if a.sig != b.sig:
-            raise FileFormatError(f"{args.a} and {args.b}: structures must share a signature")
-        result = compare_mod.back_and_forth(a, b, eps, args.depth, node_budget=args.node_budget)
-        obj = {
-            "verb": "compare",
-            "version": REPORT_VERSION,
-            "inputs": _input_hashes(args.a, args.b),
-            **result.to_json(),
-        }
-        _emit(obj, args.out)
-        return 0 if result.status == "success" else 1
-
-    if args.verb == "encode":
-        m = _load(args.structure)
-        code = polish.encode(m, args.k)
-        obj = {
-            "verb": "encode",
-            "version": REPORT_VERSION,
-            "inputs": _input_hashes(args.structure),
-            **code.to_json(),
-        }
-        _emit(obj, args.out)
-        return 0
-
-    if args.verb == "configs":
-        grid = _unit_fraction(args.grid, "--grid")
-        configs = urysohn.all_configurations(args.size, grid.denominator)
-        urysohn.save_configurations(configs, args.out)
-        _emit(
-            {
-                "verb": "configs",
-                "version": REPORT_VERSION,
-                "size": args.size,
-                "count": len(configs),
-                "out": args.out,
-            }
-        )
-        return 0
-
-    if args.verb == "report":
-        if args.structure and args.configs:
-            eps = _tolerance(args.eps)
-            m = _load(args.structure)
-            with _file_format(args.configs):
-                configs = urysohn.load_configurations(args.configs)
-            report = urysohn.extension_property_report(m, eps, configs)
-            obj = {
-                "verb": "report",
-                "version": REPORT_VERSION,
-                "inputs": _input_hashes(args.structure, args.configs),
-                **report.to_json(),
-            }
-            _emit(obj, args.out)
-            return 0 if report.ok else 1
-        # merge previously emitted artifacts
-        artifacts = []
-        for path in args.artifacts:
-            with open(path, encoding="utf-8") as fh:
-                artifact = json.load(fh)
+    # merge earlier reports: every artifact, and with --csv every curve row,
+    # is checked before anything is written
+    artifacts, rows = [], []
+    for path in args.artifacts:
+        with _file_format(path), open(path, encoding="utf-8") as fh:
+            artifact = json.load(fh)
+            if not isinstance(artifact, dict):
+                raise ValueError(f"an artifact is a JSON object, got {type(artifact).__name__}")
             if artifact.get("version") != REPORT_VERSION:
                 raise SchemaMismatchError(
                     f"{path}: version {artifact.get('version')!r} != {REPORT_VERSION!r}"
                 )
-            artifacts.append(artifact)
-        obj = {
-            "verb": "report",
-            "version": REPORT_VERSION,
-            "inputs": _input_hashes(*args.artifacts),
-            "artifacts": artifacts,
-        }
-        _emit(obj, args.out)
-        if args.csv:
-            rows = []
-            for artifact in artifacts:
-                rows.extend(artifact.get("curve", []))
-            _write_curve_csv(args.csv, rows)
-        return 0
-
-    raise SystemExit2(f"unknown verb: {args.verb}")
-
-
-def _measure_spec(args, seed) -> sampling.MeasureSpec:
-    grid = _step(args.grid, "--grid") if args.grid else sampling.DEFAULT_GRID
-    return sampling.MeasureSpec(
-        kind=args.kind, grid=grid, seed=seed, max_tries=args.max_tries
-    )
+            curve = artifact.get("curve", []) if args.csv else []
+            if not isinstance(curve, list) or not all(
+                isinstance(row, dict) and {"n", "frequency"} <= row.keys() for row in curve
+            ):
+                raise ValueError("curve must be a list of rows, each with n and frequency")
+        artifacts.append(artifact)
+        rows += curve
+    _emit("report", args.artifacts, {"artifacts": artifacts}, args.out)
+    if args.csv:
+        _write_curve_csv(args.csv, rows)
+    return 0
 
 
 def _write_curve_csv(path, rows) -> None:
@@ -498,11 +421,25 @@ def _write_curve_csv(path, rows) -> None:
             w.writerow([row["n"], row["frequency"]])
 
 
+HANDLERS = {
+    "eval": _eval,
+    "check": _check,
+    "validate": _validate,
+    "synth": _synth,
+    "sample": _sample,
+    "audit": _audit,
+    "genericity": _genericity,
+    "compare": _compare,
+    "encode": _encode,
+    "configs": _configs,
+    "report": _report,
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _run(args)
+        return HANDLERS[args.verb](args)
     except SystemExit2 as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import floor
 
 from .rationals import ZERO
-from .structures import PresentedStructure, scaled_tables, tuples_naming
+from .structures import PresentedStructure, scaled, scaled_tables, tuples_naming
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,7 @@ def back_and_forth(
     if depth > min(m.n, n.n):
         return BackAndForthResult("failure", None, 0)
     scale, (a_tables, b_tables) = scaled_tables(m, n)
-    threshold = floor(Fraction(eps) * scale)
+    (threshold,) = scaled([Fraction(eps)], scale)
     rels = [(a_tables[r.name], b_tables[r.name], r.arity) for r in m.sig.relations]
     naming: dict[tuple[int, int], list] = {}
     nodes = 0

@@ -467,11 +467,6 @@ def parse_condition(text: str, sig: Signature) -> Condition:
     bound = p.rational()
     if p.peek()[0] != "eof":
         p.fail("end of input")
-    free = f.free_variables()
-    if free:
-        raise FreeVariableInConditionError(
-            f"condition formula has free variables: {', '.join(free)}"
-        )
     return Condition(f, rel, bound)
 
 

@@ -38,8 +38,6 @@ def index_enumeration(sig: Signature, count: int) -> tuple[IndexEntry, ...]:
     mx = 0
     while len(out) < count:
         for rel in sig.relations:
-            if rel.arity == 0 and mx == 0:
-                out.append(IndexEntry(rel.name, ()))
             for tup in tuples_naming(mx + 1, rel.arity, mx):
                 out.append(IndexEntry(rel.name, tup))
         mx += 1

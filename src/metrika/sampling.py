@@ -21,7 +21,7 @@ from .errors import RejectionBudgetExceededError
 from .evaluation import evaluate
 from .logic import Formula, metric_signature
 from .rationals import ONE, ZERO
-from .structures import MetricBuilder, PresentedStructure, admissible_interval
+from .structures import MetricBuilder, PresentedStructure, admissible_interval, scaled
 from .urysohn import DistanceConfiguration, ObligationScan
 
 DEFAULT_GRID = Fraction(1, 2**16)
@@ -74,7 +74,7 @@ def sample_one_point(
 ) -> PresentedStructure:
     """Extend m by one point with random admissible distances."""
     b = MetricBuilder(m, spec.grid)
-    g = int(spec.grid * b.L)
+    (g,) = scaled([spec.grid], b.L)
     if spec.kind == "sequential":
         b.add(_sequential_row(b, g, rng), note={"sampler": "sequential"})
         return b.freeze()
@@ -97,9 +97,9 @@ def sample_space(n: int, spec: MeasureSpec, rng: random.Random | None = None):
     if n < 1:
         raise ValueError("need at least one point")
     rng = rng if rng is not None else random.Random(spec.seed)
+    b = MetricBuilder(_POINT, spec.grid)
+    (g,) = scaled([spec.grid], b.L)
     if spec.kind == "sequential":
-        b = MetricBuilder(_POINT, spec.grid)
-        g = int(spec.grid * b.L)
         for _ in range(n - 1):
             b.add(_sequential_row(b, g, rng), note={"sampler": "sequential"})
         return b.freeze()
@@ -108,8 +108,6 @@ def sample_space(n: int, spec: MeasureSpec, rng: random.Random | None = None):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     # column k lists the draw positions of the pairs (i, k), i < k
     cols = [[pairs.index((i, k)) for i in range(k)] for k in range(n)]
-    b = MetricBuilder(_POINT, spec.grid)
-    g = int(spec.grid * b.L)
     for _ in range(spec.max_tries):
         draw = [rng.randint(0, steps) * g for _ in pairs]
         for k in range(1, n):

@@ -126,17 +126,29 @@ def tuples_naming(n: int, arity: int, first_new: int) -> list[tuple[int, ...]]:
     return [(i,) + t for i in range(n) for t in (every if i >= first_new else tail)]
 
 
+def lattice(values, L: int = 1) -> int:
+    """The lcm of L and the denominators of the rationals in values: the
+    least denominator over which each of them is an integer."""
+    return lcm(L, *{v.denominator for v in values})
+
+
+def scaled(values, L: int) -> list[int]:
+    """floor(q * L) for each rational q in values.  For q on the lattice
+    (its denominator divides L) that is q exactly, as an integer over L;
+    for a tolerance q off it, an integer x over L is at most q exactly
+    when x <= floor(q * L)."""
+    return [q.numerator * L // q.denominator for q in values]
+
+
 def scaled_tables(*ms: PresentedStructure) -> tuple[int, list[dict]]:
     """Every table of every structure in ms as integers over one shared
     denominator L, the lcm of all their denominators.  Returns L and, per
-    structure, relation name -> {tuple: value * L}.  For an integer x,
-    x > q * L exactly when x > floor(q * L), so a comparison against a
-    rational threshold becomes one integer comparison."""
+    structure, relation name -> {tuple: value * L}."""
     tables = [m.tables for m in ms]
-    L = lcm(*(v.denominator for t in tables for table in t.values() for v in table.values()))
+    L = lattice(v for t in tables for table in t.values() for v in table.values())
     return L, [
         {
-            name: {tup: v.numerator * (L // v.denominator) for tup, v in table.items()}
+            name: dict(zip(table, scaled(table.values(), L)))
             for name, table in t.items()
         }
         for t in tables
@@ -177,10 +189,10 @@ def _violations(m: PresentedStructure, first_new: int):
     rels = m.sig.relations[1:]
     if not rels:
         return
-    _, (scaled,) = scaled_tables(m)
-    gaps = scaled["d"]
+    _, (ints,) = scaled_tables(m)
+    gaps = ints["d"]
     for rel in rels:
-        table, a = m.tables[rel.name], scaled[rel.name]
+        table, a = m.tables[rel.name], ints[rel.name]
         p, q = rel.lipschitz.numerator, rel.lipschitz.denominator
         every = list(m.tuples(rel.arity))
         fresh = tuples_naming(n, rel.arity, first_new)
@@ -298,13 +310,8 @@ class MetricBuilder:
             raise ValueError("MetricBuilder grows metric-only structures")
         d = prefix.tables["d"]
         self.sig = prefix.sig
-        self.L = L = lcm(
-            *(g.denominator for g in grids), *(v.denominator for v in d.values())
-        )
-        self.rows = [
-            [d[(i, j)].numerator * (L // d[(i, j)].denominator) for i in range(j)]
-            for j in range(prefix.n)
-        ]
+        self.L = L = lattice(chain(grids, d.values()))
+        self.rows = [scaled([d[(i, j)] for i in range(j)], L) for j in range(prefix.n)]
         self._base = prefix.n
         self._log = prefix.provenance_log
         self._notes: list = []

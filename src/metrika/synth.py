@@ -40,7 +40,7 @@ from .logic import (
     parse_condition,
 )
 from .rationals import ONE, ZERO
-from .structures import MetricBuilder, PresentedStructure, admissible
+from .structures import MetricBuilder, PresentedStructure, admissible, scaled
 from .urysohn import ObligationScan, all_configurations, katetov_row
 
 HALF = Fraction(1, 2)
@@ -119,14 +119,7 @@ def metric_seed(n_points: int = 1) -> PresentedStructure:
 
 def graph_seed(n_vertices: int = 1) -> PresentedStructure:
     """Edgeless graph on the discrete metric (R = 1 everywhere: no edges)."""
-    sig = graph_signature()
-    d = {
-        (i, j): (ZERO if i == j else ONE)
-        for i in range(n_vertices)
-        for j in range(n_vertices)
-    }
-    r = {(i, j): ONE for i in range(n_vertices) for j in range(n_vertices)}
-    return PresentedStructure(sig, n_vertices, {"d": d, "R": r})
+    return _graph_structure(graph_signature(), n_vertices, [0] * n_vertices, ())
 
 
 # --------------------------------------------------------------- ec_close
@@ -166,11 +159,7 @@ def _ec_close_metric(seed, spec, budget, grid, rng_seed):
     # distances, grid, config_grid (which the configurations lie on) and
     # eps (the Katetov slack), so the builder's L holds them all exactly
     b = MetricBuilder(seed, grid, spec.config_grid, spec.eps)
-
-    def scaled(q):
-        return q.numerator * (b.L // q.denominator)
-
-    grid_l, config_grid_l, eps_l = map(scaled, (grid, spec.config_grid, spec.eps))
+    grid_l, config_grid_l, eps_l = scaled((grid, spec.config_grid, spec.eps), b.L)
     queue = deque(scan.obligations(b))
     dequeued = 0
     while queue and dequeued < budget:
@@ -179,7 +168,7 @@ def _ec_close_metric(seed, spec, budget, grid, rng_seed):
         if scan.realized(t_idx, pts, b):
             continue
         r, k = configs[t_idx].r, len(pts)
-        targets = [scaled(r[a][k]) for a in range(k)]
+        targets = scaled([r[a][k] for a in range(k)], b.L)
         old_n = b.n
         note = {"task": t_idx, "tuple": pts}
         _add_metric_witness(b, targets, pts, grid_l, config_grid_l, eps_l, rng, note)

@@ -11,8 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from math import lcm
+from itertools import chain, combinations, product
 
 from .errors import (
     PartialInfeasibleError,
@@ -37,6 +36,8 @@ from .structures import (
     PresentedStructure,
     admissible,
     admissible_interval,
+    lattice,
+    scaled,
     tuples_naming,
 )
 
@@ -53,7 +54,8 @@ class DistanceConfiguration:
             if len(row) != n:
                 raise ValueError("distance matrix must be square")
         # the checks read the entries as integers over their lcm L
-        L, s = _scaled(self.r)
+        L = lattice(chain.from_iterable(self.r))
+        s = [scaled(row, L) for row in self.r]
         for i in range(n):
             if s[i][i] != 0:
                 raise ValueError(f"nonzero diagonal at {i}")
@@ -88,14 +90,6 @@ class DistanceConfiguration:
         if not all(isinstance(row, list) for row in rows):
             raise ValueError(f"a configuration is a list of rows, got {rows!r}")
         return DistanceConfiguration(tuple(tuple(parse(v) for v in row) for row in rows))
-
-
-def _scaled(r, L=1):
-    """The rational matrix r as integers over lcm(L, r's denominators):
-    returns that denominator and the integer rows."""
-    ratios = [[v.as_integer_ratio() for v in row] for row in r]
-    L = lcm(L, *{q for row in ratios for _, q in row})
-    return L, [[p * (L // q) for p, q in row] for row in ratios]
 
 
 def restrict(theta: DistanceConfiguration) -> DistanceConfiguration:
@@ -139,10 +133,8 @@ class ObligationScan:
         self.delta = delta_for(self.eps)
         if any(theta.n < 1 for theta in self.configs):
             raise SizeMismatchError("cannot restrict an empty configuration")
-        self.L = lcm(
-            *{v.denominator for theta in self.configs for row in theta.r for v in row}
-        )
-        self._r = [_scaled(theta.r, self.L)[1] for theta in self.configs]
+        self.L = L = lattice(v for theta in self.configs for row in theta.r for v in row)
+        self._r = [[scaled(row, L) for row in theta.r] for theta in self.configs]
         # per configuration its restriction (k, the k x k upper triangle);
         # per anchor count k the distinct restrictions, in first-seen order
         self._keys = []
@@ -170,7 +162,7 @@ class ObligationScan:
         >= first_new (so never the empty tuple)."""
         n, L, d = space.n, space.L, space.dist
         f = self._factor(L)
-        delta = self.delta.numerator * L // self.delta.denominator
+        (delta,) = scaled([self.delta], L)
         anchors = {}
         for k, keys in self._groups.items():
             pairs = list(combinations(range(k), 2))
@@ -199,7 +191,7 @@ class ObligationScan:
             raise SizeMismatchError(f"expected {k + 1} points, got {len(pts) + 1}")
         L, d = space.L, space.dist
         f = self._factor(L)
-        eps = self.eps.numerator * L // self.eps.denominator
+        (eps,) = scaled([self.eps], L)
         for i, j in combinations(range(k), 2):
             if abs(d(pts[i], pts[j]) - r[i][j] * f) > eps:
                 return False
@@ -213,13 +205,13 @@ class _ScaledSpace:
     __slots__ = ("n", "L", "_table")
 
     def __init__(self, m: PresentedStructure, L: int):
-        self._table = table = m.tables["d"]
+        table = m.tables["d"]
         self.n = m.n
-        self.L = lcm(L, *{v.denominator for v in table.values()})
+        self.L = lattice(table.values(), L)
+        self._table = dict(zip(table, scaled(table.values(), self.L)))
 
     def dist(self, i: int, j: int) -> int:
-        v = self._table[i, j]
-        return v.numerator * (self.L // v.denominator)
+        return self._table[i, j]
 
 
 def config_formula(theta: DistanceConfiguration, var_names=None) -> Formula:

@@ -1,5 +1,6 @@
 """End-to-end tests for the metrika command line."""
 
+import argparse
 import io
 import json
 import subprocess
@@ -495,8 +496,79 @@ class TestReportMerge:
         code, _ = run(["report", "--artifacts", str(stale)], capsys)
         assert code == 4
 
+    @pytest.mark.parametrize("artifact", [
+        [1], None, {"curve": 5}, {"curve": ["x"]}, {"curve": [{"n": 3}]},
+    ], ids=["list", "null", "curve-number", "curve-row-string", "row-without-frequency"])
+    def test_malformed_artifact_is_format_error(self, artifact, tmp_path, capsys):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(
+            {"version": cli.REPORT_VERSION, "curve": [{"n": 3, "frequency": 0.5}]}))
+        bad = tmp_path / "bad.json"
+        if isinstance(artifact, dict):
+            artifact = {"version": cli.REPORT_VERSION, **artifact}
+        bad.write_text(json.dumps(artifact))
+        out, csv_path = tmp_path / "out.json", tmp_path / "curve.csv"
+        code = cli.main(["report", "--artifacts", str(good), str(bad), "--out", str(out),
+                         "--csv", str(csv_path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("file/format error:") and str(bad) in captured.err
+        assert len(captured.err.splitlines()) == 1 and not captured.out
+        assert not out.exists() and not csv_path.exists()
+
+    def test_merged_curves_to_csv(self, tmp_path, capsys):
+        paths = []
+        for k, curve in enumerate([[{"n": 3, "frequency": 0.5}], [],
+                                   [{"n": 5, "frequency": 1.0, "extra": 1}]]):
+            paths.append(tmp_path / f"a{k}.json")
+            paths[-1].write_text(json.dumps({"version": cli.REPORT_VERSION, "curve": curve}))
+        csv_path = tmp_path / "curve.csv"
+        code, out = run(["report", "--artifacts", *map(str, paths), "--csv", str(csv_path)],
+                        capsys)
+        assert code == 0 and len(json.loads(out)["artifacts"]) == 3
+        assert csv_path.read_text().splitlines() == ["n,frequency", "3,0.5", "5,1.0"]
+
+
+# the extension report on structures MetricBuilder refuses: a graph-signature
+# file and a metric file whose d table is asymmetric (d(0,1) = 3/4, d(1,0) = 1/2)
+REPORT_PINS = {
+    "graph": (1, {"satisfied": 9, "total": 12, "failures": [
+        {"theta_id": 0, "tuple": [0]}, {"theta_id": 0, "tuple": [1]},
+        {"theta_id": 0, "tuple": [2]}]}),
+    "asym": (1, {"satisfied": 1, "total": 5, "failures": [
+        {"theta_id": 0, "tuple": [0]}, {"theta_id": 1, "tuple": [0]},
+        {"theta_id": 1, "tuple": [1]}, {"theta_id": 2, "tuple": [1, 0]}]}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REPORT_PINS))
+def test_report_on_non_metric_builder_structures(kind, two_point, tmp_path, capsys):
+    path = tmp_path / f"{kind}.json"
+    if kind == "graph":
+        save(graph_seed(3), path)
+    else:
+        data = json.loads(open(two_point).read())
+        data["tables"]["d"][0][1] = "3/4"
+        path.write_text(json.dumps(data))
+    cfg_path = tmp_path / "configs.json"
+    cfg_path.write_text(json.dumps([
+        [["0", "1/2"], ["1/2", "0"]], [["0", "1"], ["1", "0"]],
+        [["0", "1/2", "1/4"], ["1/2", "0", "1/4"], ["1/4", "1/4", "0"]],
+        [["0", "1", "1"], ["1", "0", "1"], ["1", "1", "0"]]]))
+    code, out = run(["report", "--structure", str(path), "--configs", str(cfg_path),
+                     "--eps", "1/8"], capsys)
+    obj = json.loads(out)
+    assert list(obj) == ["verb", "version", "inputs", "satisfied", "total", "failures"]
+    assert (code, {k: obj[k] for k in ("satisfied", "total", "failures")}) == REPORT_PINS[kind]
+
 
 class TestEntryPoint:
+    def test_every_verb_has_one_handler(self):
+        (verbs,) = [a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+        assert set(verbs.choices) == set(cli.HANDLERS)
+        assert len(set(cli.HANDLERS.values())) == len(cli.HANDLERS)
+
     def test_console_script_installed(self, two_point):
         proc = subprocess.run(
             [sys.executable, "-m", "metrika.cli", "eval", "--structure",
@@ -588,6 +660,50 @@ CHECK_ARGV = fuzz_argv(
     option("--mode", ["finite", "prefix", "abc"]),
 )
 VALIDATE_ARGV = fuzz_argv("validate", option("--structure", STRUCTURES, True))
+# sizes stay small (--n <= 4, --trials <= 3, --max-tries <= 50) so that every
+# command line, the rejection sampler's included, ends within a second
+SAMPLER_OPTIONS = (
+    option("--kind", ["sequential", "rejection", "abc"]),
+    option("--grid", VALUES),
+    option("--max-tries", ["0", "-1", "1", "50", "abc"], True),
+    option("--seed", ["0", "1", "-1", "abc"], True),
+)
+SAMPLE_ARGV = fuzz_argv(
+    "sample",
+    option("--n", ["0", "-1", "1", "2", "4", "abc"], True),
+    *SAMPLER_OPTIONS,
+    option("--out", ["{dir}/sample.json", "{dir}/missing/sample.json"], True),
+)
+AUDIT_ARGV = fuzz_argv(
+    "audit",
+    option("--n", ["0", "-1", "1", "2", "4", "abc"], True),
+    option("--trials", ["0", "-1", "1", "3", "abc"], True),
+    option("--formula", ["d(x,y)", "d(x,x)", "sup x. d(x,y)", "R(x,y)", "d(x", ""], True),
+    option("--eps", VALUES, True),
+    option("--sigma", ["0", "3", "-1", "abc"]),
+    *SAMPLER_OPTIONS,
+    option("--out", ["{dir}/audit.json", "{dir}/missing/audit.json"]),
+)
+GENERICITY_ARGV = fuzz_argv(
+    "genericity",
+    option("--theta", ["{dir}/theta.json", "{dir}/c2.json", "{dir}/bad.json",
+                       "{dir}/none.json", "{dir}/empty.json"], True),
+    option("--eps", VALUES, True),
+    option("--n-values", ["1", "2", "2,4", "4,2", "0", "abc", ""], True),
+    option("--trials", ["0", "-1", "1", "3", "abc"], True),
+    *SAMPLER_OPTIONS,
+    option("--out", ["{dir}/genericity.json", "{dir}/missing/genericity.json"]),
+    option("--csv", ["{dir}/genericity.csv", "{dir}/missing/genericity.csv"]),
+)
+ARTIFACTS = ["{dir}/art-compare.json", "{dir}/art-curve.json", "{dir}/art-stale.json",
+             "{dir}/art-list.json", "{dir}/art-null.json", "{dir}/art-curve-number.json",
+             "{dir}/art-row-string.json", "{dir}/art-row-no-frequency.json",
+             "{dir}/bad.json", "{dir}/none.json"]
+ARTIFACTS_ARGV = st.tuples(
+    st.lists(st.sampled_from(ARTIFACTS), max_size=3),
+    option("--out", ["{dir}/merged.json", "{dir}/missing/merged.json"]),
+    option("--csv", ["{dir}/merged.csv", "{dir}/missing/merged.csv"]),
+).map(lambda t: ["report", "--artifacts", *t[0], *t[1], *t[2]])
 
 
 @pytest.fixture(scope="module")
@@ -604,13 +720,31 @@ def fuzz_dir(tmp_path_factory):
         [[["0", "1/2", "1/4"], ["1/2", "0", "1/4"], ["1/4", "1/4", "0"]]]))
     (d / "empty.json").write_text("[[]]")
     (d / "bad.json").write_text("{")
+    (d / "theta.json").write_text(json.dumps([["0", "1/2"], ["1/2", "0"]]))
+    version = cli.REPORT_VERSION
+    artifacts = {
+        "compare": {"verb": "compare", "version": version, "status": "success"},
+        "curve": {"verb": "genericity", "version": version,
+                  "curve": [{"n": 2, "frequency": 0.5}, {"n": 4, "frequency": 1.0}]},
+        "stale": {"version": "metrika-report-0"},
+        "list": [1],
+        "null": None,
+        "curve-number": {"version": version, "curve": 5},
+        "row-string": {"version": version, "curve": ["x"]},
+        "row-no-frequency": {"version": version, "curve": [{"n": 2}]},
+    }
+    for name, artifact in artifacts.items():
+        (d / f"art-{name}.json").write_text(json.dumps(artifact))
     return str(d)
 
 
 @given(st.one_of(SYNTH_ARGV, CONFIGS_ARGV, REPORT_ARGV, COMPARE_ARGV, ENCODE_ARGV,
-                 EVAL_ARGV, CHECK_ARGV, VALIDATE_ARGV))
+                 EVAL_ARGV, CHECK_ARGV, VALIDATE_ARGV, SAMPLE_ARGV, AUDIT_ARGV,
+                 GENERICITY_ARGV, ARTIFACTS_ARGV))
 @example(["synth", "--theory", "empty-metric", "--budget", "5", "--config-grid", "0",
           "--seed", "0", "--out", "{dir}/synth.json"])
+@example(["report", "--artifacts", "{dir}/art-curve.json", "{dir}/art-row-string.json",
+          "--csv", "{dir}/merged.csv"])
 @settings(max_examples=300)
 def test_argv_fuzz_exits_with_a_documented_code(fuzz_dir, argv):
     argv = [a.replace("{dir}", fuzz_dir) for a in argv]

@@ -1,12 +1,16 @@
 """Source hygiene, read with the stdlib ``ast``: no unused import in the
-package or its tests, and no private module-level function or class that
-nothing in the package references."""
+package or its tests, no private module-level function or class that
+nothing in the package references, and no package line wider than
+``MAX_COLUMNS``."""
 
 import ast
 from pathlib import Path
 
 import metrika
 
+# the package's line count is tracked as a size measure; a width cap keeps
+# it from falling merely because code is packed into longer lines
+MAX_COLUMNS = 96
 PACKAGE = Path(metrika.__file__).parent
 MODULES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
 TESTS = {path.name: ast.parse(path.read_text(), str(path))
@@ -62,3 +66,13 @@ def test_no_unreferenced_private_definitions():
             if not any(stmt.name in names_read(node) for node in elsewhere):
                 unreferenced.append(f"{name}:{stmt.lineno} {stmt.name}")
     assert not unreferenced
+
+
+def test_no_line_wider_than_max_columns():
+    wide = [
+        f"metrika/{path.name}:{number}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > MAX_COLUMNS
+    ]
+    assert not wide

@@ -2,7 +2,6 @@
 
 from fractions import Fraction as F
 from itertools import product
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,7 +22,7 @@ from metrika import (
     parse_formula,
     pi2_depth_membership,
 )
-from metrika.logic import Relation
+from metrika.logic import Relation, Signature
 from metrika.polish import Code, fair_tuples
 
 
@@ -217,10 +216,8 @@ def test_fair_tuples_match_product_filter_reference():
 
 
 def test_index_enumeration_matches_product_filter_reference():
-    # Signature refuses arity 0, so a stand-in carries the relations
-    sig = SimpleNamespace(relations=(
-        Relation("d", 2, F(1)), Relation("P", 0, F(1)),
-        Relation("R", 2, F(1)), Relation("T", 3, F(1, 2))))
+    sig = Signature((Relation("d", 2, F(1)), Relation("R", 2, F(1)),
+                     Relation("T", 3, F(1, 2))))
     count = 200
     want, mx = [], 0
     while len(want) < count:
@@ -229,7 +226,6 @@ def test_index_enumeration_matches_product_filter_reference():
         mx += 1
     got = [(e.relation, e.tup) for e in index_enumeration(sig, count)]
     assert got == want[:count]
-    assert got.count(("P", ())) == 1
 
 
 def test_pi2_self_witness_consistent():
