@@ -9,6 +9,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -50,7 +51,10 @@ def _seed(args) -> int:
         return args.seed
     env = os.environ.get("METRIKA_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise SystemExit2(f"METRIKA_SEED must be an integer, got {env!r}") from None
     raise SystemExit2("a seed is required: pass --seed or set METRIKA_SEED")
 
 
@@ -315,6 +319,8 @@ def _sample(args) -> int:
 
 def _audit(args) -> int:
     _at_least(args.trials, 1, "--trials")
+    if not (math.isfinite(args.sigma) and args.sigma >= 0):
+        raise SystemExit2(f"--sigma must be a finite number >= 0, got {args.sigma}")
     spec = _measure_spec(args)
     # formula free variables range over sampled metric-only structures
     phi = parse_formula(args.formula, synth.metric_seed(1).sig)

@@ -4,16 +4,16 @@ Two semantics live here: ``evaluate`` treats the prefix as the whole
 structure (quantifiers range over the n points, values are exact
 rationals), while ``evaluate_prefix_bounds`` returns an interval that is
 guaranteed to contain the formula's value in any structure whose dense
-presentation extends the prefix.  Only the quantifier prefix widens the
-interval (an inf over the prefix only upper-bounds the true inf, and
-dually for sup); the quantifier-free matrix below it is valued exactly by
-the same evaluator ``evaluate`` uses.
+presentation extends the prefix.  That interval is read off the formula's
+prenex class and its value v on the prefix: [v, v] for a quantifier-free
+formula, [0, min(1, v)] for one inf block (an inf over the prefix only
+upper-bounds the true inf), [max(0, v), 1] for one sup block, and [0, 1]
+under an alternation, where the inner block's bound is lost.
 
-In both, a quantifier stops scanning points once its value reaches the
-lattice bound: 0 for an inf (the upper bound, in prefix mode), 1 for a
-sup (the lower bound).  That is exact only when no value can undercut 0
-or top 1, so it is guarded by ``PresentedStructure.unit_valued``: every
-table value in [0, 1].
+A quantifier stops scanning points once its value reaches the lattice
+bound: 0 for an inf, 1 for a sup.  That is exact only when no value can
+undercut 0 or top 1, so it is guarded by
+``PresentedStructure.unit_valued``: every table value in [0, 1].
 """
 
 from __future__ import annotations
@@ -123,39 +123,22 @@ def _final(q, m):
 
 
 def evaluate_prefix_bounds(f: Formula, m: PresentedStructure, asg=None) -> ValueInterval:
-    """Interval containing f's value in every valid extension of m's prefix."""
-    if quantifier_class(f).kind == "NotPrenex":
+    """Interval containing f's value in every valid extension of m's prefix,
+    read off f's prenex class and its value v on the prefix."""
+    cls = quantifier_class(f)
+    if cls.kind == "NotPrenex":
         raise NotPrenexUnsupportedError(f"prefix bounds need a prenex formula: {f}")
-    lo, hi = _bounds(f, m, dict(asg) if asg else {})
-    return ValueInterval(lo, hi)
-
-
-def _bounds(f, m, asg):
-    if isinstance(f, (Inf, Sup)):
-        final = _final(f, m)
-        shadowed = asg.get(f.var)
-        lo, hi = ZERO, ONE
-        for p in range(m.n):
-            asg[f.var] = p
-            l, h = _bounds(f.body, m, asg)
-            if isinstance(f, Inf):
-                # the true inf over the completion may undercut every prefix point
-                hi = min(hi, h)
-                if hi == final:
-                    break
-            else:
-                lo = max(lo, l)
-                if lo == final:
-                    break
-        if shadowed is None:
-            asg.pop(f.var, None)
-        else:
-            asg[f.var] = shadowed
-        return lo, hi
-    # below the prenex prefix the formula is quantifier free: its value is
-    # fixed by the prefix, so the interval is a single point
-    v = _eval(f, m, asg)
-    return v, v
+    v = evaluate(f, m, asg)
+    if cls.kind == "QF":
+        return ValueInterval(v, v)
+    if cls.level > 1:
+        # under an alternation the inner block's bound is lost: an inner inf
+        # is bounded below only by 0, which an outer sup keeps, and dually
+        return ValueInterval(ZERO, ONE)
+    # an inf over more points can only fall, a sup only rise
+    if cls.kind == "Sigma":
+        return ValueInterval(ZERO, min(ONE, v))
+    return ValueInterval(max(ZERO, v), ONE)
 
 
 # ------------------------------------------------------ condition checks

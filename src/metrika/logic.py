@@ -12,8 +12,9 @@ the metric symbol ``d`` (arity 2) is always present as relation index 0.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import reduce
 
 from .errors import (
     ArityMismatchError,
@@ -23,8 +24,6 @@ from .errors import (
     UnknownRelationError,
 )
 from .rationals import ONE, ZERO, format_rational, require_unit
-
-_KEYWORDS = frozenset({"inf", "sup", "min", "max", "not", "absdiff"})
 
 
 # ------------------------------------------------------------- signature
@@ -61,9 +60,6 @@ class Signature:
             if r.name == name:
                 return r
         raise UnknownRelationError(f"unknown relation: {name}")
-
-    def __contains__(self, name: str) -> bool:
-        return any(r.name == name for r in self.relations)
 
 
 def metric_signature() -> Signature:
@@ -170,49 +166,45 @@ class Sup(Formula):
 _BINARY = (Min, Max, DotMinus, TruncPlus, AbsDiff)
 _QUANT = (Inf, Sup)
 
+# the one spelling of each connective: quantifiers prefix a bound variable,
+# calls are written name(args), infix operators sit between two operands
+_QUANTIFIERS = {"inf": Inf, "sup": Sup}
+_CALLS = {"min": Min, "max": Max, "not": Neg, "absdiff": AbsDiff}
+_INFIX = {"-.": DotMinus, "+.": TruncPlus}
+_SPELLING = {node: text for t in (_QUANTIFIERS, _CALLS, _INFIX) for text, node in t.items()}
+_KEYWORDS = frozenset({*_QUANTIFIERS, *_CALLS})
+
+
+def _children(f: Formula) -> tuple[Formula, ...]:
+    """The immediate subformulas of f, left to right."""
+    if isinstance(f, _BINARY):
+        return f.left, f.right
+    if isinstance(f, (ScaleQ, Neg)):
+        return (f.operand,)
+    if isinstance(f, _QUANT):
+        return (f.body,)
+    return ()
+
 
 def _collect_free(f: Formula, bound: tuple[str, ...], seen: list[str]) -> None:
     if isinstance(f, Atom):
         for v in f.args:
             if v not in bound and v not in seen:
                 seen.append(v)
-    elif isinstance(f, _BINARY):
-        _collect_free(f.left, bound, seen)
-        _collect_free(f.right, bound, seen)
-    elif isinstance(f, (ScaleQ, Neg)):
-        _collect_free(f.operand, bound, seen)
-    elif isinstance(f, _QUANT):
-        _collect_free(f.body, bound + (f.var,), seen)
+        return
+    if isinstance(f, _QUANT):
+        bound += (f.var,)
+    for child in _children(f):
+        _collect_free(child, bound, seen)
 
 
 def is_quantifier_free(f: Formula) -> bool:
-    if isinstance(f, _QUANT):
-        return False
-    if isinstance(f, _BINARY):
-        return is_quantifier_free(f.left) and is_quantifier_free(f.right)
-    if isinstance(f, (ScaleQ, Neg)):
-        return is_quantifier_free(f.operand)
-    return True
+    return not isinstance(f, _QUANT) and all(map(is_quantifier_free, _children(f)))
 
 
-def atom_of(sig: Signature, name: str, *args: str) -> Atom:
-    """Checked Atom construction."""
-    rel = sig.relation(name)
-    if len(args) != rel.arity:
-        raise ArityMismatchError(
-            f"{name} has arity {rel.arity}, got {len(args)} arguments"
-        )
-    return Atom(name, tuple(args))
-
-
-def max_of(parts, empty=None) -> Formula:
+def max_of(parts) -> Formula:
     parts = list(parts)
-    if not parts:
-        return Const(ZERO) if empty is None else empty
-    out = parts[0]
-    for p in parts[1:]:
-        out = Max(out, p)
-    return out
+    return reduce(Max, parts) if parts else Const(ZERO)
 
 
 # --------------------------------------------------------------- pretty
@@ -223,29 +215,20 @@ def _pretty(f: Formula) -> str:
         return format_rational(f.value)
     if isinstance(f, Atom):
         return f"{f.relation}({', '.join(f.args)})"
-    if isinstance(f, Min):
-        return f"min({_pretty(f.left)}, {_pretty(f.right)})"
-    if isinstance(f, Max):
-        return f"max({_pretty(f.left)}, {_pretty(f.right)})"
-    if isinstance(f, Neg):
-        return f"not({_pretty(f.operand)})"
-    if isinstance(f, AbsDiff):
-        return f"absdiff({_pretty(f.left)}, {_pretty(f.right)})"
     if isinstance(f, ScaleQ):
         return f"{format_rational(f.factor)} * ({_pretty(f.operand)})"
-    if isinstance(f, DotMinus):
-        return f"({_body_pos(f.left)} -. {_term_pos(f.right)})"
-    if isinstance(f, TruncPlus):
-        return f"({_body_pos(f.left)} +. {_term_pos(f.right)})"
-    if isinstance(f, Inf):
-        return f"inf {f.var}. {_pretty(f.body)}"
-    if isinstance(f, Sup):
-        return f"sup {f.var}. {_pretty(f.body)}"
-    raise TypeError(f"not a formula node: {f!r}")
+    text = _SPELLING.get(type(f))
+    if text is None:
+        raise TypeError(f"not a formula node: {f!r}")
+    if isinstance(f, _QUANT):
+        return f"{text} {f.var}. {_pretty(f.body)}"
+    if text in _INFIX:
+        return f"({_body_pos(f.left)} {text} {_term_pos(f.right)})"
+    return f"{text}({', '.join(map(_pretty, _children(f)))})"
 
 
 def _body_pos(f: Formula) -> str:
-    # left operand of -./+. sits in body position: quantifiers need parens
+    # left operand of an infix operator sits in body position: quantifiers need parens
     s = _pretty(f)
     return f"({s})" if isinstance(f, _QUANT) else s
 
@@ -253,9 +236,7 @@ def _body_pos(f: Formula) -> str:
 def _term_pos(f: Formula) -> str:
     # right operand must be a single term
     s = _pretty(f)
-    if isinstance(f, (Const, Atom, Min, Max, Neg, AbsDiff)):
-        return s
-    return f"({s})"
+    return s if isinstance(f, (Const, Atom, *_CALLS.values())) else f"({s})"
 
 
 # ------------------------------------------------------------ conditions
@@ -296,7 +277,7 @@ _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<int>\d+)"
     r"|(?P<ident>[A-Za-z_]\w*)"
-    r"|(?P<op>-\.|\+\.|<=|<|=|[()*,./])"
+    rf"|(?P<op>{'|'.join(map(re.escape, _INFIX))}|<=|<|=|[()*,./])"
 )
 
 
@@ -321,8 +302,8 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self, offset=0):
-        return self.tokens[min(self.i + offset, len(self.tokens) - 1)]
+    def peek(self):
+        return self.tokens[self.i]
 
     def next(self):
         tok = self.tokens[self.i]
@@ -347,7 +328,7 @@ class _Parser:
     # formula := quant | body
     def formula(self) -> Formula:
         kind, text, _ = self.peek()
-        if kind == "ident" and text in ("inf", "sup"):
+        if kind == "ident" and text in _QUANTIFIERS:
             self.next()
             vkind, var, vpos = self.next()
             if vkind != "ident" or var in _KEYWORDS:
@@ -356,16 +337,15 @@ class _Parser:
                 )
             self.expect(".")
             body = self.formula()
-            return Inf(var, body) if text == "inf" else Sup(var, body)
+            return _QUANTIFIERS[text](var, body)
         return self.body()
 
-    # body := term (("-." | "+.") term)*   left-assoc
+    # body := term (infix term)*   left-assoc
     def body(self) -> Formula:
         left = self.term()
-        while self.peek()[1] in ("-.", "+."):
-            op = self.next()[1]
-            right = self.term()
-            left = DotMinus(left, right) if op == "-." else TruncPlus(left, right)
+        while self.peek()[1] in _INFIX:
+            node = _INFIX[self.next()[1]]
+            left = node(left, self.term())
         return left
 
     # term := rational | rational "*" atomic | atomic
@@ -388,26 +368,16 @@ class _Parser:
         if kind != "ident":
             self.fail("relation, connective, rational or '('")
         self.next()
-        if text == "min" or text == "max":
+        if text in _CALLS:
+            node = _CALLS[text]
             self.expect("(")
-            a = self.formula()
-            self.expect(",")
-            b = self.formula()
+            args = [self.formula()]
+            for _ in fields(node)[1:]:
+                self.expect(",")
+                args.append(self.formula())
             self.expect(")")
-            return Min(a, b) if text == "min" else Max(a, b)
-        if text == "not":
-            self.expect("(")
-            f = self.formula()
-            self.expect(")")
-            return Neg(f)
-        if text == "absdiff":
-            self.expect("(")
-            a = self.formula()
-            self.expect(",")
-            b = self.formula()
-            self.expect(")")
-            return AbsDiff(a, b)
-        if text in ("inf", "sup"):
+            return node(*args)
+        if text in _QUANTIFIERS:
             raise FormulaSyntaxError(
                 "quantifier not allowed here", position=pos, expected="atomic formula"
             )
@@ -418,7 +388,10 @@ class _Parser:
             self.next()
             args.append(self.variable())
         self.expect(")")
-        return atom_of(self.sig, text, *args)
+        rel = self.sig.relation(text)
+        if len(args) != rel.arity:
+            raise ArityMismatchError(f"{text} has arity {rel.arity}, got {len(args)} arguments")
+        return Atom(text, tuple(args))
 
     def variable(self) -> str:
         kind, text, pos = self.next()
@@ -494,16 +467,15 @@ def quantifier_class(f: Formula) -> HierarchyClass:
     A maximal block of like quantifiers counts as one alternation level;
     any quantifier under a connective makes the formula non-prenex.
     """
-    blocks: list[str] = []
+    blocks: list[type] = []
     node = f
     while isinstance(node, _QUANT):
-        kind = "inf" if isinstance(node, Inf) else "sup"
-        if not blocks or blocks[-1] != kind:
-            blocks.append(kind)
+        if not blocks or blocks[-1] is not type(node):
+            blocks.append(type(node))
         node = node.body
     if not is_quantifier_free(node):
         return NOT_PRENEX
     if not blocks:
         return QF
-    head = "Sigma" if blocks[0] == "inf" else "Pi"
+    head = "Sigma" if blocks[0] is Inf else "Pi"
     return HierarchyClass(head, len(blocks))

@@ -91,16 +91,15 @@ def empty_structure(sig: Signature) -> PresentedStructure:
     return PresentedStructure(sig, 0, {r.name: {} for r in sig.relations})
 
 
-def from_distance_matrix(rows, sig: Signature | None = None) -> PresentedStructure:
+def from_distance_matrix(rows) -> PresentedStructure:
     """Build a metric-only structure from a full square matrix of rationals."""
     from .logic import metric_signature
 
-    sig = sig or metric_signature()
     n = len(rows)
     table = {
         (i, j): Fraction(rows[i][j]) for i in range(n) for j in range(n)
     }
-    return PresentedStructure(sig, n, {"d": table})
+    return PresentedStructure(metric_signature(), n, {"d": table})
 
 
 # ------------------------------------------------------------ validation
@@ -420,15 +419,17 @@ def _nest(table, arity, n, prefix=()):
     return [_nest(table, arity - 1, n, prefix + (i,)) for i in range(n)]
 
 
-def _unnest(nested, arity, prefix, out):
+def _unnest(nested, arity, n, prefix, out):
     if arity == 0:
         v = parse_rational(nested)
         if not 0 <= v.numerator <= v.denominator:
             raise ValueError(f"entry {prefix} = {format_rational(v)} is outside [0, 1]")
         out[prefix] = v
         return
+    if not isinstance(nested, list) or len(nested) != n:
+        raise ValueError(f"entries at {prefix} are not a list of {n}")
     for i, sub in enumerate(nested):
-        _unnest(sub, arity - 1, prefix + (i,), out)
+        _unnest(sub, arity - 1, n, prefix + (i,), out)
 
 
 def to_json(m: PresentedStructure, include_provenance=False) -> dict:
@@ -465,17 +466,22 @@ def _jsonable(value):
 
 
 def from_json(obj: dict) -> PresentedStructure:
+    version = obj.get("version") if isinstance(obj, dict) else None
+    if version != FILE_VERSION:
+        raise ValueError(f"version {version!r} is not {FILE_VERSION!r}")
     rels = tuple(
         Relation(r["name"], int(r["arity"]), parse_rational(r["lipschitz"]))
         for r in obj["signature"]["relations"]
     )
     sig = Signature(rels)
-    n = int(obj["points"])
+    n = obj["points"]
+    if type(n) is not int or n < 0:
+        raise ValueError(f"points must be an integer >= 0, got {n!r}")
     tables: Tables = {}
     for rel in rels:
         out: dict[tuple[int, ...], Fraction] = {}
         try:
-            _unnest(obj["tables"][rel.name], rel.arity, (), out)
+            _unnest(obj["tables"][rel.name], rel.arity, n, (), out)
         except ValueError as exc:
             raise ValueError(f"table {rel.name}: {exc}") from None
         tables[rel.name] = out

@@ -323,17 +323,15 @@ def _graph_structure(sig, n, adj, provenance) -> PresentedStructure:
 # ---------------------------------------------------------- graph tasks
 
 
-def graph_extension_formula(
-    a_params: tuple[str, ...], b_params: tuple[str, ...], var: str = "z"
-) -> Formula:
+def graph_extension_formula(a_params: tuple[str, ...], b_params: tuple[str, ...]) -> Formula:
     """QF matrix of "find z adjacent to all of A, none of B, at distance 1"."""
     parts = []
     for p in a_params:
-        parts.append(Atom("R", (var, p)))
+        parts.append(Atom("R", ("z", p)))
     for p in b_params:
-        parts.append(Neg(Atom("R", (var, p))))
+        parts.append(Neg(Atom("R", ("z", p))))
     for p in a_params + b_params:
-        parts.append(Neg(Atom("d", (var, p))))
+        parts.append(Neg(Atom("d", ("z", p))))
     return max_of(parts)
 
 
@@ -392,20 +390,17 @@ def ec_witness_check(
     phi: Formula,
     params,
     tol: Fraction,
-    witness_var: str | None = None,
 ) -> WitnessCheck:
     """Finite-scale falsifier of e.c.-ness: does inf_x phi(x, params) drop
     by more than tol when passing from m to the extension?
 
-    By default the witness variable is phi's first free variable; params
-    bind the remaining free variables in order.
+    The witness variable x is phi's first free variable; params bind the
+    remaining free variables in order.
     """
     if not is_prefix(m, n_ext):
         raise NotAPrefixError("first structure is not a prefix of the second")
     free = phi.free_variables()
-    if witness_var is None:
-        witness_var = free[0]
-    others = [v for v in free if v != witness_var]
+    witness_var, others = free[0], free[1:]
     params = tuple(params)
     if len(others) != len(params):
         raise ValueError(f"need {len(others)} parameters, got {len(params)}")

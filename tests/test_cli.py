@@ -136,6 +136,26 @@ class TestSynthAndReport:
              "--out", str(tmp_path / "x.json")], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("verb", ["synth", "sample", "audit", "genericity"])
+    def test_non_integer_seed_from_environment_usage_error(self, verb, tmp_path, capsys,
+                                                           monkeypatch):
+        monkeypatch.setenv("METRIKA_SEED", "abc")
+        theta_path = tmp_path / "theta.json"
+        theta_path.write_text(json.dumps([["0", "1/2"], ["1/2", "0"]]))
+        out = str(tmp_path / "out.json")
+        argv = {
+            "synth": ["synth", "--theory", "empty-metric", "--budget", "10"],
+            "sample": ["sample", "--n", "2"],
+            "audit": ["audit", "--kind", "sequential", "--n", "2", "--trials", "3",
+                      "--formula", "d(x,y)", "--eps", "1/2"],
+            "genericity": ["genericity", "--theta", str(theta_path), "--eps", "1/4",
+                           "--n-values", "3", "--trials", "2"],
+        }[verb]
+        assert cli.main(argv + ["--out", out]) == 2
+        err = assert_one_line_error(capsys, "usage error:")
+        assert "METRIKA_SEED" in err and "'abc'" in err
+        assert not (tmp_path / "out.json").exists()
+
     def test_budget_zero_writes_the_seed(self, tmp_path, capsys):
         code, out = run(
             ["synth", "--theory", "empty-metric", "--budget", "0",
@@ -222,6 +242,16 @@ class TestSampleAuditGenericity:
         assert "2000 proposals" in err and "8-point" in err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])
+    def test_sigma_not_finite_and_non_negative_usage_error(self, sigma, tmp_path, capsys):
+        out = tmp_path / "audit.json"
+        code = cli.main(
+            ["audit", "--kind", "sequential", "--n", "2", "--trials", "3", "--formula",
+             "d(x,y)", "--eps", "1/2", "--sigma", sigma, "--seed", "0", "--out", str(out)])
+        assert code == 2
+        assert_one_line_error(capsys, "usage error:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("verb", ["sample", "audit", "genericity"])
     def test_max_tries_below_one_usage_error(self, verb, tmp_path, capsys):
         theta_path = tmp_path / "theta.json"
@@ -246,6 +276,7 @@ BAD_TRIANGLE = [["0", "1", "1/4"], ["1", "0", "1/4"], ["1/4", "1/4", "0"]]
 def assert_one_line_error(capsys, prefix):
     err = capsys.readouterr().err
     assert err.startswith(prefix) and len(err.splitlines()) == 1
+    return err
 
 
 class TestUsageErrors:
@@ -388,19 +419,35 @@ class TestConfigurationFiles:
         assert cli.main(argv) == 3
         assert_one_line_error(capsys, "file/format error:")
 
-    @pytest.mark.parametrize("corrupt", ["points", "numeric-entry"])
+    @pytest.mark.parametrize("corrupt", [
+        "points", "numeric-entry", "negative-points", "ragged-table", "fractional-points",
+        "bool-points", "wrong-version", "no-version"])
     def test_bad_structure_file_is_format_error(self, corrupt, two_point,
                                                 tmp_path, capsys):
         data = json.loads(open(two_point).read())
         if corrupt == "points":
             data["points"] = 3
-        else:
+        elif corrupt == "numeric-entry":
             data["tables"]["d"][0][1] = 0.5
+        elif corrupt in ("negative-points", "bool-points"):
+            # the one-entry table of a one-point structure
+            data["points"] = -1 if corrupt == "negative-points" else True
+            data["tables"]["d"] = [["0"]]
+        elif corrupt == "ragged-table":
+            # four entries, as many as a total table on two points
+            data["tables"]["d"] = [["0", "1", "1"], ["1"]]
+        elif corrupt == "fractional-points":
+            data["points"] = 2.7
+        elif corrupt == "wrong-version":
+            data["version"] = "metrika-structure-0"
+        else:
+            del data["version"]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         code = cli.main(["validate", "--structure", str(path)])
         assert code == 3
-        assert_one_line_error(capsys, "file/format error:")
+        err = assert_one_line_error(capsys, "file/format error:")
+        assert str(path) in err
 
     @pytest.mark.parametrize("entry", ["3/2", "-1/4", "abc"])
     @pytest.mark.parametrize("verb", ["validate", "eval"])

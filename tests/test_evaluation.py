@@ -4,11 +4,12 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metrika.errors import NotPrenexUnsupportedError, UnboundVariableError
 from metrika.evaluation import (
+    ValueInterval,
     check_condition,
     evaluate,
     evaluate_prefix_bounds,
@@ -273,6 +274,39 @@ def test_bounds_early_exit_matches_full_scans(rows, prefix, matrix, points):
     f = _quantify(prefix, matrix)
     iv = evaluate_prefix_bounds(f, m, asg)
     assert (iv.lo, iv.hi) == _full_scan_bounds(f, m, asg)
+
+
+# tables with entries outside [0, 1], including the empty structure
+_wild_rows = st.integers(0, 3).flatmap(
+    lambda n: st.lists(
+        st.lists(st.sampled_from(MIXED + [F(-1, 2), F(3, 2), F(2)]), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+def _interval_or_error(bounds):
+    try:
+        iv = bounds()
+    except (UnboundVariableError, ValueError) as exc:
+        return type(exc), str(exc)
+    return iv.lo, iv.hi
+
+
+@settings(max_examples=300)
+@given(_wild_rows, _prefixes, _matrices, st.lists(st.integers(-1, 2), min_size=3, max_size=3))
+# one-block values off [0, 1] on the side the interval clamps
+@example([[F(-1, 2)]], [(Sup, "x")], Atom("d", ("x", "x")), [0, 0, 0])
+@example([[F(2)]], [(Inf, "x")], Atom("d", ("x", "x")), [0, 0, 0])
+def test_bounds_match_full_scans_off_unit_tables(rows, prefix, matrix, points):
+    # a point of -1 leaves its variable unassigned
+    m = from_distance_matrix(rows)
+    asg = {v: p % m.n for v, p in zip(VARS, points) if p >= 0 and m.n}
+    f = _quantify(prefix, matrix)
+    ours = _interval_or_error(lambda: evaluate_prefix_bounds(f, m, asg))
+    reference = _interval_or_error(lambda: ValueInterval(*_full_scan_bounds(f, m, asg)))
+    assert ours == reference
 
 
 def test_early_exit_needs_unit_tables():

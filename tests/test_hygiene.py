@@ -1,7 +1,7 @@
 """Source hygiene, read with the stdlib ``ast``: no unused import in the
 package or its tests, no private module-level function or class that
-nothing in the package references, and no package line wider than
-``MAX_COLUMNS``."""
+nothing in the package references, no defaulted parameter that no call
+passes, and no package line wider than ``MAX_COLUMNS``."""
 
 import ast
 from pathlib import Path
@@ -15,6 +15,10 @@ PACKAGE = Path(metrika.__file__).parent
 MODULES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
 TESTS = {path.name: ast.parse(path.read_text(), str(path))
          for path in sorted(Path(__file__).parent.glob("*.py"))}
+# every caller of the package: its source tree, its tests and the benchmark
+CALLERS = [ast.parse(path.read_text(), str(path))
+           for folder in ("src", "tests", "perfbench")
+           for path in sorted((Path(__file__).parent.parent / folder).rglob("*.py"))]
 
 
 def names_read(node) -> set[str]:
@@ -76,3 +80,44 @@ def test_no_line_wider_than_max_columns():
         if len(line) > MAX_COLUMNS
     ]
     assert not wide
+
+
+def test_every_default_is_passed_somewhere():
+    """A defaulted parameter that no call passes is a constant in disguise.
+
+    Calls are matched to definitions by name alone.  A call that spreads
+    ``*args`` or ``**kwargs`` counts as passing everything; a method's
+    positions are counted after ``self``."""
+    keywords, positions, spreads = {}, {}, set()
+    for tree in CALLERS:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords
+            ):
+                spreads.add(name)
+            keywords.setdefault(name, set()).update(k.arg for k in call.keywords)
+            positions[name] = max(positions.get(name, 0), len(call.args))
+    never = []
+    for name, tree in MODULES.items():
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body if isinstance(f, ast.FunctionDef)}
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef) or func.name == "__init__":
+                continue
+            args = func.args
+            positional = args.posonlyargs + args.args
+            offset = 1 if id(func) in methods else 0
+            defaulted = [(arg, i - offset) for i, arg in enumerate(positional)
+                         if i >= len(positional) - len(args.defaults)]
+            # a keyword-only parameter has no position
+            defaulted += [(arg, float("inf")) for arg, default
+                          in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+            for arg, index in defaulted:
+                if not (func.name in spreads or arg.arg in keywords.get(func.name, ())
+                        or positions.get(func.name, 0) > index):
+                    never.append(f"{name}:{func.lineno} {func.name}({arg.arg})")
+    assert not never

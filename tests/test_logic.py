@@ -88,6 +88,33 @@ class TestParser:
         )
 
 
+# every node kind: both infix operators in body and in term position, a
+# quantifier in body position and nested quantifiers
+EVERY_NODE = (
+    "sup x. inf y. (inf z. max(min(d(x,z), 1/2 * R(x,y)), not(absdiff(d(y,z), 1/3))))"
+    " -. (R(y,x) +. d(y,y)) +. (d(x,y) -. 1/4)"
+)
+
+
+def test_pretty_spelling_is_pinned():
+    f = parse_formula(EVERY_NODE, graph_signature())
+    assert f.pretty() == str(f) == (
+        "sup x. inf y. (((inf z. max(min(d(x, z), 1/2 * (R(x, y))), "
+        "not(absdiff(d(y, z), 1/3)))) -. ((R(y, x) +. d(y, y)))) +. ((d(x, y) -. 1/4)))"
+    )
+
+
+@pytest.mark.parametrize("text, pinned", [
+    ("sup x. d(x,x) <= 0", "sup x. d(x, x) <= 0"),
+    ("inf x. inf y. (1/2 -. d(x,y)) < 1/2", "inf x. inf y. (1/2 -. d(x, y)) < 1/2"),
+    ("sup x. sup y. absdiff(d(x,y), R(x,y)) = 1",
+     "sup x. sup y. absdiff(d(x, y), R(x, y)) = 1"),
+])
+def test_condition_spelling_is_pinned(text, pinned):
+    c = parse_condition(text, graph_signature())
+    assert c.pretty() == str(c) == pinned
+
+
 class TestConditions:
     def test_closed_inf(self):
         c = parse_condition("inf x. inf y. d(x,y) = 0", SIG)
