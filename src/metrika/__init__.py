@@ -14,7 +14,6 @@ from .errors import (
     MetrikaError,
     NotAPrefixError,
     NotPrenexUnsupportedError,
-    PartialInfeasibleError,
     PointsOutOfPrefixError,
     PreconditionViolatedError,
     QuotientIllDefinedError,
@@ -68,7 +67,6 @@ from .polish import (
 )
 from .urysohn import (
     DistanceConfiguration,
-    admissible_bounds,
     all_configurations,
     axiom_instance,
     config_error,

@@ -68,12 +68,14 @@ class FileFormatError(Exception):
 
 @contextmanager
 def _file_format(path):
-    """Report a ValueError or TypeError raised while reading `path` as a
-    format error."""
+    """Report a ValueError, TypeError or KeyError raised while reading
+    `path` as a format error."""
     try:
         yield
     except (ValueError, TypeError) as exc:
         raise FileFormatError(f"{path}: {exc}") from None
+    except KeyError as exc:
+        raise FileFormatError(f"{path}: missing key {exc}") from None
 
 
 def _load(path):
@@ -449,7 +451,7 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, KeyError, FileFormatError) as exc:
+    except (OSError, json.JSONDecodeError, FileFormatError) as exc:
         print(f"file/format error: {exc}", file=sys.stderr)
         return 3
     except MetrikaError as exc:

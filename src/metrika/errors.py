@@ -84,10 +84,6 @@ class SizeMismatchError(MetrikaError):
     pass
 
 
-class PartialInfeasibleError(MetrikaError):
-    pass
-
-
 class PreconditionViolatedError(MetrikaError):
     pass
 

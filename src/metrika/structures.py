@@ -465,12 +465,19 @@ def _jsonable(value):
     return value
 
 
+def _arity(rel: dict) -> int:
+    arity = rel["arity"]
+    if type(arity) is not int:
+        raise ValueError(f"relation {rel['name']}: arity must be an integer, got {arity!r}")
+    return arity
+
+
 def from_json(obj: dict) -> PresentedStructure:
     version = obj.get("version") if isinstance(obj, dict) else None
     if version != FILE_VERSION:
         raise ValueError(f"version {version!r} is not {FILE_VERSION!r}")
     rels = tuple(
-        Relation(r["name"], int(r["arity"]), parse_rational(r["lipschitz"]))
+        Relation(r["name"], _arity(r), parse_rational(r["lipschitz"]))
         for r in obj["signature"]["relations"]
     )
     sig = Signature(rels)

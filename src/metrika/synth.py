@@ -11,9 +11,12 @@ point.  The witness steers each new row on those integers and hands it to
 the builder, which gives every added point one range and Katetov check;
 the repaired Katetov row (`urysohn.katetov_row`) is the fallback.  The
 structure is frozen once, at the end.  For graphs the obligations are the
-classical (A, B) extension axioms over the discrete metric encoding,
-rescanned over every subset pass by pass until a pass adds no vertex or
-the budget is spent.  Seeds are preserved as bit-identical prefixes.
+classical (A, B) extension axioms over the discrete metric encoding: a
+vertex adjacent to all of A and to none of B.  The closure decides them on
+adjacency bitmasks, rescanning every subset pass by pass until a pass adds
+no vertex or the budget is spent; `graph_tasks` streams the same axioms
+fairly as plain (A, B) pairs of vertex tuples.  Seeds are preserved as
+bit-identical prefixes.
 """
 
 from __future__ import annotations
@@ -28,22 +31,17 @@ from itertools import combinations, count, product
 from .errors import NotAPrefixError, SeedViolatesTheoryError
 from .evaluation import check_condition, evaluate
 from .logic import (
-    Atom,
     Condition,
     Formula,
     Inf,
-    Neg,
     Signature,
     graph_signature,
-    max_of,
     metric_signature,
     parse_condition,
 )
 from .rationals import ONE, ZERO
 from .structures import MetricBuilder, PresentedStructure, admissible, scaled
 from .urysohn import ObligationScan, all_configurations, katetov_row
-
-HALF = Fraction(1, 2)
 
 _METRIC_CONDITIONS = (
     "sup x. d(x,x) <= 0",
@@ -59,16 +57,7 @@ _GRAPH_CONDITIONS = _METRIC_CONDITIONS + (
 )
 
 
-# ----------------------------------------------------------------- tasks
-
-
-@dataclass
-class InfRealization:
-    phi: Formula
-    params: tuple[int, ...]
-    eps: Fraction
-    a: tuple[int, ...] = ()
-    b: tuple[int, ...] = ()
+# -------------------------------------------------------------- theories
 
 
 @dataclass(frozen=True)
@@ -323,20 +312,9 @@ def _graph_structure(sig, n, adj, provenance) -> PresentedStructure:
 # ---------------------------------------------------------- graph tasks
 
 
-def graph_extension_formula(a_params: tuple[str, ...], b_params: tuple[str, ...]) -> Formula:
-    """QF matrix of "find z adjacent to all of A, none of B, at distance 1"."""
-    parts = []
-    for p in a_params:
-        parts.append(Atom("R", ("z", p)))
-    for p in b_params:
-        parts.append(Neg(Atom("R", ("z", p))))
-    for p in a_params + b_params:
-        parts.append(Neg(Atom("d", ("z", p))))
-    return max_of(parts)
-
-
 def graph_tasks(max_size: int, vertices: int | None = None):
-    """Fair, duplicate-free stream of (A, B) extension tasks.
+    """Fair, duplicate-free stream of (A, B) extension tasks: pairs of vertex
+    tuples, each asking for a vertex adjacent to all of A and none of B.
 
     Dovetailed by the largest vertex named; restricting `vertices` gives
     the finite stream over a fixed vertex set.
@@ -351,16 +329,7 @@ def graph_tasks(max_size: int, vertices: int | None = None):
                 for split in range(1 << size):
                     a = tuple(x for pos, x in enumerate(subset) if split >> pos & 1)
                     b = tuple(x for pos, x in enumerate(subset) if not split >> pos & 1)
-                    names = tuple(f"p{i}" for i in range(size))
-                    a_names = names[: len(a)]
-                    b_names = names[len(a) :]
-                    yield InfRealization(
-                        phi=graph_extension_formula(a_names, b_names),
-                        params=a + b,
-                        eps=HALF,
-                        a=a,
-                        b=b,
-                    )
+                    yield a, b
 
 
 # ----------------------------------------------------------- e.c. checks

@@ -1,5 +1,7 @@
-"""Distance configurations, one-point-extension polytopes, and the
-Katetov repair witness for the bounded (diameter 1) Urysohn space.
+"""Distance configurations, their extension obligations, and the Katetov
+repair witness for the bounded (diameter 1) Urysohn space.  The Katetov
+condition itself, which distance rows extend a space by one point, is
+coded once in `structures.admissible` and `structures.admissible_interval`.
 
 A distance configuration of size n is the formula
 max_{i<j} |d(x_i, x_j) - r_ij| for a rational distance matrix r; realizing
@@ -13,11 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
 
-from .errors import (
-    PartialInfeasibleError,
-    PreconditionViolatedError,
-    SizeMismatchError,
-)
+from .errors import PreconditionViolatedError, SizeMismatchError
 from .logic import (
     AbsDiff,
     Atom,
@@ -32,14 +30,7 @@ from .logic import (
     max_of,
 )
 from .rationals import ONE, ZERO, format_rational, parse_rational
-from .structures import (
-    PresentedStructure,
-    admissible,
-    admissible_interval,
-    lattice,
-    scaled,
-    tuples_naming,
-)
+from .structures import PresentedStructure, admissible, lattice, scaled, tuples_naming
 
 
 @dataclass(frozen=True)
@@ -72,9 +63,6 @@ class DistanceConfiguration:
     @property
     def n(self) -> int:
         return len(self.r)
-
-    def d(self, i: int, j: int) -> Fraction:
-        return self.r[i][j]
 
     @staticmethod
     def from_rows(rows) -> "DistanceConfiguration":
@@ -225,47 +213,6 @@ def config_formula(theta: DistanceConfiguration, var_names=None) -> Formula:
         for j in range(i + 1, theta.n)
     ]
     return max_of(parts)
-
-
-# ----------------------------------------------------- extension polytope
-
-
-@dataclass(frozen=True)
-class AdmissiblePolytope:
-    """Distance vectors s for a new point over a base configuration:
-    |s_i - s_j| <= r_ij <= s_i + s_j, all s_i in [0,1].  Never empty
-    (s = all-ones works at diameter <= 1)."""
-
-    base: DistanceConfiguration
-
-    def contains(self, s) -> bool:
-        s = tuple(s)
-        if len(s) != self.base.n:
-            return False
-        if any(not ZERO <= v <= ONE for v in s):
-            return False
-        return admissible(self.base.d, s)
-
-
-def admissible_bounds(base: DistanceConfiguration, partial) -> tuple[Fraction, Fraction]:
-    """Interval for the next coordinate s_i given s_1..s_{i-1}.
-
-    The interval is nonempty whenever the partial vector satisfies the
-    polytope constraints among themselves (the classical Katetov argument).
-    """
-    partial = tuple(Fraction(v) for v in partial)
-    i = len(partial)
-    if i >= base.n:
-        raise SizeMismatchError("partial vector already covers the base")
-    for a in range(i):
-        if not ZERO <= partial[a] <= ONE:
-            raise PartialInfeasibleError(f"s_{a + 1} = {partial[a]} outside [0,1]")
-    if not admissible(base.d, partial):
-        raise PartialInfeasibleError("partial vector violates the polytope constraints")
-    lo, hi = admissible_interval(base.d, partial)
-    if lo > hi:
-        raise PartialInfeasibleError("empty interval: partial vector infeasible")
-    return lo, hi
 
 
 # --------------------------------------------------------- Katetov repair

@@ -323,7 +323,7 @@ def test_c10_oracle_equivalences():
             assert distortion(list(zip(left, right)), m, n) == worst
         # graph task stream against a set-based enumeration oracle
         for max_size in range(1, 5):
-            seen = [(t.a, t.b) for t in graph_tasks(max_size, vertices=5)]
+            seen = list(graph_tasks(max_size, vertices=5))
             assert len(seen) == len(set(seen))
             oracle = set()
             for size in range(1, max_size + 1):

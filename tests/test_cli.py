@@ -421,7 +421,8 @@ class TestConfigurationFiles:
 
     @pytest.mark.parametrize("corrupt", [
         "points", "numeric-entry", "negative-points", "ragged-table", "fractional-points",
-        "bool-points", "wrong-version", "no-version"])
+        "bool-points", "wrong-version", "no-version", "fractional-arity", "string-arity",
+        "no-points", "no-signature", "no-tables", "no-table"])
     def test_bad_structure_file_is_format_error(self, corrupt, two_point,
                                                 tmp_path, capsys):
         data = json.loads(open(two_point).read())
@@ -440,8 +441,13 @@ class TestConfigurationFiles:
             data["points"] = 2.7
         elif corrupt == "wrong-version":
             data["version"] = "metrika-structure-0"
-        else:
-            del data["version"]
+        elif corrupt in ("fractional-arity", "string-arity"):
+            data["signature"]["relations"][0]["arity"] = (
+                2.7 if corrupt == "fractional-arity" else "2")
+        elif corrupt == "no-table":
+            del data["tables"]["d"]
+        else:  # no-version, no-points, no-signature, no-tables
+            del data[corrupt[3:]]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         code = cli.main(["validate", "--structure", str(path)])

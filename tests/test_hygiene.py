@@ -1,7 +1,8 @@
 """Source hygiene, read with the stdlib ``ast``: no unused import in the
 package or its tests, no private module-level function or class that
 nothing in the package references, no defaulted parameter that no call
-passes, and no package line wider than ``MAX_COLUMNS``."""
+passes, no error class that no other module raises, and no package line
+wider than ``MAX_COLUMNS``."""
 
 import ast
 from pathlib import Path
@@ -70,6 +71,30 @@ def test_no_unreferenced_private_definitions():
             if not any(stmt.name in names_read(node) for node in elsewhere):
                 unreferenced.append(f"{name}:{stmt.lineno} {stmt.name}")
     assert not unreferenced
+
+
+def test_every_error_class_is_raised_elsewhere():
+    """Each class in ``errors.py`` but the base ``MetrikaError`` is raised
+    in another module of the package: named by a ``raise``, or returned by
+    a function that a ``raise`` calls."""
+
+    def named(exc):
+        exc = exc.func if isinstance(exc, ast.Call) else exc
+        return exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+
+    raised, returned = set(), {}
+    for name, tree in MODULES.items():
+        if name == "errors.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised.add(named(node.exc))
+            elif isinstance(node, ast.FunctionDef):
+                returned[node.name] = {named(r.value) for r in ast.walk(node)
+                                       if isinstance(r, ast.Return) and r.value is not None}
+    raised |= {cls for f in raised for cls in returned.get(f, ())}
+    classes = [c.name for c in MODULES["errors.py"].body if isinstance(c, ast.ClassDef)]
+    assert classes and not [c for c in classes if c != "MetrikaError" and c not in raised]
 
 
 def test_no_line_wider_than_max_columns():

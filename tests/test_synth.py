@@ -295,27 +295,13 @@ class TestEcCloseGraph:
 class TestGraphTasks:
     def test_max_size_one_has_two_shapes(self):
         tasks = list(graph_tasks(1, vertices=1))
-        shapes = {(len(t.a), len(t.b)) for t in tasks}
+        shapes = {(len(a), len(b)) for a, b in tasks}
         assert shapes == {(1, 0), (0, 1)}
-
-    def test_pair_formula_pinned(self):
-        task = next(t for t in graph_tasks(2, vertices=2)
-                    if t.a == (0,) and t.b == (1,))
-        from metrika.logic import Neg
-
-        want = max_of([
-            Atom("R", ("z", "p0")),
-            Neg(Atom("R", ("z", "p1"))),
-            Neg(Atom("d", ("z", "p0"))),
-            Neg(Atom("d", ("z", "p1"))),
-        ])
-        assert task.phi == want
-        assert task.eps == F(1, 2)
 
     def test_duplicate_free_and_fair(self):
         # against a set-based oracle over 5 vertices, max_size <= 4
         for max_size in range(1, 5):
-            seen = [(t.a, t.b) for t in graph_tasks(max_size, vertices=5)]
+            seen = list(graph_tasks(max_size, vertices=5))
             assert len(seen) == len(set(seen))
             expected = set()
             for size in range(1, max_size + 1):
@@ -329,7 +315,7 @@ class TestGraphTasks:
 
     def test_infinite_stream_is_fair(self):
         # every task over the first few vertices appears within a finite prefix
-        prefix = [(t.a, t.b) for t in islice(graph_tasks(2), 200)]
+        prefix = list(islice(graph_tasks(2), 200))
         assert ((0,), (1,)) in prefix
         assert ((), (0, 1)) in prefix
         assert ((2,), ()) in prefix

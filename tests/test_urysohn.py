@@ -8,10 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from metrika import (
     DistanceConfiguration,
-    PartialInfeasibleError,
     PreconditionViolatedError,
-        SizeMismatchError,
-    admissible_bounds,
+    SizeMismatchError,
     all_configurations,
     axiom_instance,
     check_condition,
@@ -25,8 +23,8 @@ from metrika import (
     restrict,
     validate,
 )
+from metrika.structures import admissible, admissible_interval
 from metrika.urysohn import (
-    AdmissiblePolytope,
     ObligationScan,
     config_formula,
     load_configurations,
@@ -106,33 +104,7 @@ def test_config_error_matches_formula_evaluation():
         assert evaluate(phi, m, asg) == config_error(theta, m, pts)
 
 
-# ---------------------------------------------------------------- polytope
-
-
-def test_polytope_all_ones_always_admissible():
-    theta = config([[0, "1/2", 1], ["1/2", 0, "3/4"], [1, "3/4", 0]])
-    assert AdmissiblePolytope(theta).contains((1, 1, 1))
-
-
-def test_admissible_bounds_first_coordinate():
-    theta = config([[0, "1/2"], ["1/2", 0]])
-    assert admissible_bounds(theta, ()) == (F(0), F(1))
-
-
-def test_admissible_bounds_forced():
-    theta = config([[0, 1], [1, 0]])
-    assert admissible_bounds(theta, (F(0),)) == (F(1), F(1))
-
-
-def test_admissible_bounds_quarter():
-    theta = config([[0, "1/2"], ["1/2", 0]])
-    assert admissible_bounds(theta, (F(1, 4),)) == (F(1, 4), F(3, 4))
-
-
-def test_admissible_bounds_infeasible_partial():
-    theta = config([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    with pytest.raises(PartialInfeasibleError):
-        admissible_bounds(theta, (F(2),))
+# ------------------------------------------------------- Katetov intervals
 
 
 @st.composite
@@ -165,12 +137,23 @@ def grid_configs(draw, max_n=4, denom=4):
 @given(grid_configs())
 @settings(max_examples=200)
 def test_sequential_bounds_never_empty(theta):
+    # pinned intervals: the first coordinate, a forced one, a quarter
+    half, one = config([[0, "1/2"], ["1/2", 0]]).r, config([[0, 1], [1, 0]]).r
+    assert admissible_interval(lambda i, j: half[i][j], []) == (F(0), F(1))
+    assert admissible_interval(lambda i, j: one[i][j], [F(0)]) == (F(1), F(1))
+    assert admissible_interval(lambda i, j: half[i][j], [F(1, 4)]) == (F(1, 4), F(3, 4))
+
+    def d(i, j):
+        return theta.r[i][j]
+
     partial = []
     for _ in range(theta.n):
-        lo, hi = admissible_bounds(theta, partial)
+        lo, hi = admissible_interval(d, partial)
         assert lo <= hi
         partial.append(lo)
-    assert AdmissiblePolytope(theta).contains(partial)
+    assert admissible(d, partial)
+    # the all-ones row is admissible over every configuration of diameter <= 1
+    assert admissible(d, [F(1)] * theta.n)
 
 
 # ----------------------------------------------------------- delta policy
