@@ -107,6 +107,30 @@ def test_config_error_matches_formula_evaluation():
 # ------------------------------------------------------- Katetov intervals
 
 
+def lookup(theta):
+    return lambda i, j: theta.r[i][j]
+
+
+def test_polytope_all_ones_always_admissible():
+    theta = config([[0, "1/2", 1], ["1/2", 0, "3/4"], [1, "3/4", 0]])
+    assert admissible(lookup(theta), [F(1)] * 3)
+
+
+def test_admissible_bounds_first_coordinate():
+    theta = config([[0, "1/2"], ["1/2", 0]])
+    assert admissible_interval(lookup(theta), []) == (F(0), F(1))
+
+
+def test_admissible_bounds_forced():
+    theta = config([[0, 1], [1, 0]])
+    assert admissible_interval(lookup(theta), [F(0)]) == (F(1), F(1))
+
+
+def test_admissible_bounds_quarter():
+    theta = config([[0, "1/2"], ["1/2", 0]])
+    assert admissible_interval(lookup(theta), [F(1, 4)]) == (F(1, 4), F(3, 4))
+
+
 @st.composite
 def grid_configs(draw, max_n=4, denom=4):
     n = draw(st.integers(1, max_n))
@@ -137,15 +161,7 @@ def grid_configs(draw, max_n=4, denom=4):
 @given(grid_configs())
 @settings(max_examples=200)
 def test_sequential_bounds_never_empty(theta):
-    # pinned intervals: the first coordinate, a forced one, a quarter
-    half, one = config([[0, "1/2"], ["1/2", 0]]).r, config([[0, 1], [1, 0]]).r
-    assert admissible_interval(lambda i, j: half[i][j], []) == (F(0), F(1))
-    assert admissible_interval(lambda i, j: one[i][j], [F(0)]) == (F(1), F(1))
-    assert admissible_interval(lambda i, j: half[i][j], [F(1, 4)]) == (F(1, 4), F(3, 4))
-
-    def d(i, j):
-        return theta.r[i][j]
-
+    d = lookup(theta)
     partial = []
     for _ in range(theta.n):
         lo, hi = admissible_interval(d, partial)
