@@ -7,7 +7,9 @@ distortion <= eps bounds every quantifier-free atom's value difference.
 The search compares integers: both structures' tables are scaled by the
 lcm L of all their denominators, and a gap |A - B| exceeds eps exactly
 when the scaled gap exceeds floor(eps * L).  Only ``distortion`` and the
-reported result use rationals.
+reported result use rationals.  The search holds the matched points once,
+as two position-aligned lists that it appends to and pops from, and checks
+a new pair against the tuples through it alone.
 """
 
 from __future__ import annotations
@@ -96,66 +98,59 @@ def back_and_forth(
         return BackAndForthResult("failure", None, 0)
     scale, (a_tables, b_tables) = scaled_tables(m, n)
     (threshold,) = scaled([Fraction(eps)], scale)
-    rels = [(a_tables[r.name], b_tables[r.name], r.arity) for r in m.sig.relations]
-    naming: dict[tuple[int, int], list] = {}
+    # newest[k]: the tuples through the last of k matched points; over
+    # every k <= depth there are depth**arity of them, no more than a table
+    rels = [
+        (a_tables[r.name], b_tables[r.name],
+         [tuples_naming(k, r.arity, k - 1) for k in range(depth + 1)])
+        for r in m.sig.relations
+    ]
+    sizes = (m.n, n.n)
+    matched = ([], [])  # the points of m and of n, paired by position
+    left, right = matched
     nodes = 0
-    best_stuck: list[tuple[int, int]] = []
+    best_stuck = ()
 
-    def extension_ok(pairs, cand):
-        # only tuples naming the new pair can raise the distortion
-        allp = pairs + [cand]
-        k = len(allp)
-        left = [p[0] for p in allp]
-        right = [p[1] for p in allp]
-        for a, b, arity in rels:
-            idxs = naming.get((k, arity))
-            if idxs is None:
-                idxs = naming[(k, arity)] = tuples_naming(k, arity, k - 1)
-            for idx in idxs:
+    def extension_ok(k):
+        # only tuples naming the newest pair can raise the distortion
+        for a, b, newest in rels:
+            for idx in newest[k]:
                 a_idx = tuple(map(left.__getitem__, idx))
                 b_idx = tuple(map(right.__getitem__, idx))
                 if abs(a[a_idx] - b[b_idx]) > threshold:
                     return False
         return True
 
-    def search(pairs):
+    def search():
         nonlocal nodes, best_stuck
-        if len(pairs) == depth:
-            return list(pairs)
-        turn = len(pairs)
-        if turn % 2 == 0:
-            used = {p[0] for p in pairs}
-            sources = [i for i in range(m.n) if i not in used]
-            taken = {p[1] for p in pairs}
-            candidates = [j for j in range(n.n) if j not in taken]
-            mk = lambda s, j: (s, j)
-        else:
-            used = {p[1] for p in pairs}
-            sources = [j for j in range(n.n) if j not in used]
-            taken = {p[0] for p in pairs}
-            candidates = [i for i in range(m.n) if i not in taken]
-            mk = lambda s, i: (i, s)
-        for source in sources:
+        k = len(left)
+        if k == depth:
+            return True
+        side = k % 2  # the side this turn draws its source from
+        src, dst = matched[side], matched[1 - side]
+        sources = [i for i in range(sizes[side]) if i not in src]
+        candidates = [j for j in range(sizes[1 - side]) if j not in dst]
+        for s in sources:
+            src.append(s)
             for c in candidates:
                 nodes += 1
                 if nodes > node_budget:
                     raise _Budget()
-                cand = mk(source, c)
-                if extension_ok(pairs, cand):
-                    found = search(pairs + [cand])
-                    if found is not None:
-                        return found
-        if len(pairs) >= len(best_stuck):
-            best_stuck = list(pairs)
-        return None
+                dst.append(c)
+                if extension_ok(k + 1) and search():
+                    return True
+                dst.pop()
+            src.pop()
+        if k >= len(best_stuck):
+            best_stuck = tuple(zip(left, right))
+        return False
 
     try:
-        found = search([])
+        found = search()
     except _Budget:
-        return BackAndForthResult(
-            "budget-exhausted", None, nodes, tuple(best_stuck)
-        )
-    if found is None:
-        return BackAndForthResult("failure", None, nodes, tuple(best_stuck))
-    pc = PartialCorrespondence(tuple(found), distortion(found, m, n))
+        return BackAndForthResult("budget-exhausted", None, nodes, best_stuck)
+    if not found:
+        return BackAndForthResult("failure", None, nodes, best_stuck)
+    pairs = tuple(zip(left, right))
+    pc = PartialCorrespondence(pairs, distortion(pairs, m, n))
     return BackAndForthResult("success", pc, nodes)

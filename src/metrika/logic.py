@@ -41,6 +41,15 @@ class Signature:
     relations: tuple[Relation, ...]
 
     def __post_init__(self):
+        for r in self.relations:
+            # a name a formula can call: one identifier token, not a keyword
+            mo = _TOKEN_RE.fullmatch(r.name) if isinstance(r.name, str) else None
+            if mo is None or mo.lastgroup != "ident" or r.name in _KEYWORDS:
+                raise ValueError(f"relation name {r.name!r} is not an identifier")
+            if r.arity < 1:
+                raise ValueError(f"relation {r.name} must have positive arity")
+            if r.lipschitz < 0:
+                raise ValueError(f"relation {r.name} has negative lipschitz")
         names = [r.name for r in self.relations]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate relation names: {names}")
@@ -49,11 +58,6 @@ class Signature:
         d = self.relations[0]
         if d.arity != 2 or d.lipschitz != ONE:
             raise ValueError("d must have arity 2 and lipschitz 1")
-        for r in self.relations:
-            if r.arity < 1:
-                raise ValueError(f"relation {r.name} must have positive arity")
-            if r.lipschitz < 0:
-                raise ValueError(f"relation {r.name} has negative lipschitz")
 
     def relation(self, name: str) -> Relation:
         for r in self.relations:

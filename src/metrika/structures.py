@@ -484,6 +484,9 @@ def from_json(obj: dict) -> PresentedStructure:
     n = obj["points"]
     if type(n) is not int or n < 0:
         raise ValueError(f"points must be an integer >= 0, got {n!r}")
+    extra = sorted(set(obj["tables"]) - {rel.name for rel in rels})
+    if extra:
+        raise ValueError(f"tables for relations not in the signature: {extra}")
     tables: Tables = {}
     for rel in rels:
         out: dict[tuple[int, ...], Fraction] = {}

@@ -13,10 +13,12 @@ the repaired Katetov row (`urysohn.katetov_row`) is the fallback.  The
 structure is frozen once, at the end.  For graphs the obligations are the
 classical (A, B) extension axioms over the discrete metric encoding: a
 vertex adjacent to all of A and to none of B.  The closure decides them on
-adjacency bitmasks, rescanning every subset pass by pass until a pass adds
-no vertex or the budget is spent; `graph_tasks` streams the same axioms
-fairly as plain (A, B) pairs of vertex tuples.  Seeds are preserved as
-bit-identical prefixes.
+adjacency bitmasks, read off the seed once and written back once over
+`metric_seed`'s discrete metric, rescanning every subset pass by pass
+until a pass adds no vertex or the budget is spent; `graph_tasks` streams
+the same axioms fairly as plain (A, B) pairs of vertex tuples.  Seeds are
+preserved as bit-identical prefixes.  A seed must share its theory's
+signature.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ def metric_seed(n_points: int = 1) -> PresentedStructure:
 
 def graph_seed(n_vertices: int = 1) -> PresentedStructure:
     """Edgeless graph on the discrete metric (R = 1 everywhere: no edges)."""
-    return _graph_structure(graph_signature(), n_vertices, [0] * n_vertices, ())
+    return _graph_structure(graph_signature(), [0] * n_vertices, ())
 
 
 # --------------------------------------------------------------- ec_close
@@ -128,6 +130,8 @@ def ec_close(
     the budget are left unrealized.  The seed is a bit-identical prefix of
     the result.
     """
+    if seed.sig != spec.sig:
+        raise SeedViolatesTheoryError("seed and theory have different signatures")
     for cond in spec.universal_conditions:
         if not check_condition(cond, seed, mode="finite"):
             raise SeedViolatesTheoryError(f"seed violates: {cond.pretty()}")
@@ -222,16 +226,13 @@ def _add_metric_witness(b, targets, pts, grid, config_grid, eps, rng, note):
     b.add(katetov_row(n, b.dist, pts, targets, eps, b.L), note)
 
 
-def _ec_close_graph(seed, spec, budget, grid, rng_seed):
+def _ec_close_graph(seed, spec, budget, _grid, rng_seed):
     rng = random.Random(rng_seed)
     n = seed.n
-    r_table = seed.tables["R"]
-    # adjacency bitmasks; R value 0 means "edge present"
-    adj = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i != j and r_table[(i, j)] == 0:
-                adj[i] |= 1 << j
+    r = seed.tables["R"]
+    # adjacency bitmasks; R value 0 means "edge present", and the seed has
+    # no loop (ec_close checked R(x, x) = 1)
+    adj = [sum(1 << j for j in range(n) if r[(i, j)] == 0) for i in range(n)]
     provenance = list(seed.provenance_log)
     dequeued = 0
     changed = True
@@ -241,39 +242,31 @@ def _ec_close_graph(seed, spec, budget, grid, rng_seed):
             for subset in combinations(range(n), size):
                 for split in range(1 << size):
                     if dequeued >= budget:
-                        return _graph_structure(seed.sig, n, adj, provenance)
+                        return _graph_structure(seed.sig, adj, provenance)
                     dequeued += 1
-                    a_bits = 0
-                    b_bits = 0
+                    a_bits = b_bits = 0
                     for pos, v in enumerate(subset):
                         if split >> pos & 1:
                             a_bits |= 1 << v
                         else:
                             b_bits |= 1 << v
-                    if _graph_witness_exists(adj, n, a_bits, b_bits):
+                    if _graph_witness_exists(adj, a_bits, b_bits):
                         continue
                     # add a fresh vertex joined to A, missing B, random elsewhere
-                    free = ((1 << n) - 1) & ~(a_bits | b_bits)
-                    mask = a_bits | (rng.getrandbits(n) & free if n else 0)
+                    mask = a_bits | rng.getrandbits(n) & ~(a_bits | b_bits)
                     for w in range(n):
                         if mask >> w & 1:
                             adj[w] |= 1 << n
                     adj.append(mask)
-                    provenance.append(
-                        {
-                            "vertex": n,
-                            "A": _bits_to_tuple(a_bits),
-                            "B": _bits_to_tuple(b_bits),
-                        }
-                    )
+                    a, b = _bits_to_tuple(a_bits), _bits_to_tuple(b_bits)
+                    provenance.append({"vertex": n, "A": a, "B": b})
                     n += 1
                     changed = True
-    return _graph_structure(seed.sig, n, adj, provenance)
+    return _graph_structure(seed.sig, adj, provenance)
 
 
-def _graph_witness_exists(adj, n, a_bits, b_bits) -> bool:
-    members = a_bits | b_bits
-    cand = (1 << n) - 1 & ~members
+def _graph_witness_exists(adj, a_bits, b_bits) -> bool:
+    cand = (1 << len(adj)) - 1 & ~(a_bits | b_bits)
     bits = a_bits
     while bits:
         low = bits & -bits
@@ -296,17 +289,12 @@ def _bits_to_tuple(bits) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _graph_structure(sig, n, adj, provenance) -> PresentedStructure:
-    d = {}
-    r = {}
-    for i in range(n):
-        for j in range(n):
-            d[(i, j)] = ZERO if i == j else ONE
-            if i == j:
-                r[(i, j)] = ONE
-            else:
-                r[(i, j)] = ZERO if adj[i] >> j & 1 else ONE
-    return PresentedStructure(sig, n, {"d": d, "R": r}, provenance)
+def _graph_structure(sig, adj, provenance) -> PresentedStructure:
+    """The graph of the adjacency bitmasks adj on metric_seed's discrete
+    metric; no mask has its own bit, so R(x, x) = 1."""
+    n = len(adj)
+    r = {(i, j): ZERO if adj[i] >> j & 1 else ONE for i in range(n) for j in range(n)}
+    return PresentedStructure(sig, n, {"d": metric_seed(n).tables["d"], "R": r}, provenance)
 
 
 # ---------------------------------------------------------- graph tasks

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from metrika import all_configurations, cli, graph_seed
+from metrika.logic import Relation, Signature
 from metrika.rationals import ZERO, ONE
-from metrika.structures import from_distance_matrix, save
+from metrika.structures import PresentedStructure, from_distance_matrix, save
 
 
 @pytest.fixture()
@@ -22,6 +23,16 @@ def two_point(tmp_path):
     path = tmp_path / "two.json"
     m = from_distance_matrix([[ZERO, F(1, 2)], [F(1, 2), ZERO]])
     save(m, path)
+    return str(path)
+
+
+@pytest.fixture()
+def two_point_p(tmp_path):
+    """The two-point space with a unary relation P beside d."""
+    path = tmp_path / "two_p.json"
+    d = from_distance_matrix([[ZERO, F(1, 2)], [F(1, 2), ZERO]]).tables["d"]
+    sig = Signature((Relation("d", 2, ONE), Relation("P", 1, ONE)))
+    save(PresentedStructure(sig, 2, {"d": d, "P": {(0,): ZERO, (1,): F(1, 2)}}), path)
     return str(path)
 
 
@@ -422,11 +433,20 @@ class TestConfigurationFiles:
     @pytest.mark.parametrize("corrupt", [
         "points", "numeric-entry", "negative-points", "ragged-table", "fractional-points",
         "bool-points", "wrong-version", "no-version", "fractional-arity", "string-arity",
-        "no-points", "no-signature", "no-tables", "no-table"])
+        "no-points", "no-signature", "no-tables", "no-table", "spaced-name",
+        "keyword-name", "numeric-name", "extra-table"])
     def test_bad_structure_file_is_format_error(self, corrupt, two_point,
-                                                tmp_path, capsys):
-        data = json.loads(open(two_point).read())
-        if corrupt == "points":
+                                                two_point_p, tmp_path, capsys):
+        # names no formula can call, on the variant whose second relation is P
+        renamed = {"spaced-name": "d x", "keyword-name": "inf", "numeric-name": 5}
+        with_p = corrupt in renamed or corrupt == "extra-table"
+        data = json.loads(open(two_point_p if with_p else two_point).read())
+        if corrupt in renamed:
+            data["signature"]["relations"][1]["name"] = renamed[corrupt]
+            data["tables"][str(renamed[corrupt])] = data["tables"].pop("P")
+        elif corrupt == "extra-table":
+            del data["signature"]["relations"][1]
+        elif corrupt == "points":
             data["points"] = 3
         elif corrupt == "numeric-entry":
             data["tables"]["d"][0][1] = 0.5
@@ -454,6 +474,8 @@ class TestConfigurationFiles:
         assert code == 3
         err = assert_one_line_error(capsys, "file/format error:")
         assert str(path) in err
+        if corrupt == "numeric-name":
+            assert "relation name 5" in err
 
     @pytest.mark.parametrize("entry", ["3/2", "-1/4", "abc"])
     @pytest.mark.parametrize("verb", ["validate", "eval"])

@@ -1,8 +1,8 @@
 """Source hygiene, read with the stdlib ``ast``: no unused import in the
 package or its tests, no private module-level function or class that
 nothing in the package references, no defaulted parameter that no call
-passes, no error class that no other module raises, and no package line
-wider than ``MAX_COLUMNS``."""
+passes, no parameter that its function never reads, no error class that
+no other module raises, and no package line wider than ``MAX_COLUMNS``."""
 
 import ast
 from pathlib import Path
@@ -146,3 +146,22 @@ def test_every_default_is_passed_somewhere():
                         or positions.get(func.name, 0) > index):
                     never.append(f"{name}:{func.lineno} {func.name}({arg.arg})")
     assert not never
+
+
+def test_every_parameter_is_read():
+    """A parameter its function never reads is dead.  One that fills a
+    slot of a calling convention, as a theory's ``close`` does, is named
+    with a leading underscore."""
+    unread = []
+    for name, tree in MODULES.items():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = func.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {n.id for stmt in func.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{name}:{func.lineno} {func.name}({a.arg})" for a in params
+                       if a.arg != "self" and not a.arg.startswith("_") and a.arg not in read]
+    assert not unread

@@ -289,6 +289,71 @@ class TestEcCloseGraph:
             ec_close(bad, graph_spec(), budget=10)
 
 
+def reference_ec_close_graph(seed, max_size, budget, rng_seed):
+    """The graph closure grown on neighbour sets: pass after pass over
+    every (A, B) split of every subset of the vertices present when the
+    subset size is reached, with the same rng.getrandbits(n) draw for each
+    added vertex, until a pass adds none or `budget` checks are spent."""
+    rng = random.Random(rng_seed)
+    r = seed.tables["R"]
+    nbrs = [{j for j in range(seed.n) if j != i and r[(i, j)] == 0} for i in range(seed.n)]
+    log = list(seed.provenance_log)
+
+    def grown():
+        n = len(nbrs)
+        d = {(i, j): ZERO if i == j else ONE for i in range(n) for j in range(n)}
+        rr = {(i, j): ZERO if j in nbrs[i] else ONE for i in range(n) for j in range(n)}
+        return PresentedStructure(seed.sig, n, {"d": d, "R": rr}, log)
+
+    checks, changed = 0, True
+    while changed:
+        changed = False
+        for size in range(1, max_size + 1):
+            for subset in combinations(range(len(nbrs)), size):
+                for split in range(1 << size):
+                    if checks == budget:
+                        return grown()
+                    checks += 1
+                    a = {v for pos, v in enumerate(subset) if split >> pos & 1}
+                    b = set(subset) - a
+                    if any(a <= nbrs[z] and not b & nbrs[z]
+                           for z in range(len(nbrs)) if z not in subset):
+                        continue
+                    n = len(nbrs)
+                    bits = rng.getrandbits(n)
+                    new = a | {w for w in range(n) if bits >> w & 1 and w not in subset}
+                    for w in new:
+                        nbrs[w].add(n)
+                    nbrs.append(new)
+                    log.append({"vertex": n, "A": tuple(sorted(a)), "B": tuple(sorted(b))})
+                    changed = True
+    return grown()
+
+
+def test_seed_of_another_signature_rejected():
+    with pytest.raises(SeedViolatesTheoryError):
+        ec_close(metric_seed(2), graph_spec(), 10)
+    with pytest.raises(SeedViolatesTheoryError):
+        ec_close(graph_seed(2), empty_metric_spec(), 10)
+
+
+@pytest.mark.parametrize("max_size", [1, 2, 3])
+@pytest.mark.parametrize("rng_seed", [0, 1, 2])
+def test_graph_closure_matches_set_reference(max_size, rng_seed):
+    # every budget cut, from the seed itself to a few passes deep
+    one_edge = graph_seed(3)
+    tables = {k: dict(v) for k, v in one_edge.tables.items()}
+    tables["R"][(0, 1)] = tables["R"][(1, 0)] = ZERO
+    one_edge = PresentedStructure(one_edge.sig, 3, tables)
+    for seed in (graph_seed(1), one_edge):
+        for budget in range(301):
+            got = ec_close(seed, graph_spec(max_size), budget, rng_seed=rng_seed)
+            want = reference_ec_close_graph(seed, max_size, budget, rng_seed)
+            assert got.n == want.n
+            assert got.tables == want.tables
+            assert got.provenance_log == want.provenance_log
+
+
 # --------------------------------------------------------------- graph tasks
 
 

@@ -523,3 +523,37 @@ def test_integer_scan_matches_fraction_reference(inst):
         if not any(config_error(configs[t_idx], m, pts + (y,)) <= eps for y in range(m.n))
     ]
     assert [(f.theta_index, f.pts) for f in report.failures] == failures
+
+
+# ------------------------------------------- the scan and the axiom formula
+
+
+@st.composite
+def axiom_instances(draw):
+    """A grid space of at most 6 points, one configuration of size 2 or 3
+    on a grid of its own, and an eps whose axiom is a legal condition."""
+    m = from_distance_matrix(
+        draw(grid_configs(max_n=6, denom=draw(st.sampled_from([2, 3, 4, 6, 8])))).r
+    )
+    denom = draw(st.sampled_from([2, 3, 4, 6, 8]))
+    theta = draw(grid_configs(max_n=3, denom=denom).filter(lambda t: t.n >= 2))
+    eps = draw(st.sampled_from([F(1, 8), F(1, 4), F(1, 2), F(3, 4)]))
+    return m, theta, eps
+
+
+@given(axiom_instances())
+@settings(max_examples=300)
+def test_integer_scan_agrees_with_axiom_formula(inst):
+    # the report asks for a completion wherever the restriction error is at
+    # most delta, the axiom only where it is below delta
+    m, theta, eps = inst
+    delta = delta_for(eps)
+    holds = check_condition(axiom_instance(theta, eps, delta), m, "finite").status == "holds"
+    if extension_property_report(m, eps, [theta]).ok:
+        assert holds
+    if holds:
+        scan = ObligationScan([theta], eps)
+        space = scan.space(m)
+        for _, pts in scan.obligations(space):
+            if config_error(restrict(theta), m, pts) < delta:
+                assert scan.realized(0, pts, space)
