@@ -114,9 +114,10 @@ def _tolerance(text):
     return _step(text, "--eps")
 
 
-def _at_least(value, least, option) -> None:
+def _at_least(value, least, option):
     if value < least:
         raise SystemExit2(f"{option} must be at least {least}, got {value}")
+    return value
 
 
 def _int_list(text, option, least) -> list[int]:
@@ -171,11 +172,12 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("synth", help="existentially-closed synthesis")
     q.add_argument("--theory", choices=("empty-metric", "graph"), required=True)
     q.add_argument("--budget", type=int, required=True)
-    q.add_argument("--grid", default="1/8")
-    q.add_argument("--eps", default="1/8")
-    q.add_argument("--config-grid", default="1/4")
-    q.add_argument("--config-sizes", default="2,3")
-    q.add_argument("--max-size", type=int, default=3)
+    # each theory's defaults are its spec factory's
+    q.add_argument("--grid", help="empty-metric only")
+    q.add_argument("--eps", help="empty-metric only")
+    q.add_argument("--config-grid", help="empty-metric only")
+    q.add_argument("--config-sizes", help="empty-metric only")
+    q.add_argument("--max-size", type=int, help="graph only")
     q.add_argument("--seed", type=int)
     q.add_argument("--out", required=True)
 
@@ -288,22 +290,30 @@ def _validate(args) -> int:
     return 0 if report.ok else 1
 
 
+# each synth option: the theory that reads it, and the parser of its value
+_THEORY_OPTIONS = {
+    "grid": ("empty-metric", lambda text: _step(text, "--grid")),
+    "eps": ("empty-metric", _tolerance),
+    "config_grid": ("empty-metric", lambda text: _unit_fraction(text, "--config-grid")),
+    "config_sizes": ("empty-metric", lambda text: _int_list(text, "--config-sizes", 1)),
+    "max_size": ("graph", lambda value: _at_least(value, 1, "--max-size")),
+}
+
+
 def _synth(args) -> int:
     _at_least(args.budget, 0, "--budget")
-    _at_least(args.max_size, 1, "--max-size")
+    given = {k: getattr(args, k) for k in _THEORY_OPTIONS if getattr(args, k) is not None}
+    for name in given:
+        if _THEORY_OPTIONS[name][0] != args.theory:
+            option = "--" + name.replace("_", "-")
+            raise SystemExit2(f"{option} is not read by --theory {args.theory}")
     seed = _seed(args)
-    grid = _step(args.grid, "--grid")
+    params = {name: _THEORY_OPTIONS[name][1](value) for name, value in given.items()}
     if args.theory == "empty-metric":
-        spec = synth.empty_metric_spec(
-            config_sizes=tuple(_int_list(args.config_sizes, "--config-sizes", 1)),
-            config_grid=_unit_fraction(args.config_grid, "--config-grid"),
-            eps=_tolerance(args.eps),
-        )
-        start = synth.metric_seed(1)
+        spec, start = synth.empty_metric_spec(**params), synth.metric_seed(1)
     else:
-        spec = synth.graph_spec(max_size=args.max_size)
-        start = synth.graph_seed(1)
-    out = synth.ec_close(start, spec, args.budget, grid=grid, rng_seed=seed)
+        spec, start = synth.graph_spec(**params), synth.graph_seed(1)
+    out = synth.ec_close(start, spec, args.budget, rng_seed=seed)
     structures.save(out, args.out, include_provenance=True)
     fields = {"theory": args.theory, "seed": seed, "budget": args.budget}
     _emit("synth", [], {**fields, "points": out.n, "out": args.out})
@@ -388,6 +398,10 @@ def _report(args) -> int:
         raise SystemExit2("report needs both --structure and --configs, or neither")
     if not (args.structure or args.artifacts):
         raise SystemExit2("report needs --structure and --configs, or --artifacts")
+    if args.structure and (args.artifacts or args.csv):
+        raise SystemExit2("--artifacts and --csv are not read with --structure and --configs")
+    if args.artifacts and args.eps is not None:
+        raise SystemExit2("--eps is not read when merging --artifacts")
     if args.structure:
         eps = _tolerance(args.eps)
         m = _load(args.structure)

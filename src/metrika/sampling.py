@@ -4,10 +4,11 @@ Two samplers: ``sequential`` draws each new distance uniformly from its
 admissible interval (fast, full support on the grid, not obviously
 exchangeable); ``rejection`` draws whole distance matrices uniformly and
 keeps the metric ones (exchangeable by construction, exponential cost).
-Distances live on a fine rational grid so every draw is exact.  Both
-samplers build and check a space over integers, on a ``MetricBuilder``
-whose denominator is the lcm of the grid's and the prefix's, and freeze
-it to Fractions once, at the end.
+Distances live on a fine rational grid so every draw is exact.  Each law
+is coded once, in ``_grow``, which grows a ``MetricBuilder`` (integers
+over the lcm of the grid's and the prefix's denominators) by k points;
+the samplers freeze it to Fractions once, at the end, and the genericity
+curve scores each sample on the builder it was grown on.
 """
 
 from __future__ import annotations
@@ -62,9 +63,35 @@ def _sequential_row(b: MetricBuilder, g: int, rng) -> list[int]:
     return s
 
 
-def _budget_exceeded(spec: MeasureSpec, n: int) -> RejectionBudgetExceededError:
-    return RejectionBudgetExceededError(
-        f"rejection sampler: no {n}-point metric space accepted "
+def _grow(b: MetricBuilder, k: int, spec: MeasureSpec, rng) -> MetricBuilder:
+    """Add k points to b by spec's law, the one place each law is coded.
+
+    The sequential law adds k rows of ``_sequential_row``.  The rejection
+    law draws every new distance at once, for the pairs (i, j) with
+    j >= b.n in row-major order, and keeps the draw only if each new row
+    passes ``try_add`` in turn.  A draw's integers scale with b.L, so a
+    larger L draws the same rationals."""
+    (g,) = scaled([spec.grid], b.L)
+    if spec.kind == "sequential":
+        for _ in range(k):
+            b.add(_sequential_row(b, g, rng), note={"sampler": "sequential"})
+        return b
+    base, end = b.n, b.n + k
+    steps = int(ONE / spec.grid)
+    pairs = [(i, j) for i in range(end) for j in range(max(i + 1, base), end)]
+    # row j's entries are the draws of the pairs (i, j), i < j
+    rows = [[pairs.index((i, j)) for i in range(j)] for j in range(base, end)]
+    note = {"sampler": "rejection"}
+    for _ in range(spec.max_tries):
+        draw = [rng.randint(0, steps) * g for _ in pairs]
+        for row in rows:
+            if not b.try_add([draw[x] for x in row], note):
+                b.truncate(base)
+                break
+        else:
+            return b
+    raise RejectionBudgetExceededError(
+        f"rejection sampler: no {end}-point metric space accepted "
         f"within {spec.max_tries} proposals"
     )
 
@@ -73,50 +100,21 @@ def sample_one_point(
     m: PresentedStructure, spec: MeasureSpec, rng: random.Random
 ) -> PresentedStructure:
     """Extend m by one point with random admissible distances."""
-    b = MetricBuilder(m, spec.grid)
-    (g,) = scaled([spec.grid], b.L)
-    if spec.kind == "sequential":
-        b.add(_sequential_row(b, g, rng), note={"sampler": "sequential"})
-        return b.freeze()
-    # rejection: uniform on the new point's admissible polytope
-    steps = int(ONE / spec.grid)
-    for _ in range(spec.max_tries):
-        s = [rng.randint(0, steps) * g for _ in range(m.n)]
-        if b.try_add(s, note={"sampler": "rejection"}):
-            return b.freeze()
-    raise _budget_exceeded(spec, m.n + 1)
+    return _grow(MetricBuilder(m, spec.grid), 1, spec, rng).freeze()
 
 
 def sample_space(n: int, spec: MeasureSpec, rng: random.Random | None = None):
     """A random n-point metric space of diameter <= 1.
 
     The rejection sampler draws the whole distance matrix jointly (uniform
-    over metric matrices, hence exchangeable); the sequential sampler
-    builds the space one point at a time.
+    over metric matrices, hence exchangeable) and keeps no provenance; the
+    sequential sampler builds the space one point at a time.
     """
     if n < 1:
         raise ValueError("need at least one point")
     rng = rng if rng is not None else random.Random(spec.seed)
-    b = MetricBuilder(_POINT, spec.grid)
-    (g,) = scaled([spec.grid], b.L)
-    if spec.kind == "sequential":
-        for _ in range(n - 1):
-            b.add(_sequential_row(b, g, rng), note={"sampler": "sequential"})
-        return b.freeze()
-    # joint rejection: draw every distance, then check the rows in order
-    steps = int(ONE / spec.grid)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    # column k lists the draw positions of the pairs (i, k), i < k
-    cols = [[pairs.index((i, k)) for i in range(k)] for k in range(n)]
-    for _ in range(spec.max_tries):
-        draw = [rng.randint(0, steps) * g for _ in pairs]
-        for k in range(1, n):
-            if not b.try_add([draw[p] for p in cols[k]]):
-                b.truncate(1)
-                break
-        else:
-            return b.freeze(provenance=False)
-    raise _budget_exceeded(spec, n)
+    b = _grow(MetricBuilder(_POINT, spec.grid), n - 1, spec, rng)
+    return b.freeze(provenance=spec.kind == "sequential")
 
 
 def trial_rng(master_seed, *labels) -> random.Random:
@@ -192,6 +190,7 @@ def genericity_frequency(
     theta's restriction within delta_for(eps) admits a completing point
     within eps.  Returns the (n, frequency) curve."""
     scan = ObligationScan([theta], eps)
+    unit = Fraction(1, scan.L)
     curve = []
     for n in n_values:
         if theta.n > n:
@@ -199,8 +198,8 @@ def genericity_frequency(
         good = 0
         for t_idx in range(trials):
             rng = trial_rng(spec.seed, "genericity", n, t_idx)
-            space = scan.space(sample_space(n, spec, rng))
-            obligations = scan.obligations(space)
-            good += all(scan.realized(0, pts, space) for _, pts in obligations)
+            # scored on the builder it was grown on, whose L scan.L divides
+            b = _grow(MetricBuilder(_POINT, spec.grid, unit), n - 1, spec, rng)
+            good += all(scan.realized(0, pts, b) for _, pts in scan.obligations(b))
         curve.append((n, good / trials))
     return curve

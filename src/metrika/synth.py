@@ -1,7 +1,8 @@
 """Finite-budget existentially-closed chain construction.
 
 The countable chain argument collapses to a budgeted search over extension
-obligations, and each theory carries its own closure (`TheorySpec.close`).
+obligations, and each theory carries its own closure (`TheorySpec.close`),
+with the parameters only that closure reads bound by the spec factory.
 For the empty metric theory the obligations are distance configurations to
 realize, and the whole closure runs on integers over one denominator L.
 The space grows on one `structures.MetricBuilder`; one
@@ -28,6 +29,7 @@ from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, count, product
 
 from .errors import NotAPrefixError, SeedViolatesTheoryError
@@ -64,34 +66,33 @@ _GRAPH_CONDITIONS = _METRIC_CONDITIONS + (
 
 @dataclass(frozen=True)
 class TheorySpec:
-    close: Callable[..., PresentedStructure]  # (seed, spec, budget, grid, rng_seed)
+    close: Callable[..., PresentedStructure]  # (seed, budget, rng_seed), parameters bound
     sig: Signature
     universal_conditions: tuple[Condition, ...]
-    config_sizes: tuple[int, ...] = ()
-    config_grid: Fraction = Fraction(1, 4)
-    eps: Fraction = Fraction(1, 8)
-    max_size: int = 3
 
 
 def empty_metric_spec(
-    config_sizes=(2, 3), config_grid=Fraction(1, 4), eps=Fraction(1, 8)
+    config_sizes=(2, 3), config_grid=Fraction(1, 4), eps=Fraction(1, 8), grid=Fraction(1, 8)
 ) -> TheorySpec:
+    """The empty metric theory: realize every configuration of the given
+    sizes on config_grid within eps, placing new distances on grid."""
     sig = metric_signature()
     conds = tuple(parse_condition(s, sig) for s in _METRIC_CONDITIONS)
-    return TheorySpec(
+    close = partial(
         _ec_close_metric,
-        sig,
-        conds,
         config_sizes=tuple(config_sizes),
         config_grid=Fraction(config_grid),
         eps=Fraction(eps),
+        grid=Fraction(grid),
     )
+    return TheorySpec(close, sig, conds)
 
 
 def graph_spec(max_size=3) -> TheorySpec:
+    """Graphs: every (A, B) extension axiom with |A| + |B| <= max_size."""
     sig = graph_signature()
     conds = tuple(parse_condition(s, sig) for s in _GRAPH_CONDITIONS)
-    return TheorySpec(_ec_close_graph, sig, conds, max_size=max_size)
+    return TheorySpec(partial(_ec_close_graph, max_size=max_size), sig, conds)
 
 
 # ----------------------------------------------------------- seed helpers
@@ -120,12 +121,11 @@ def ec_close(
     seed: PresentedStructure,
     spec: TheorySpec,
     budget: int,
-    grid: Fraction = Fraction(1, 8),
     rng_seed: int = 0,
 ) -> PresentedStructure:
     """Grow seed into a finite approximant of the e.c. model of spec.
 
-    Deterministic given (seed, spec, budget, grid, rng_seed).  `budget`
+    Deterministic given (seed, spec, budget, rng_seed).  `budget`
     caps the number of extension obligations dequeued; obligations beyond
     the budget are left unrealized.  The seed is a bit-identical prefix of
     the result.
@@ -137,22 +137,21 @@ def ec_close(
             raise SeedViolatesTheoryError(f"seed violates: {cond.pretty()}")
     if budget <= 0:
         return seed
-    return spec.close(seed, spec, budget, Fraction(grid), rng_seed)
+    return spec.close(seed, budget, rng_seed)
 
 
-def _ec_close_metric(seed, spec, budget, grid, rng_seed):
+def _ec_close_metric(seed, budget, rng_seed, *, config_sizes, config_grid, eps, grid):
     rng = random.Random(f"metrika-ec-metric:{rng_seed}")
-    denom = spec.config_grid.denominator
     configs = []
-    for size in spec.config_sizes:
-        configs.extend(all_configurations(size, denom))
+    for size in config_sizes:
+        configs.extend(all_configurations(size, config_grid.denominator))
 
-    scan = ObligationScan(configs, spec.eps)
+    scan = ObligationScan(configs, eps)
     # every witness distance lies on the lattice spanned by the seed's
     # distances, grid, config_grid (which the configurations lie on) and
     # eps (the Katetov slack), so the builder's L holds them all exactly
-    b = MetricBuilder(seed, grid, spec.config_grid, spec.eps)
-    grid_l, config_grid_l, eps_l = scaled((grid, spec.config_grid, spec.eps), b.L)
+    b = MetricBuilder(seed, grid, config_grid, eps)
+    grid_l, config_grid_l, eps_l = scaled((grid, config_grid, eps), b.L)
     queue = deque(scan.obligations(b))
     dequeued = 0
     while queue and dequeued < budget:
@@ -226,7 +225,7 @@ def _add_metric_witness(b, targets, pts, grid, config_grid, eps, rng, note):
     b.add(katetov_row(n, b.dist, pts, targets, eps, b.L), note)
 
 
-def _ec_close_graph(seed, spec, budget, _grid, rng_seed):
+def _ec_close_graph(seed, budget, rng_seed, *, max_size):
     rng = random.Random(rng_seed)
     n = seed.n
     r = seed.tables["R"]
@@ -238,7 +237,7 @@ def _ec_close_graph(seed, spec, budget, _grid, rng_seed):
     changed = True
     while changed:
         changed = False
-        for size in range(1, spec.max_size + 1):
+        for size in range(1, max_size + 1):
             for subset in combinations(range(n), size):
                 for split in range(1 << size):
                     if dequeued >= budget:

@@ -172,9 +172,8 @@ def test_c03_katetov_witness_campaign():
 
 def test_c04_urysohn_approximant_fully_saturated():
     with criterion("C4 synthesized approximant: extension report 100%"):
-        spec = empty_metric_spec()
-        out = ec_close(metric_seed(1), spec, budget=10_000, grid=F(1, 8),
-                       rng_seed=0)
+        spec = empty_metric_spec(grid=F(1, 8))
+        out = ec_close(metric_seed(1), spec, budget=10_000, rng_seed=0)
         assert not validate(out).violations
         configs = all_configurations(2, 4) + all_configurations(3, 4)
         eps, delta = F(1, 8), delta_for(F(1, 8))
@@ -222,11 +221,9 @@ def test_c05_random_graph_special_case():
 
 def test_c06_approximate_categoricity_shadow():
     with criterion("C6 two approximants: back-and-forth depth 5, eps 1/4"):
-        spec = empty_metric_spec()
-        a = ec_close(metric_seed(1), spec, budget=10_000, grid=F(1, 8),
-                     rng_seed=0)
-        b = ec_close(metric_seed(1), spec, budget=10_000, grid=F(1, 8),
-                     rng_seed=1)
+        spec = empty_metric_spec(grid=F(1, 8))
+        a = ec_close(metric_seed(1), spec, budget=10_000, rng_seed=0)
+        b = ec_close(metric_seed(1), spec, budget=10_000, rng_seed=1)
         res = back_and_forth(a, b, eps=F(1, 4), depth=5)
         assert res.status == "success"
         assert res.correspondence.distortion <= F(1, 4)

@@ -347,6 +347,21 @@ class TestUsageErrors:
          "--node-budget", "0", "--out", "{o}"],
         ["compare", "--a", "{s}", "--b", "{s}", "--eps", "-1", "--depth", "1",
          "--out", "{o}"],
+        ["synth", "--theory", "graph", "--grid", "1/8", "--budget", "5",
+         "--seed", "0", "--out", "{o}"],
+        ["synth", "--theory", "graph", "--eps", "1/8", "--budget", "5",
+         "--seed", "0", "--out", "{o}"],
+        ["synth", "--theory", "graph", "--config-grid", "1/4", "--budget", "5",
+         "--seed", "0", "--out", "{o}"],
+        ["synth", "--theory", "graph", "--config-sizes", "2", "--budget", "5",
+         "--seed", "0", "--out", "{o}"],
+        ["synth", "--theory", "empty-metric", "--max-size", "3", "--budget", "5",
+         "--seed", "0", "--out", "{o}"],
+        ["report", "--structure", "{s}", "--configs", "{c}", "--eps", "1/8",
+         "--csv", "{v}", "--out", "{o}"],
+        ["report", "--structure", "{s}", "--configs", "{c}", "--eps", "1/8",
+         "--artifacts", "{a}", "--out", "{o}"],
+        ["report", "--artifacts", "{a}", "--eps", "1/8", "--out", "{o}"],
     ], ids=["assign", "report-no-eps", "report-eps-0", "synth-eps-0",
             "sample-n-0", "encode-k-negative", "configs-size-0",
             "synth-config-sizes-0", "synth-config-sizes-x",
@@ -359,18 +374,26 @@ class TestUsageErrors:
             "synth-config-grid-0", "synth-config-grid-2-over-7", "synth-grid-0",
             "synth-grid-3-over-2", "synth-budget-negative", "synth-max-size-0",
             "compare-node-budget-negative", "compare-node-budget-0",
-            "compare-eps-negative"])
+            "compare-eps-negative", "synth-graph-grid", "synth-graph-eps",
+            "synth-graph-config-grid", "synth-graph-config-sizes",
+            "synth-metric-max-size", "report-structure-csv",
+            "report-structure-artifacts", "report-artifacts-eps"])
     def test_misuse_is_usage_error(self, argv, two_point, tmp_path, capsys):
         cfg_path = tmp_path / "configs.json"
         cfg_path.write_text(json.dumps([[["0", "1/2"], ["1/2", "0"]]]))
         theta_path = tmp_path / "theta.json"
         theta_path.write_text(json.dumps([["0", "1/2"], ["1/2", "0"]]))
+        artifact_path = tmp_path / "artifact.json"
+        artifact_path.write_text(json.dumps({"verb": "compare",
+                                             "version": cli.REPORT_VERSION}))
         paths = {"s": two_point, "c": str(cfg_path), "t": str(theta_path),
-                 "o": str(tmp_path / "out.json")}
+                 "a": str(artifact_path), "o": str(tmp_path / "out.json"),
+                 "v": str(tmp_path / "out.csv")}
         code = cli.main([a.format(**paths) for a in argv])
         assert code == 2
         assert_one_line_error(capsys, "usage error:")
         assert not (tmp_path / "out.json").exists()
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestConfigurationFiles:

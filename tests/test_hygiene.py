@@ -74,25 +74,17 @@ def test_no_unreferenced_private_definitions():
 
 
 def test_every_error_class_is_raised_elsewhere():
-    """Each class in ``errors.py`` but the base ``MetrikaError`` is raised
-    in another module of the package: named by a ``raise``, or returned by
-    a function that a ``raise`` calls."""
+    """Each class in ``errors.py`` but the base ``MetrikaError`` is named
+    by a ``raise`` in another module of the package."""
 
     def named(exc):
         exc = exc.func if isinstance(exc, ast.Call) else exc
         return exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
 
-    raised, returned = set(), {}
-    for name, tree in MODULES.items():
-        if name == "errors.py":
-            continue
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Raise) and node.exc is not None:
-                raised.add(named(node.exc))
-            elif isinstance(node, ast.FunctionDef):
-                returned[node.name] = {named(r.value) for r in ast.walk(node)
-                                       if isinstance(r, ast.Return) and r.value is not None}
-    raised |= {cls for f in raised for cls in returned.get(f, ())}
+    raised = {named(node.exc)
+              for name, tree in MODULES.items() if name != "errors.py"
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Raise) and node.exc is not None}
     classes = [c.name for c in MODULES["errors.py"].body if isinstance(c, ast.ClassDef)]
     assert classes and not [c for c in classes if c != "MetrikaError" and c not in raised]
 
@@ -149,9 +141,7 @@ def test_every_default_is_passed_somewhere():
 
 
 def test_every_parameter_is_read():
-    """A parameter its function never reads is dead.  One that fills a
-    slot of a calling convention, as a theory's ``close`` does, is named
-    with a leading underscore."""
+    """A parameter its function never reads is dead."""
     unread = []
     for name, tree in MODULES.items():
         for func in ast.walk(tree):
@@ -163,5 +153,5 @@ def test_every_parameter_is_read():
             read = {n.id for stmt in func.body for n in ast.walk(stmt)
                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
             unread += [f"{name}:{func.lineno} {func.name}({a.arg})" for a in params
-                       if a.arg != "self" and not a.arg.startswith("_") and a.arg not in read]
+                       if a.arg != "self" and a.arg not in read]
     assert not unread

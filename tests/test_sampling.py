@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +25,13 @@ from metrika.structures import (
     extend_with_distances,
     from_distance_matrix,
 )
-from metrika.urysohn import DistanceConfiguration
+from metrika.urysohn import (
+    DistanceConfiguration,
+    all_configurations,
+    config_error,
+    delta_for,
+    restrict,
+)
 
 ZERO = F(0)
 ONE = F(1)
@@ -283,3 +289,52 @@ def test_off_grid_prefix_takes_the_lo_fallback():
         assert m.tables == ref.tables and m.provenance_log == ref.provenance_log
         off_grid += any(8 % m.d(i, 2).denominator for i in range(2))
     assert off_grid > 0
+
+
+# --------------------------------------- the genericity curve vs a rational reference
+
+
+def _ref_genericity_frequency(spec, theta, eps, n_values, trials):
+    """The curve over _ref_sample_space draws, each anchor tuple within delta
+    of theta's restriction checked for a completing point by brute force."""
+    delta, k = delta_for(eps), theta.n - 1
+    curve = []
+    for n in n_values:
+        good = 0
+        for t_idx in range(trials):
+            m = _ref_sample_space(n, spec, trial_rng(spec.seed, "genericity", n, t_idx))
+            good += all(
+                any(config_error(theta, m, pts + (y,)) <= eps for y in range(n))
+                for pts in product(range(n), repeat=k)
+                if config_error(restrict(theta), m, pts) <= delta
+            )
+        curve.append((n, good / trials))
+    return curve
+
+
+@st.composite
+def lattice_configs(draw):
+    """A configuration of 1 to 3 points, every entry on the lattice 1/2,
+    1/3 or 2/5."""
+    step = draw(st.sampled_from([F(1, 2), F(1, 3), F(2, 5)]))
+    size = draw(st.integers(1, 3))
+    configs = [theta for theta in all_configurations(size, step.denominator, include_zero=True)
+               if all(v % step == 0 for row in theta.r for v in row)]
+    return draw(st.sampled_from(configs))
+
+
+def _curve(frequency, *args):
+    try:
+        return frequency(*args)
+    except RejectionBudgetExceededError:
+        return "budget"
+
+
+@settings(max_examples=120, deadline=None)
+@given(KINDS, st.sampled_from([F(1, 8), F(2, 5), F(1, 16)]), lattice_configs(),
+       st.sampled_from([F(1, 4), F(1, 3)]), st.integers(0, 2**32))
+def test_genericity_frequency_matches_rational_reference(kind, grid, theta, eps, seed):
+    spec = MeasureSpec(kind=kind, grid=grid, seed=seed, max_tries=2000)
+    n_values = [n for n in range(2, 6) if n >= theta.n]
+    args = (spec, theta, eps, n_values, 4)
+    assert _curve(genericity_frequency, *args) == _curve(_ref_genericity_frequency, *args)

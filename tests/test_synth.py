@@ -48,8 +48,8 @@ def metric_configs(denominator=4):
 
 class TestEcCloseMetric:
     def test_report_fully_satisfied(self):
-        spec = empty_metric_spec()
-        out = ec_close(metric_seed(1), spec, budget=10_000, grid=F(1, 8), rng_seed=0)
+        spec = empty_metric_spec(grid=F(1, 8))
+        out = ec_close(metric_seed(1), spec, budget=10_000, rng_seed=0)
         validate(out)
         rep = extension_property_report(out, F(1, 8), metric_configs())
         assert rep.satisfied == rep.total
@@ -186,14 +186,13 @@ def reference_witness(m, theta, pts, eps, delta, config_grid, grid, rng):
     return katetov_witness(m, theta, pts, delta)
 
 
-def reference_ec_close_metric(seed, spec, budget, grid, rng_seed):
+def reference_ec_close_metric(seed, config_sizes, config_grid, eps, grid, budget, rng_seed):
     """The metric closure grown by extend_with_distances, in Fractions."""
-    eps = spec.eps
     delta = delta_for(eps)
     rng = random.Random(f"metrika-ec-metric:{rng_seed}")
     configs = []
-    for size in spec.config_sizes:
-        configs.extend(all_configurations(size, spec.config_grid.denominator))
+    for size in config_sizes:
+        configs.extend(all_configurations(size, config_grid.denominator))
     m = seed
     queue = deque(reference_obligations(m, configs, eps))
     dequeued = 0
@@ -203,7 +202,7 @@ def reference_ec_close_metric(seed, spec, budget, grid, rng_seed):
         theta = configs[t_idx]
         if any(config_error(theta, m, (*pts, y)) <= eps for y in range(m.n)):
             continue
-        h = reference_witness(m, theta, pts, eps, delta, spec.config_grid, grid, rng)
+        h = reference_witness(m, theta, pts, eps, delta, config_grid, grid, rng)
         old_n = m.n
         m = extend_with_distances(m, h, note={"task": t_idx, "tuple": pts})
         queue.extend(reference_obligations(m, configs, eps, first_new=old_n))
@@ -214,15 +213,15 @@ def reference_ec_close_metric(seed, spec, budget, grid, rng_seed):
 @pytest.mark.parametrize("grid", [F(1, 16), F(2, 5), F(1, 6)])
 @pytest.mark.parametrize("eps", [F(1, 5), F(1, 8), F(1, 16)])
 def test_integer_closure_matches_fraction_reference(config_grid, grid, eps):
-    spec = empty_metric_spec(config_grid=config_grid, eps=eps)
+    spec = empty_metric_spec(config_grid=config_grid, eps=eps, grid=grid)
     seed = PresentedStructure(
         metric_signature(), 2, {"d": {(0, 0): ZERO, (1, 1): ZERO,
                                       (0, 1): F(1, 2), (1, 0): F(1, 2)}},
         ({"seed": "two points"},),
     )
     for rng_seed, start in ((0, metric_seed(1)), (1, metric_seed(1)), (2, seed)):
-        got = ec_close(start, spec, 40, grid, rng_seed)
-        want = reference_ec_close_metric(start, spec, 40, grid, rng_seed)
+        got = ec_close(start, spec, 40, rng_seed)
+        want = reference_ec_close_metric(start, (2, 3), config_grid, eps, grid, 40, rng_seed)
         assert got.n == want.n
         assert got.tables == want.tables
         assert got.provenance_log == want.provenance_log
@@ -419,8 +418,8 @@ class TestEcWitnessCheck:
             ec_witness_check(m, other, phi, (0,), tol=ZERO)
 
     def test_saturated_metric_output_passes_config_corpus(self):
-        spec = empty_metric_spec()
-        m = ec_close(metric_seed(1), spec, budget=10_000, rng_seed=0)
+        eps = F(1, 8)
+        m = ec_close(metric_seed(1), empty_metric_spec(eps=eps), budget=10_000, rng_seed=0)
         # one-point grid extension of m as the challenger
         from metrika.structures import extend_with_distances
         from metrika.urysohn import katetov_witness
@@ -435,7 +434,7 @@ class TestEcWitnessCheck:
                 AbsDiff(Atom("d", ("z", f"p{a}")), Const(theta.r[a][k]))
                 for a in range(k)
             ])
-            res = ec_witness_check(m, n_ext, phi, pts, tol=spec.eps)
+            res = ec_witness_check(m, n_ext, phi, pts, tol=eps)
             assert res.passes, (theta.r, res.gap)
 
 
