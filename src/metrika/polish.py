@@ -59,7 +59,10 @@ class Code:
 
 def encode(m: PresentedStructure, count: int) -> Code:
     """The first `count` coordinates of the encoded structure."""
-    entries = index_enumeration(m.sig, count)
+    # the enumeration is prefix-stable, so past the sum of n^arity
+    # coordinates inside the prefix the next one is the first outside it
+    inside = sum(m.n**rel.arity for rel in m.sig.relations)
+    entries = index_enumeration(m.sig, min(count, inside + 1))
     values = []
     for e in entries:
         if any(p >= m.n for p in e.tup):

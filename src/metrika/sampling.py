@@ -189,7 +189,7 @@ def genericity_frequency(
     """Fraction of sampled n-point spaces in which every tuple realizing
     theta's restriction within delta_for(eps) admits a completing point
     within eps.  Returns the (n, frequency) curve."""
-    scan = ObligationScan([theta], eps)
+    scan = ObligationScan([theta], eps, spec.grid.denominator)
     unit = Fraction(1, scan.L)
     curve = []
     for n in n_values:
@@ -198,8 +198,9 @@ def genericity_frequency(
         good = 0
         for t_idx in range(trials):
             rng = trial_rng(spec.seed, "genericity", n, t_idx)
-            # scored on the builder it was grown on, whose L scan.L divides
+            # scored on the builder it was grown on, whose L is scan.L
             b = _grow(MetricBuilder(_POINT, spec.grid, unit), n - 1, spec, rng)
-            good += all(scan.realized(0, pts, b) for _, pts in scan.obligations(b))
+            obligations = scan.obligations(b.n, b.dist)
+            good += all(scan.realized(0, pts, b.n, b.dist) for _, pts in obligations)
         curve.append((n, good / trials))
     return curve

@@ -2,15 +2,17 @@
 
 The countable chain argument collapses to a budgeted search over extension
 obligations, and each theory carries its own closure (`TheorySpec.close`),
-with the parameters only that closure reads bound by the spec factory.
-For the empty metric theory the obligations are distance configurations to
-realize, and the whole closure runs on integers over one denominator L.
-The space grows on one `structures.MetricBuilder`; one
-`urysohn.ObligationScan` scores the obligations on the builder's integers,
-and they drain as a FIFO queue that only gains the tuples through each new
-point.  The witness steers each new row on those integers and hands it to
-the builder, which gives every added point one range and Katetov check;
-the repaired Katetov row (`urysohn.katetov_row`) is the fallback.  The
+with the parameters only that closure reads bound, and range-checked, by
+the spec factory.  For the empty metric theory the obligations are
+distance configurations to realize, and the whole closure runs on
+integers over one denominator L.  The space grows on one
+`structures.MetricBuilder`; one `urysohn.ObligationScan`, built over the
+builder's L, scores the obligations on its `n` and `dist` and holds the
+configuration rows the witnesses aim at, and the obligations drain as a
+FIFO queue that only gains the tuples through each new point.  The
+witness steers each new row on those integers and hands it to the
+builder, which gives every added point one range and Katetov check; the
+repaired Katetov row (`urysohn.katetov_row`) is the fallback.  The
 structure is frozen once, at the end.  For graphs the obligations are the
 classical (A, B) extension axioms over the discrete metric encoding: a
 vertex adjacent to all of A and to none of B.  The closure decides them on
@@ -45,7 +47,7 @@ from .logic import (
 )
 from .rationals import ONE, ZERO
 from .structures import MetricBuilder, PresentedStructure, admissible, scaled
-from .urysohn import ObligationScan, all_configurations, katetov_row
+from .urysohn import ObligationScan, all_configurations, delta_for, katetov_row
 
 _METRIC_CONDITIONS = (
     "sup x. d(x,x) <= 0",
@@ -76,20 +78,30 @@ def empty_metric_spec(
 ) -> TheorySpec:
     """The empty metric theory: realize every configuration of the given
     sizes on config_grid within eps, placing new distances on grid."""
+    config_sizes = tuple(config_sizes)
+    config_grid, eps, grid = Fraction(config_grid), Fraction(eps), Fraction(grid)
+    for name, step in (("grid", grid), ("config_grid", config_grid)):
+        if not ZERO < step <= ONE:
+            raise ValueError(f"{name} must be in (0,1], got {step}")
+    delta_for(eps)  # eps in (0, 1]
+    if any(size < 1 for size in config_sizes):
+        raise ValueError("configuration size must be >= 1")
     sig = metric_signature()
     conds = tuple(parse_condition(s, sig) for s in _METRIC_CONDITIONS)
     close = partial(
         _ec_close_metric,
-        config_sizes=tuple(config_sizes),
-        config_grid=Fraction(config_grid),
-        eps=Fraction(eps),
-        grid=Fraction(grid),
+        config_sizes=config_sizes,
+        config_grid=config_grid,
+        eps=eps,
+        grid=grid,
     )
     return TheorySpec(close, sig, conds)
 
 
 def graph_spec(max_size=3) -> TheorySpec:
     """Graphs: every (A, B) extension axiom with |A| + |B| <= max_size."""
+    if max_size < 1:
+        raise ValueError("max_size must be >= 1")
     sig = graph_signature()
     conds = tuple(parse_condition(s, sig) for s in _GRAPH_CONDITIONS)
     return TheorySpec(partial(_ec_close_graph, max_size=max_size), sig, conds)
@@ -146,25 +158,26 @@ def _ec_close_metric(seed, budget, rng_seed, *, config_sizes, config_grid, eps, 
     for size in config_sizes:
         configs.extend(all_configurations(size, config_grid.denominator))
 
-    scan = ObligationScan(configs, eps)
     # every witness distance lies on the lattice spanned by the seed's
     # distances, grid, config_grid (which the configurations lie on) and
     # eps (the Katetov slack), so the builder's L holds them all exactly
+    # and is the scan's L too
     b = MetricBuilder(seed, grid, config_grid, eps)
+    scan = ObligationScan(configs, eps, b.L)
     grid_l, config_grid_l, eps_l = scaled((grid, config_grid, eps), b.L)
-    queue = deque(scan.obligations(b))
+    queue = deque(scan.obligations(b.n, b.dist))
     dequeued = 0
     while queue and dequeued < budget:
         t_idx, pts = queue.popleft()
         dequeued += 1
-        if scan.realized(t_idx, pts, b):
+        if scan.realized(t_idx, pts, b.n, b.dist):
             continue
-        r, k = configs[t_idx].r, len(pts)
-        targets = scaled([r[a][k] for a in range(k)], b.L)
+        r, k = scan.rows[t_idx], len(pts)
+        targets = [r[a][k] for a in range(k)]
         old_n = b.n
         note = {"task": t_idx, "tuple": pts}
         _add_metric_witness(b, targets, pts, grid_l, config_grid_l, eps_l, rng, note)
-        queue.extend(scan.obligations(b, first_new=old_n))
+        queue.extend(scan.obligations(b.n, b.dist, first_new=old_n))
     return b.freeze()
 
 

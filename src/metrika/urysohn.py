@@ -104,53 +104,44 @@ def config_error(
 
 class ObligationScan:
     """The extension obligations of one configuration list at one eps,
-    scored in integers.
+    scored in integers over one denominator ``self.L``.
 
-    The scan reads an integer space: a size ``n``, a denominator ``L``
-    that ``self.L`` (the lcm of the configurations' denominators) divides,
-    and ``dist(i, j)``, d(i, j) over L for every i and j, as on a
-    ``MetricBuilder``; ``space(m)`` reads a structure so.  Each distance
-    error is then an integer over L, and it is within eps (or delta)
-    exactly when it is at most floor(eps * L).  The configurations are
-    grouped by restriction once, when the scan is built.
+    The scan is built over the denominator L of the space it reads:
+    ``self.L`` is the lcm of L and the configurations' denominators, and
+    eps, delta and every configuration row (``rows``) are scaled to it
+    once, here.  A space is a size ``n`` and ``dist(i, j)``, d(i, j) over
+    ``self.L`` for every i and j, as on a ``MetricBuilder`` whose grids
+    include the configurations'.  Each distance error is then an integer
+    over ``self.L``, and it is within eps (or delta) exactly when it is at
+    most floor(eps * L).  The configurations are grouped by restriction
+    once, too.
     """
 
-    def __init__(self, configs, eps):
-        self.configs = list(configs)
-        self.eps = Fraction(eps)
-        self.delta = delta_for(self.eps)
-        if any(theta.n < 1 for theta in self.configs):
+    def __init__(self, configs, eps, L: int):
+        configs = list(configs)
+        eps = Fraction(eps)
+        delta = delta_for(eps)
+        if any(theta.n < 1 for theta in configs):
             raise SizeMismatchError("cannot restrict an empty configuration")
-        self.L = L = lattice(v for theta in self.configs for row in theta.r for v in row)
-        self._r = [[scaled(row, L) for row in theta.r] for theta in self.configs]
+        self.L = L = lattice((v for theta in configs for row in theta.r for v in row), L)
+        self._eps, self._delta = scaled((eps, delta), L)
+        self.rows = [[scaled(row, L) for row in theta.r] for theta in configs]
         # per configuration its restriction (k, the k x k upper triangle);
         # per anchor count k the distinct restrictions, in first-seen order
         self._keys = []
         self._groups: dict[int, dict] = {}
-        for r in self._r:
+        for r in self.rows:
             k = len(r) - 1
             key = tuple(r[i][j] for i, j in combinations(range(k), 2))
             self._keys.append((k, key))
             self._groups.setdefault(k, {})[key] = None
 
-    def space(self, m: PresentedStructure) -> "_ScaledSpace":
-        """m's distances as an integer space over lcm(self.L, m's
-        denominators)."""
-        return _ScaledSpace(m, self.L)
-
-    def _factor(self, L: int) -> int:
-        if L % self.L:
-            raise ValueError(f"distances over {L} cannot be scored over {self.L}")
-        return L // self.L
-
-    def obligations(self, space, first_new: int = 0):
+    def obligations(self, n: int, dist, first_new: int = 0):
         """Every (theta_index, pts) whose anchor tuple pts realizes theta's
         restriction within delta, configuration-major with tuples in
         product order.  With first_new > 0, only the tuples naming a point
         >= first_new (so never the empty tuple)."""
-        n, L, d = space.n, space.L, space.dist
-        f = self._factor(L)
-        (delta,) = scaled([self.delta], L)
+        delta = self._delta
         anchors = {}
         for k, keys in self._groups.items():
             pairs = list(combinations(range(k), 2))
@@ -158,48 +149,30 @@ class ObligationScan:
                 tuples = tuples_naming(n, k, first_new)
             else:
                 tuples = product(range(n), repeat=k)
-            scored = [(pts, [d(pts[i], pts[j]) for i, j in pairs]) for pts in tuples]
+            scored = [(pts, [dist(pts[i], pts[j]) for i, j in pairs]) for pts in tuples]
             for key in keys:
-                want = [r * f for r in key]
                 anchors[k, key] = [
                     pts
                     for pts, got in scored
-                    if all(abs(g - w) <= delta for g, w in zip(got, want))
+                    if all(abs(g - w) <= delta for g, w in zip(got, key))
                 ]
         for t_idx, key in enumerate(self._keys):
             for pts in anchors[key]:
                 yield t_idx, pts
 
-    def realized(self, t_idx: int, pts, space) -> bool:
+    def realized(self, t_idx: int, pts, n: int, dist) -> bool:
         """Whether some point completes the anchors pts to configuration
         t_idx within eps."""
-        r = self._r[t_idx]
+        r = self.rows[t_idx]
         k = len(r) - 1
         if len(pts) != k:
             raise SizeMismatchError(f"expected {k + 1} points, got {len(pts) + 1}")
-        L, d = space.L, space.dist
-        f = self._factor(L)
-        (eps,) = scaled([self.eps], L)
+        eps = self._eps
         for i, j in combinations(range(k), 2):
-            if abs(d(pts[i], pts[j]) - r[i][j] * f) > eps:
+            if abs(dist(pts[i], pts[j]) - r[i][j]) > eps:
                 return False
-        col = [(p, r[a][k] * f) for a, p in enumerate(pts)]
-        return any(all(abs(d(p, y) - c) <= eps for p, c in col) for y in range(space.n))
-
-
-class _ScaledSpace:
-    """A structure's distances read as integers over a denominator L."""
-
-    __slots__ = ("n", "L", "_table")
-
-    def __init__(self, m: PresentedStructure, L: int):
-        table = m.tables["d"]
-        self.n = m.n
-        self.L = lattice(table.values(), L)
-        self._table = dict(zip(table, scaled(table.values(), self.L)))
-
-    def dist(self, i: int, j: int) -> int:
-        return self._table[i, j]
+        col = [(p, r[a][k]) for a, p in enumerate(pts)]
+        return any(all(abs(dist(p, y) - c) <= eps for p, c in col) for y in range(n))
 
 
 def config_formula(theta: DistanceConfiguration, var_names=None) -> Formula:
@@ -331,13 +304,18 @@ def extension_property_report(
     """For every configuration and every prefix tuple realizing its
     restriction within delta_for(eps): is some prefix point within eps of
     completing the configuration?"""
-    scan = ObligationScan(configs, eps)
-    space = scan.space(m)
+    table = m.tables["d"]
+    scan = ObligationScan(configs, eps, lattice(table.values()))
+    d = dict(zip(table, scaled(table.values(), scan.L)))
+
+    def dist(i, j):
+        return d[i, j]
+
     total = 0
     failures: list[ExtensionFailure] = []
-    for t_idx, pts in scan.obligations(space):
+    for t_idx, pts in scan.obligations(m.n, dist):
         total += 1
-        if not scan.realized(t_idx, pts, space):
+        if not scan.realized(t_idx, pts, m.n, dist):
             failures.append(ExtensionFailure(t_idx, pts))
     return ExtensionReport(total - len(failures), total, tuple(failures))
 

@@ -17,12 +17,14 @@ from metrika import (
     encoded_distance,
     extend_with_distances,
     from_distance_matrix,
+    graph_seed,
     index_enumeration,
     metric_signature,
     parse_formula,
     pi2_depth_membership,
 )
 from metrika.logic import Relation, Signature
+from metrika import polish
 from metrika.polish import Code, fair_tuples
 
 
@@ -75,6 +77,31 @@ def test_encode_out_of_prefix():
     m = space([[0]])
     with pytest.raises(IndexOutOfPrefixError):
         encode(m, 2)  # coordinate 1 is d(0,1), naming the unseen point 1
+
+
+@pytest.mark.parametrize("m", [space([[0, "1/3"], ["1/3", 0]]), graph_seed(2)])
+def test_encode_enumerates_one_coordinate_past_the_prefix(m, monkeypatch):
+    # a count far past the prefix enumerates only the coordinates inside
+    # it and the first one outside, which the error names
+    counts = []
+
+    def spy(sig, count):
+        counts.append(count)
+        return index_enumeration(sig, count)
+
+    monkeypatch.setattr(polish, "index_enumeration", spy)
+    inside = sum(m.n**rel.arity for rel in m.sig.relations)
+    first_out = next(
+        e for e in index_enumeration(m.sig, 100) if any(p >= m.n for p in e.tup)
+    )
+    with pytest.raises(IndexOutOfPrefixError) as exc:
+        encode(m, 10**5)
+    assert str(exc.value) == (
+        f"coordinate {first_out.relation}{first_out.tup} names a point outside prefix 0..1"
+    )
+    assert counts == [inside + 1]
+    assert len(encode(m, inside).values) == inside
+    assert counts[-1] == inside
 
 
 def test_encode_prefix_stable_under_extension():

@@ -119,6 +119,46 @@ class TestEcCloseMetric:
 # ------------------------------------------- metric closure, Fraction reference
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"grid": F(0)},
+        {"grid": F(-1, 8)},
+        {"config_grid": F(3, 2)},
+        {"config_grid": F(0)},
+        {"eps": F(0)},
+        {"eps": F(9, 8)},
+        {"config_sizes": (2, 0)},
+    ],
+    ids=[
+        "grid-0",
+        "grid-negative",
+        "config-grid-3/2",
+        "config-grid-0",
+        "eps-0",
+        "eps-9/8",
+        "config-size-0",
+    ],
+)
+def test_empty_metric_spec_rejects_bad_parameters(params):
+    # checked when the spec is built, so even a budget-0 closure never runs
+    with pytest.raises(ValueError, match="must be"):
+        empty_metric_spec(**params)
+
+
+@pytest.mark.parametrize("max_size", [0, -2])
+def test_graph_spec_rejects_max_size_below_one(max_size):
+    with pytest.raises(ValueError, match="max_size must be >= 1"):
+        graph_spec(max_size)
+
+
+def test_spec_factories_accept_their_bounds():
+    one = F(1)
+    spec = empty_metric_spec(config_sizes=(1,), config_grid=one, eps=one, grid=one)
+    assert ec_close(metric_seed(1), spec, 5).n >= 1
+    assert ec_close(graph_seed(1), graph_spec(1), 5).n >= 1
+
+
 def reference_obligations(m, configs, eps, first_new=0):
     """Extension obligations scored in Fractions: every restriction's
     tuples filtered from the full product by config_error."""

@@ -23,7 +23,7 @@ from metrika import (
     restrict,
     validate,
 )
-from metrika.structures import admissible, admissible_interval
+from metrika.structures import MetricBuilder, admissible, admissible_interval, lattice, scaled
 from metrika.urysohn import (
     ObligationScan,
     config_formula,
@@ -343,6 +343,15 @@ def obligation_instances(draw):
     return m, configs, eps
 
 
+def scan_over(m, configs, eps):
+    """An ObligationScan over m's denominator, and m as the integer space
+    (n, dist) it reads: m's distances over the scan's L."""
+    table = m.tables["d"]
+    scan = ObligationScan(configs, eps, lattice(table.values()))
+    d = {ij: v * scan.L for ij, v in table.items()}
+    return scan, (m.n, lambda i, j: int(d[i, j]))
+
+
 def brute_force_obligations(m, configs, eps, first_new):
     delta = delta_for(eps)
     out = []
@@ -359,15 +368,14 @@ def brute_force_obligations(m, configs, eps, first_new):
 @settings(max_examples=300)
 def test_obligations_match_brute_force_scan(inst):
     m, configs, eps = inst
-    scan = ObligationScan(configs, eps)
-    space = scan.space(m)
+    scan, space = scan_over(m, configs, eps)
     for first_new in range(m.n + 1):
-        assert list(scan.obligations(space, first_new)) == (
+        assert list(scan.obligations(*space, first_new)) == (
             brute_force_obligations(m, configs, eps, first_new)
         )
     for t_idx, theta in enumerate(configs):
         for pts in product(range(m.n), repeat=theta.n - 1):
-            assert scan.realized(t_idx, pts, space) == any(
+            assert scan.realized(t_idx, pts, *space) == any(
                 config_error(theta, m, pts + (y,)) <= eps for y in range(m.n)
             )
 
@@ -505,15 +513,14 @@ def mixed_grid_instances(draw):
 @settings(max_examples=300)
 def test_integer_scan_matches_fraction_reference(inst):
     m, configs, eps = inst
-    scan = ObligationScan(configs, eps)
-    space = scan.space(m)
+    scan, space = scan_over(m, configs, eps)
     for first_new in range(m.n + 1):
-        assert list(scan.obligations(space, first_new)) == (
+        assert list(scan.obligations(*space, first_new)) == (
             brute_force_obligations(m, configs, eps, first_new)
         )
     for t_idx, theta in enumerate(configs):
         for pts in product(range(m.n), repeat=theta.n - 1):
-            assert scan.realized(t_idx, pts, space) == any(
+            assert scan.realized(t_idx, pts, *space) == any(
                 config_error(theta, m, pts + (y,)) <= eps for y in range(m.n)
             )
     report = extension_property_report(m, eps, configs)
@@ -552,8 +559,78 @@ def test_integer_scan_agrees_with_axiom_formula(inst):
     if extension_property_report(m, eps, [theta]).ok:
         assert holds
     if holds:
-        scan = ObligationScan([theta], eps)
-        space = scan.space(m)
-        for _, pts in scan.obligations(space):
+        scan, space = scan_over(m, [theta], eps)
+        for _, pts in scan.obligations(*space):
             if config_error(restrict(theta), m, pts) < delta:
-                assert scan.realized(0, pts, space)
+                assert scan.realized(0, pts, *space)
+
+
+# ------------------------------------------ the scan's two integer readers
+
+
+@st.composite
+def builder_instances(draw):
+    """A space grown on a MetricBuilder over mixed grids, configurations on
+    other grids, an eps whose floor(eps * L) is never exact (no L here is
+    a multiple of 9, 11, 13 or 49), and the scan over the builder's L."""
+    grids = draw(
+        st.lists(
+            st.sampled_from([F(1, 3), F(1, 4), F(2, 5), F(1, 8)]),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    configs = draw(
+        st.lists(
+            grid_configs(max_n=3, denom=draw(st.sampled_from([2, 5, 6, 7]))),
+            max_size=5,
+        )
+    )
+    eps = draw(st.sampled_from([F(2, 9), F(3, 11), F(5, 13), F(10, 49), F(7, 9)]))
+    scan = ObligationScan(configs, eps, lattice(grids))
+    b = MetricBuilder(from_distance_matrix([[0]]), *grids, F(1, scan.L))
+    assert b.L == scan.L
+    for _ in range(draw(st.integers(0, 5))):
+        row = []
+        for _ in range(b.n):
+            lo, hi = admissible_interval(b.d, row, b.L)
+            (g,) = scaled([draw(st.sampled_from(grids))], b.L)
+            lo_idx, hi_idx = -(-lo // g), hi // g
+            row.append(lo if lo_idx > hi_idx else draw(st.integers(lo_idx, hi_idx)) * g)
+        b.add(row)
+    return b, scan, configs, eps
+
+
+@given(builder_instances())
+@settings(max_examples=200)
+def test_builder_and_table_readers_agree(inst):
+    # the scan reads a MetricBuilder's integers and a frozen structure's
+    # table alike, and its verdicts do not depend on the L it is built over
+    b, scan, configs, eps = inst
+    m = b.freeze()
+    table_scan, table = scan_over(m, configs, eps)
+    tripled = ObligationScan(configs, eps, 3 * scan.L)
+    assert tripled.L == 3 * scan.L
+
+    def dist3(i, j):
+        return 3 * b.dist(i, j)
+
+    for first_new in range(b.n + 1):
+        got = list(scan.obligations(b.n, b.dist, first_new))
+        assert got == list(table_scan.obligations(*table, first_new))
+        assert got == list(tripled.obligations(b.n, dist3, first_new))
+    for t_idx, theta in enumerate(configs):
+        for pts in product(range(b.n), repeat=theta.n - 1):
+            got = scan.realized(t_idx, pts, b.n, b.dist)
+            assert got == table_scan.realized(t_idx, pts, *table)
+            assert got == tripled.realized(t_idx, pts, b.n, dist3)
+    obligations = list(scan.obligations(b.n, b.dist))
+    failures = [
+        (t_idx, pts)
+        for t_idx, pts in obligations
+        if not scan.realized(t_idx, pts, b.n, b.dist)
+    ]
+    report = extension_property_report(m, eps, configs)
+    assert report.total == len(obligations)
+    assert [(f.theta_index, f.pts) for f in report.failures] == failures
