@@ -34,6 +34,8 @@ class IndexEntry:
 
 def index_enumeration(sig: Signature, count: int) -> tuple[IndexEntry, ...]:
     """First `count` entries of the fixed dovetailed enumeration."""
+    if count < 0:
+        raise ValueError("count must be >= 0")
     out: list[IndexEntry] = []
     mx = 0
     while len(out) < count:
@@ -59,6 +61,8 @@ class Code:
 
 def encode(m: PresentedStructure, count: int) -> Code:
     """The first `count` coordinates of the encoded structure."""
+    if count < 0:
+        raise ValueError("count must be >= 0")
     # the enumeration is prefix-stable, so past the sum of n^arity
     # coordinates inside the prefix the next one is the first outside it
     inside = sum(m.n**rel.arity for rel in m.sig.relations)

@@ -157,6 +157,8 @@ def invariance_audit(
     flag trips when the largest pairwise gap exceeds `sigma` binomial
     standard deviations of the pooled estimate.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     free = phi.free_variables()
     k = len(free)
     if k > n:
@@ -171,10 +173,10 @@ def invariance_audit(
                 counts[t] += 1
     freqs = {t: c / trials for t, c in counts.items()}
     values = list(freqs.values())
-    max_gap = max(values) - min(values) if values else 0.0
-    pooled = sum(values) / len(values) if values else 0.0
+    max_gap = max(values) - min(values)
+    pooled = sum(values) / len(values)
     # gap of two independent binomial proportions at the pooled rate
-    sd = (2 * pooled * (1 - pooled) / trials) ** 0.5 if trials else 0.0
+    sd = (2 * pooled * (1 - pooled) / trials) ** 0.5
     bound = sigma * sd
     return InvarianceReport(freqs, max_gap, bound, max_gap > bound, trials)
 
@@ -189,6 +191,8 @@ def genericity_frequency(
     """Fraction of sampled n-point spaces in which every tuple realizing
     theta's restriction within delta_for(eps) admits a completing point
     within eps.  Returns the (n, frequency) curve."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     scan = ObligationScan([theta], eps, spec.grid.denominator)
     unit = Fraction(1, scan.L)
     curve = []

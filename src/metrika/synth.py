@@ -10,18 +10,19 @@ integers over one denominator L.  The space grows on one
 builder's L, scores the obligations on its `n` and `dist` and holds the
 configuration rows the witnesses aim at, and the obligations drain as a
 FIFO queue that only gains the tuples through each new point.  The
-witness steers each new row on those integers and hands it to the
-builder, which gives every added point one range and Katetov check; the
-repaired Katetov row (`urysohn.katetov_row`) is the fallback.  The
-structure is frozen once, at the end.  For graphs the obligations are the
-classical (A, B) extension axioms over the discrete metric encoding: a
-vertex adjacent to all of A and to none of B.  The closure decides them on
-adjacency bitmasks, read off the seed once and written back once over
-`metric_seed`'s discrete metric, rescanning every subset pass by pass
-until a pass adds no vertex or the budget is spent; `graph_tasks` streams
-the same axioms fairly as plain (A, B) pairs of vertex tuples.  Seeds are
-preserved as bit-identical prefixes.  A seed must share its theory's
-signature.
+witness steers each new row, from the repaired Katetov row
+(`urysohn.katetov_row`, also the fallback) off the task grid by
+`urysohn.delta_for`'s delta, and hands it to the builder, which gives
+every added point one range and Katetov check.  The structure is frozen
+once, at the end.  For graphs the obligations are the classical (A, B)
+extension axioms over the discrete metric encoding: a vertex adjacent to
+all of A and to none of B.  The closure decides each in one loop over its
+subset's positions on adjacency bitmasks, read off the seed once and
+written back once over `metric_seed`'s discrete metric, rescanning every
+subset pass by pass until a pass adds no vertex or the budget is spent;
+`graph_tasks` streams the same axioms fairly as plain (A, B) pairs of
+vertex tuples, built by the closure's `_split`.  Seeds are preserved as
+bit-identical prefixes.  A seed must share its theory's signature.
 """
 
 from __future__ import annotations
@@ -80,9 +81,10 @@ def empty_metric_spec(
     sizes on config_grid within eps, placing new distances on grid."""
     config_sizes = tuple(config_sizes)
     config_grid, eps, grid = Fraction(config_grid), Fraction(eps), Fraction(grid)
-    for name, step in (("grid", grid), ("config_grid", config_grid)):
-        if not ZERO < step <= ONE:
-            raise ValueError(f"{name} must be in (0,1], got {step}")
+    if not ZERO < grid <= ONE:
+        raise ValueError(f"grid must be in (0,1], got {grid}")
+    if config_grid.numerator != 1:
+        raise ValueError(f"config_grid must be 1/q for an integer q >= 1, got {config_grid}")
     delta_for(eps)  # eps in (0, 1]
     if any(size < 1 for size in config_sizes):
         raise ValueError("configuration size must be >= 1")
@@ -164,7 +166,8 @@ def _ec_close_metric(seed, budget, rng_seed, *, config_sizes, config_grid, eps, 
     # and is the scan's L too
     b = MetricBuilder(seed, grid, config_grid, eps)
     scan = ObligationScan(configs, eps, b.L)
-    grid_l, config_grid_l, eps_l = scaled((grid, config_grid, eps), b.L)
+    delta = delta_for(eps)
+    grid_l, config_grid_l, eps_l, delta_l = scaled((grid, config_grid, eps, delta), b.L)
     queue = deque(scan.obligations(b.n, b.dist))
     dequeued = 0
     while queue and dequeued < budget:
@@ -176,20 +179,20 @@ def _ec_close_metric(seed, budget, rng_seed, *, config_sizes, config_grid, eps, 
         targets = [r[a][k] for a in range(k)]
         old_n = b.n
         note = {"task": t_idx, "tuple": pts}
-        _add_metric_witness(b, targets, pts, grid_l, config_grid_l, eps_l, rng, note)
+        _add_metric_witness(b, targets, pts, grid_l, config_grid_l, eps_l, delta_l, rng, note)
         queue.extend(scan.obligations(b.n, b.dist, first_new=old_n))
     return b.freeze()
 
 
-def _off_task_grid(v, config_grid, eps):
-    """True when v is farther than delta = 2 eps / 3 from every task-grid
-    level (all integers over one L), so no tuple using it can ever spawn a
-    new extension obligation."""
+def _off_task_grid(v, config_grid, delta):
+    """True when v is more than delta from every task-grid level, so no tuple
+    using it can ever spawn a new extension obligation.  All are integers over
+    L: an integer exceeds delta_for(eps) L exactly when it exceeds its floor."""
     below = v % config_grid  # v's distance to the level below it
-    return 3 * below > 2 * eps and 3 * (config_grid - below) > 2 * eps
+    return below > delta and config_grid - below > delta
 
 
-def _add_metric_witness(b, targets, pts, grid, config_grid, eps, rng, note):
+def _add_metric_witness(b, targets, pts, grid, config_grid, eps, delta, rng, note):
     """Add to the builder b a new point at distance targets[a] from each
     anchor pts[a], within eps; every length is an integer over b.L.
 
@@ -210,7 +213,7 @@ def _add_metric_witness(b, targets, pts, grid, config_grid, eps, rng, note):
         cands = [
             c
             for c in (t - grid, t + grid, t)
-            if 0 < c <= cap and abs(c - t) <= eps and _off_task_grid(c, config_grid, eps)
+            if 0 < c <= cap and abs(c - t) <= eps and _off_task_grid(c, config_grid, delta)
         ]
         rng.shuffle(cands)
         return cands
@@ -222,9 +225,8 @@ def _add_metric_witness(b, targets, pts, grid, config_grid, eps, rng, note):
         if not admissible(anchor_d, combo):
             continue
         s = []
-        for x in range(n):
-            v = min([cap] + [c + b.dist(x, p) for p, c in zip(pts, combo)])
-            while v > 0 and not _off_task_grid(v, config_grid, eps):
+        for v in katetov_row(n, b.dist, pts, combo, 0, cap):
+            while v > 0 and not _off_task_grid(v, config_grid, delta):
                 v -= grid
             s.append(v)
         for p, c in zip(pts, combo):
@@ -252,53 +254,35 @@ def _ec_close_graph(seed, budget, rng_seed, *, max_size):
         changed = False
         for size in range(1, max_size + 1):
             for subset in combinations(range(n), size):
+                members = sum(1 << v for v in subset)
                 for split in range(1 << size):
                     if dequeued >= budget:
                         return _graph_structure(seed.sig, adj, provenance)
                     dequeued += 1
-                    a_bits = b_bits = 0
+                    # the vertices outside the subset joined to A, missing B
+                    cand = (1 << n) - 1 & ~members
                     for pos, v in enumerate(subset):
-                        if split >> pos & 1:
-                            a_bits |= 1 << v
-                        else:
-                            b_bits |= 1 << v
-                    if _graph_witness_exists(adj, a_bits, b_bits):
+                        cand &= adj[v] if split >> pos & 1 else ~adj[v]
+                    if cand:
                         continue
                     # add a fresh vertex joined to A, missing B, random elsewhere
-                    mask = a_bits | rng.getrandbits(n) & ~(a_bits | b_bits)
+                    a, b = _split(subset, split)
+                    mask = sum(1 << v for v in a) | rng.getrandbits(n) & ~members
                     for w in range(n):
                         if mask >> w & 1:
                             adj[w] |= 1 << n
                     adj.append(mask)
-                    a, b = _bits_to_tuple(a_bits), _bits_to_tuple(b_bits)
                     provenance.append({"vertex": n, "A": a, "B": b})
                     n += 1
                     changed = True
     return _graph_structure(seed.sig, adj, provenance)
 
 
-def _graph_witness_exists(adj, a_bits, b_bits) -> bool:
-    cand = (1 << len(adj)) - 1 & ~(a_bits | b_bits)
-    bits = a_bits
-    while bits:
-        low = bits & -bits
-        cand &= adj[low.bit_length() - 1]
-        bits ^= low
-    bits = b_bits
-    while bits:
-        low = bits & -bits
-        cand &= ~adj[low.bit_length() - 1]
-        bits ^= low
-    return cand != 0
-
-
-def _bits_to_tuple(bits) -> tuple[int, ...]:
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return tuple(out)
+def _split(subset, split):
+    """(A, B): subset[pos] goes to A when bit pos of split is set, else to B."""
+    a = tuple(v for pos, v in enumerate(subset) if split >> pos & 1)
+    b = tuple(v for pos, v in enumerate(subset) if not split >> pos & 1)
+    return a, b
 
 
 def _graph_structure(sig, adj, provenance) -> PresentedStructure:
@@ -325,11 +309,8 @@ def graph_tasks(max_size: int, vertices: int | None = None):
     for v in top:
         for size in range(1, max_size + 1):
             for rest in combinations(range(v), size - 1):
-                subset = rest + (v,)
                 for split in range(1 << size):
-                    a = tuple(x for pos, x in enumerate(subset) if split >> pos & 1)
-                    b = tuple(x for pos, x in enumerate(subset) if not split >> pos & 1)
-                    yield a, b
+                    yield _split(rest + (v,), split)
 
 
 # ----------------------------------------------------------- e.c. checks

@@ -8,6 +8,7 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -463,7 +464,7 @@ class TestConfigurationFiles:
         # names no formula can call, on the variant whose second relation is P
         renamed = {"spaced-name": "d x", "keyword-name": "inf", "numeric-name": 5}
         with_p = corrupt in renamed or corrupt == "extra-table"
-        data = json.loads(open(two_point_p if with_p else two_point).read())
+        data = json.loads(Path(two_point_p if with_p else two_point).read_text())
         if corrupt in renamed:
             data["signature"]["relations"][1]["name"] = renamed[corrupt]
             data["tables"][str(renamed[corrupt])] = data["tables"].pop("P")
@@ -504,7 +505,7 @@ class TestConfigurationFiles:
     @pytest.mark.parametrize("verb", ["validate", "eval"])
     def test_bad_table_entry_is_format_error(self, verb, entry, two_point,
                                              tmp_path, capsys):
-        data = json.loads(open(two_point).read())
+        data = json.loads(Path(two_point).read_text())
         data["tables"]["d"][0][1] = entry
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
@@ -645,7 +646,7 @@ def test_report_on_non_metric_builder_structures(kind, two_point, tmp_path, caps
     if kind == "graph":
         save(graph_seed(3), path)
     else:
-        data = json.loads(open(two_point).read())
+        data = json.loads(Path(two_point).read_text())
         data["tables"]["d"][0][1] = "3/4"
         path.write_text(json.dumps(data))
     cfg_path = tmp_path / "configs.json"

@@ -73,6 +73,14 @@ def test_encode_empty():
     assert code.entries == ()
 
 
+def test_negative_count_rejected():
+    m = space([[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        index_enumeration(SIG, -3)
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        encode(m, -3)
+
+
 def test_encode_out_of_prefix():
     m = space([[0]])
     with pytest.raises(IndexOutOfPrefixError):

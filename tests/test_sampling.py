@@ -151,6 +151,11 @@ class TestInvarianceAudit:
         with pytest.raises(ValueError):
             invariance_audit(SEQ, n=1, trials=10, phi=phi, eps=F(1, 2))
 
+    def test_zero_trials_rejected(self):
+        phi = parse_formula("d(x,y)", metric_signature())
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            invariance_audit(SEQ, n=3, trials=0, phi=phi, eps=F(1, 2))
+
     def test_json_shape(self):
         sig = metric_signature()
         phi = parse_formula("d(x,y)", sig)
@@ -180,6 +185,11 @@ class TestGenericityFrequency:
         )
         with pytest.raises(ValueError):
             genericity_frequency(SEQ, theta, F(1, 4), [1], trials=5)
+
+    def test_zero_trials_rejected(self):
+        theta = DistanceConfiguration(((ZERO,),))
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            genericity_frequency(SEQ, theta, F(1, 4), [2], trials=0)
 
     def test_half_config_trend(self):
         theta = DistanceConfiguration(

@@ -125,6 +125,7 @@ class TestEcCloseMetric:
         {"grid": F(0)},
         {"grid": F(-1, 8)},
         {"config_grid": F(3, 2)},
+        {"config_grid": F(2, 5)},
         {"config_grid": F(0)},
         {"eps": F(0)},
         {"eps": F(9, 8)},
@@ -134,6 +135,7 @@ class TestEcCloseMetric:
         "grid-0",
         "grid-negative",
         "config-grid-3/2",
+        "config-grid-2/5",
         "config-grid-0",
         "eps-0",
         "eps-9/8",
@@ -379,13 +381,14 @@ def test_seed_of_another_signature_rejected():
 @pytest.mark.parametrize("max_size", [1, 2, 3])
 @pytest.mark.parametrize("rng_seed", [0, 1, 2])
 def test_graph_closure_matches_set_reference(max_size, rng_seed):
-    # every budget cut, from the seed itself to a few passes deep
+    # every budget cut, from the seed itself to a few passes deep, then
+    # several full passes (3000 is the graph-pipeline budget)
     one_edge = graph_seed(3)
     tables = {k: dict(v) for k, v in one_edge.tables.items()}
     tables["R"][(0, 1)] = tables["R"][(1, 0)] = ZERO
     one_edge = PresentedStructure(one_edge.sig, 3, tables)
     for seed in (graph_seed(1), one_edge):
-        for budget in range(301):
+        for budget in [*range(301), 1000, 3000]:
             got = ec_close(seed, graph_spec(max_size), budget, rng_seed=rng_seed)
             want = reference_ec_close_graph(seed, max_size, budget, rng_seed)
             assert got.n == want.n
