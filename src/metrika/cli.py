@@ -257,7 +257,10 @@ def _eval(args) -> int:
     m = _load(args.structure)
     f = parse_formula(args.formula, m.sig)
     asg = _parse_assignment(args.assign)
+    free = f.free_variables()
     for name, point in asg.items():
+        if name not in free:
+            raise SystemExit2(f"--assign names {name}, not a free variable of the formula")
         if not 0 <= point < m.n:
             raise SystemExit2(f"{name}={point} is not a point of 0..{m.n - 1}")
     print(format_rational(evaluate(f, m, asg)))

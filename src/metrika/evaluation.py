@@ -10,16 +10,32 @@ formula, [0, min(1, v)] for one inf block (an inf over the prefix only
 upper-bounds the true inf), [max(0, v), 1] for one sup block, and [0, 1]
 under an alternation, where the inner block's bound is lost.
 
+Each formula is compiled once to an integer kernel.  A formula f gets one
+denominator D, read off it bottom-up by ``denominator``: at an atom it is
+the table lattice L (the lcm of the tables' denominators), at a constant
+the constant's denominator, at a binary connective the lcm of both
+sides' and under a scale by p/q the operand's D times q.  Every value of
+every subformula is then an integer over D, and each connective maps
+integers over D to integers over D: ``not`` is D - x, ``-.`` is
+max(0, x - y), ``+.`` is min(D, x + y), ``absdiff`` is |x - y|, and a scale
+by p/q is x * p // q.  That division is exact: the operand's value is an
+integer over its own denominator D', and q * D' divides D, so q divides x.
+``evaluate`` scales the tables to D once per call and returns x / D.
+
 A quantifier stops scanning points once its value reaches the lattice
-bound: 0 for an inf, 1 for a sup.  That is exact only when no value can
+bound: 0 for an inf, D for a sup.  That is exact only when no value can
 undercut 0 or top 1, so it is guarded by
-``PresentedStructure.unit_valued``: every table value in [0, 1].
+``PresentedStructure.unit_valued``: every table value in [0, 1].  Over
+the empty prefix an inf is 1 and a sup 0, the lattice units.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
+from math import lcm
 
 from .errors import NotPrenexUnsupportedError, UnboundVariableError
 from .logic import (
@@ -39,7 +55,7 @@ from .logic import (
     quantifier_class,
 )
 from .rationals import ONE, ZERO
-from .structures import PresentedStructure
+from .structures import PresentedStructure, lattice, nested
 
 
 @dataclass(frozen=True)
@@ -59,64 +75,160 @@ class ValueInterval:
 
 
 def evaluate(f: Formula, m: PresentedStructure, asg=None) -> Fraction:
-    """Exact value of f with quantifiers ranging over the n prefix points."""
-    return _eval(f, m, dict(asg) if asg else {})
+    """Exact value of f with quantifiers ranging over the n prefix points.
+
+    asg maps variable names to points of 0..n-1; a point outside raises
+    ValueError, and an atom reached with a variable neither assigned nor
+    bound raises ``UnboundVariableError``."""
+    asg = dict(asg) if asg else {}
+    for name, point in asg.items():
+        if not 0 <= point < m.n:
+            raise ValueError(f"{name}={point} is not a point of 0..{m.n - 1}")
+    D = denominator(f, lattice(chain.from_iterable(t.values() for t in m.tables.values())))
+    kernel = compile_formula(f, D, m.unit_valued(), tuple(asg))
+
+    def scale(v):
+        return v.numerator * (D // v.denominator)
+
+    tables = {r.name: nested(m.tables[r.name], r.arity, m.n, scale) for r in m.sig.relations}
+    return Fraction(kernel(tables, asg.values()), D)
 
 
-def _eval(f, m, asg) -> Fraction:
-    if isinstance(f, Const):
-        return f.value
+def denominator(f: Formula, L: int) -> int:
+    """The D over which every subformula of f is an integer on tables
+    over L: L at an atom, a constant's denominator, the lcm of both sides
+    at a binary connective, and the operand's D times q under a scale by
+    p/q."""
     if isinstance(f, Atom):
-        try:
-            idx = tuple(asg[v] for v in f.args)
-        except KeyError as exc:
-            raise UnboundVariableError(f"unbound variable {exc.args[0]!r}") from None
-        return m.value(f.relation, idx)
-    if isinstance(f, Min):
-        return min(_eval(f.left, m, asg), _eval(f.right, m, asg))
-    if isinstance(f, Max):
-        return max(_eval(f.left, m, asg), _eval(f.right, m, asg))
+        return L
+    if isinstance(f, Const):
+        return f.value.denominator
     if isinstance(f, ScaleQ):
-        return f.factor * _eval(f.operand, m, asg)
+        return denominator(f.operand, L) * f.factor.denominator
     if isinstance(f, Neg):
-        return ONE - _eval(f.operand, m, asg)
-    if isinstance(f, DotMinus):
-        return max(ZERO, _eval(f.left, m, asg) - _eval(f.right, m, asg))
-    if isinstance(f, TruncPlus):
-        return min(ONE, _eval(f.left, m, asg) + _eval(f.right, m, asg))
-    if isinstance(f, AbsDiff):
-        return abs(_eval(f.left, m, asg) - _eval(f.right, m, asg))
+        return denominator(f.operand, L)
     if isinstance(f, (Inf, Sup)):
-        pick = min if isinstance(f, Inf) else max
-        final = _final(f, m)
-        shadowed = asg.get(f.var)
-        best = None
-        for p in range(m.n):
-            asg[f.var] = p
-            v = _eval(f.body, m, asg)
-            best = v if best is None else pick(best, v)
-            if best == final:
-                break
-        if shadowed is None:
-            asg.pop(f.var, None)
-        else:
-            asg[f.var] = shadowed
-        if best is None:
-            # quantifier over an empty prefix: inf = 1, sup = 0 (lattice units)
-            return ONE if isinstance(f, Inf) else ZERO
-        return best
+        return denominator(f.body, L)
+    if isinstance(f, (Min, Max, DotMinus, TruncPlus, AbsDiff)):
+        return lcm(denominator(f.left, L), denominator(f.right, L))
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def _final(q, m):
-    """The value at which the quantifier q can stop scanning points: 0 for
-    an inf and 1 for a sup, when every table value of m is in [0, 1].  Then
-    so is every value (constants and scale factors are in [0, 1] and each
-    connective maps [0, 1] into itself), and nothing undercuts 0 or tops 1.
-    Otherwise None: the scan must see every point."""
-    if not m.unit_valued():
-        return None
-    return ZERO if isinstance(q, Inf) else ONE
+@lru_cache(maxsize=256)
+def compile_formula(f: Formula, D: int, unit_valued: bool, variables: tuple[str, ...]):
+    """f's integer kernel over D, a multiple of ``denominator(f, L)``.
+
+    ``kernel(tables, points)`` is D times f's value, where ``tables`` maps
+    each relation name to its table over D as nested lists
+    (``tables["d"][i][j]`` is d(i, j) * D; the rows of d are the points
+    the quantifiers scan) and ``variables[k]`` names ``points[k]``.  With
+    unit_valued (every table value in 0..D) a quantifier stops at the
+    first 0 (inf) or D (sup)."""
+    root = _node(f, D, unit_valued, {v: k for k, v in enumerate(variables)}, len(variables))
+    return lambda tables, points: root(tables, list(points))
+
+
+def _node(f, D, unit_valued, scope, slot):
+    """The closure (tables, env) -> value * D of f, where scope maps the
+    names in reach to their env positions and slot is the next free one."""
+    if isinstance(f, Const):
+        c = f.value.numerator * (D // f.value.denominator)
+        return lambda T, e: c
+    if isinstance(f, Atom):
+        rel, at = f.relation, [scope.get(v) for v in f.args]
+        if len(at) == 2 and None not in at:
+            i, j = at
+            return lambda T, e: T[rel][e[i]][e[j]]
+
+        def atom(T, e):
+            # an unbound variable raises only when the atom is reached
+            for v, i in zip(f.args, at):
+                if i is None:
+                    raise UnboundVariableError(f"unbound variable {v!r}")
+            row = T[rel]
+            for i in at:
+                row = row[e[i]]
+            return row
+
+        return atom
+    if isinstance(f, (Inf, Sup)):
+        return _quantifier(f, D, unit_valued, scope, slot)
+    if isinstance(f, (Neg, ScaleQ)):
+        g = _node(f.operand, D, unit_valued, scope, slot)
+        if isinstance(f, Neg):
+            return lambda T, e: D - g(T, e)
+        p, q = f.factor.numerator, f.factor.denominator
+        return lambda T, e: g(T, e) * p // q
+    if not isinstance(f, (Min, Max, DotMinus, TruncPlus, AbsDiff)):
+        raise TypeError(f"not a formula node: {f!r}")
+    a = _node(f.left, D, unit_valued, scope, slot)
+    b = _node(f.right, D, unit_valued, scope, slot)
+    if isinstance(f, Min):
+        def binary(T, e):
+            x, y = a(T, e), b(T, e)
+            return x if x <= y else y
+    elif isinstance(f, Max):
+        def binary(T, e):
+            x, y = a(T, e), b(T, e)
+            return x if x >= y else y
+    elif isinstance(f, DotMinus):
+        def binary(T, e):
+            x = a(T, e) - b(T, e)
+            return x if x > 0 else 0
+    elif isinstance(f, TruncPlus):
+        def binary(T, e):
+            x = a(T, e) + b(T, e)
+            return x if x < D else D
+    else:
+        def binary(T, e):
+            return abs(a(T, e) - b(T, e))
+    return binary
+
+
+def _quantifier(f, D, unit_valued, scope, slot):
+    """An inf or sup over the points, its variable at env[slot]: D (inf)
+    or 0 (sup) over no points, and, with unit_valued, stopping at the
+    first 0 (inf) or D (sup)."""
+    body = _node(f.body, D, unit_valued, {**scope, f.var: slot}, slot + 1)
+    if isinstance(f, Inf):
+        stop = 0 if unit_valued else None
+
+        def inf(T, e):
+            n = len(T["d"])
+            if not n:
+                return D
+            e.append(0)
+            best = body(T, e)
+            for p in range(1, n):
+                if best == stop:
+                    break
+                e[slot] = p
+                v = body(T, e)
+                if v < best:
+                    best = v
+            e.pop()
+            return best
+
+        return inf
+    stop = D if unit_valued else None
+
+    def sup(T, e):
+        n = len(T["d"])
+        if not n:
+            return 0
+        e.append(0)
+        best = body(T, e)
+        for p in range(1, n):
+            if best == stop:
+                break
+            e[slot] = p
+            v = body(T, e)
+            if v > best:
+                best = v
+        e.pop()
+        return best
+
+    return sup
 
 
 # --------------------------------------------------------- prefix bounds

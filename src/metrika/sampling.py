@@ -7,8 +7,9 @@ keeps the metric ones (exchangeable by construction, exponential cost).
 Distances live on a fine rational grid so every draw is exact.  Each law
 is coded once, in ``_grow``, which grows a ``MetricBuilder`` (integers
 over the lcm of the grid's and the prefix's denominators) by k points;
-the samplers freeze it to Fractions once, at the end, and the genericity
-curve scores each sample on the builder it was grown on.
+the samplers freeze it to Fractions once, at the end, while the
+invariance audit and the genericity curve score each sample on the
+builder it was grown on, over its integers.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .errors import RejectionBudgetExceededError
-from .evaluation import evaluate
+from .evaluation import compile_formula, denominator
 from .logic import Formula, metric_signature
 from .rationals import ONE, ZERO
 from .structures import MetricBuilder, PresentedStructure, admissible_interval, scaled
@@ -103,6 +104,13 @@ def sample_one_point(
     return _grow(MetricBuilder(m, spec.grid), 1, spec, rng).freeze()
 
 
+def _sample(n: int, spec: MeasureSpec, rng) -> MetricBuilder:
+    """A random n-point space on a builder over the grid's denominator."""
+    if n < 1:
+        raise ValueError("need at least one point")
+    return _grow(MetricBuilder(_POINT, spec.grid), n - 1, spec, rng)
+
+
 def sample_space(n: int, spec: MeasureSpec, rng: random.Random | None = None):
     """A random n-point metric space of diameter <= 1.
 
@@ -110,11 +118,8 @@ def sample_space(n: int, spec: MeasureSpec, rng: random.Random | None = None):
     over metric matrices, hence exchangeable) and keeps no provenance; the
     sequential sampler builds the space one point at a time.
     """
-    if n < 1:
-        raise ValueError("need at least one point")
     rng = rng if rng is not None else random.Random(spec.seed)
-    b = _grow(MetricBuilder(_POINT, spec.grid), n - 1, spec, rng)
-    return b.freeze(provenance=spec.kind == "sequential")
+    return _sample(n, spec, rng).freeze(provenance=spec.kind == "sequential")
 
 
 def trial_rng(master_seed, *labels) -> random.Random:
@@ -155,7 +160,10 @@ def invariance_audit(
 
     Under an exchangeable sampler the frequencies agree up to noise; the
     flag trips when the largest pairwise gap exceeds `sigma` binomial
-    standard deviations of the pooled estimate.
+    standard deviations of the pooled estimate.  phi is compiled once, over
+    the D its denominator rule gives the grid's lattice, and each sample is
+    scored on the builder it was grown on: phi(a) < eps is
+    v * eps.denominator < eps.numerator * D for the kernel's value v.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -165,11 +173,16 @@ def invariance_audit(
         raise ValueError("formula arity exceeds point count")
     tuples = list(permutations(range(n), k))
     counts = {t: 0 for t in tuples}
+    # every sample's builder is over L, its distances all in 0..L (unit valued)
+    L = spec.grid.denominator
+    D = denominator(phi, L)
+    kernel = compile_formula(phi, D, True, free)
+    cut = eps.numerator * D
     for t_idx in range(trials):
-        rng = trial_rng(spec.seed, "audit", n, t_idx)
-        m = sample_space(n, spec, rng)
+        b = _sample(n, spec, trial_rng(spec.seed, "audit", n, t_idx))
+        tables = {"d": b.matrix(D // L)}
         for t in tuples:
-            if evaluate(phi, m, dict(zip(free, t))) < eps:
+            if kernel(tables, t) * eps.denominator < cut:
                 counts[t] += 1
     freqs = {t: c / trials for t, c in counts.items()}
     values = list(freqs.values())

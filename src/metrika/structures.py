@@ -68,7 +68,9 @@ class PresentedStructure:
         first call (a structure read by ``from_json`` is known to be)."""
         if self._unit is None:
             self._unit = all(
-                ZERO <= v <= ONE for table in self.tables.values() for v in table.values()
+                0 <= v.numerator <= v.denominator
+                for table in self.tables.values()
+                for v in table.values()
             )
         return self._unit
 
@@ -329,6 +331,11 @@ class MetricBuilder:
             return self.rows[j][i]
         return self.rows[i][j] if j < i else 0
 
+    def matrix(self, factor: int) -> list[list[int]]:
+        """The full distance matrix, d(i, j) over L * factor."""
+        n = len(self.rows)
+        return [[self.dist(i, j) * factor for j in range(n)] for i in range(n)]
+
     def try_add(self, row, note=None) -> bool:
         """Add a point with row[i] = d(i, new) over L, if that keeps the
         structure valid; False, and nothing added, if not."""
@@ -413,10 +420,12 @@ def metric_quotient(m: PresentedStructure) -> PresentedStructure:
 # --------------------------------------------------------------- file I/O
 
 
-def _nest(table, arity, n, prefix=()):
+def nested(table, arity, n, leaf, prefix=()):
+    """table as lists nested arity deep, with n entries at each level and
+    leaf(value) at the bottom: nested(...)[i][j] is leaf(table[(i, j)])."""
     if arity == 0:
-        return format_rational(table[prefix])
-    return [_nest(table, arity - 1, n, prefix + (i,)) for i in range(n)]
+        return leaf(table[prefix])
+    return [nested(table, arity - 1, n, leaf, prefix + (i,)) for i in range(n)]
 
 
 def _unnest(nested, arity, n, prefix, out):
@@ -447,7 +456,8 @@ def to_json(m: PresentedStructure, include_provenance=False) -> dict:
         },
         "points": m.n,
         "tables": {
-            r.name: _nest(m.tables[r.name], r.arity, m.n) for r in m.sig.relations
+            r.name: nested(m.tables[r.name], r.arity, m.n, format_rational)
+            for r in m.sig.relations
         },
     }
     if include_provenance:

@@ -57,6 +57,20 @@ class TestEval:
              "--assign", "nonsense"], capsys)
         assert code == 2
 
+    def test_unused_assignment_usage_error(self, two_point, capsys):
+        code = cli.main(
+            ["eval", "--structure", two_point, "--formula", "sup x. d(x,y)",
+             "--assign", "y=0,z=1"])
+        assert code == 2
+        err = assert_one_line_error(capsys, "usage error:")
+        assert "--assign names z, not a free variable" in err
+
+    def test_unassigned_free_variable_domain_error(self, two_point, capsys):
+        code = cli.main(["eval", "--structure", two_point, "--formula", "sup x. d(x,y)"])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unbound variable 'y'" in captured.err
+
     def test_missing_file_is_format_error(self, tmp_path, capsys):
         code, _ = run(
             ["eval", "--structure", str(tmp_path / "nope.json"),

@@ -1,7 +1,7 @@
 import operator
 from dataclasses import fields, replace
 from fractions import Fraction as F
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +11,7 @@ from metrika.errors import NotPrenexUnsupportedError, UnboundVariableError
 from metrika.evaluation import (
     ValueInterval,
     check_condition,
+    denominator,
     evaluate,
     evaluate_prefix_bounds,
 )
@@ -27,15 +28,81 @@ from metrika.logic import (
     Neg,
     ScaleQ,
     Sup,
+    Relation,
+    Signature,
     TruncPlus,
     metric_signature,
     parse_condition,
     parse_formula,
 )
-from metrika.sampling import MeasureSpec, sample_space
-from metrika.structures import admissible, extend_with_distances, from_distance_matrix
+from metrika.sampling import MeasureSpec, invariance_audit, sample_space, trial_rng
+from metrika.structures import (
+    PresentedStructure,
+    admissible,
+    extend_with_distances,
+    from_distance_matrix,
+)
 
 SIG = metric_signature()
+
+
+# ------------------------------------------ the Fraction tree-walk oracle
+
+
+def _eval(f, m, asg) -> F:
+    """f's exact value by walking the tree on Fractions, the reference the
+    compiled integer kernel of ``evaluate`` is held to."""
+    if isinstance(f, Const):
+        return f.value
+    if isinstance(f, Atom):
+        try:
+            idx = tuple(asg[v] for v in f.args)
+        except KeyError as exc:
+            raise UnboundVariableError(f"unbound variable {exc.args[0]!r}") from None
+        return m.value(f.relation, idx)
+    if isinstance(f, Min):
+        return min(_eval(f.left, m, asg), _eval(f.right, m, asg))
+    if isinstance(f, Max):
+        return max(_eval(f.left, m, asg), _eval(f.right, m, asg))
+    if isinstance(f, ScaleQ):
+        return f.factor * _eval(f.operand, m, asg)
+    if isinstance(f, Neg):
+        return 1 - _eval(f.operand, m, asg)
+    if isinstance(f, DotMinus):
+        return max(F(0), _eval(f.left, m, asg) - _eval(f.right, m, asg))
+    if isinstance(f, TruncPlus):
+        return min(F(1), _eval(f.left, m, asg) + _eval(f.right, m, asg))
+    if isinstance(f, AbsDiff):
+        return abs(_eval(f.left, m, asg) - _eval(f.right, m, asg))
+    if isinstance(f, (Inf, Sup)):
+        pick = min if isinstance(f, Inf) else max
+        final = _final(f, m)
+        shadowed = asg.get(f.var)
+        best = None
+        for p in range(m.n):
+            asg[f.var] = p
+            v = _eval(f.body, m, asg)
+            best = v if best is None else pick(best, v)
+            if best == final:
+                break
+        if shadowed is None:
+            asg.pop(f.var, None)
+        else:
+            asg[f.var] = shadowed
+        if best is None:
+            # quantifier over an empty prefix: inf = 1, sup = 0 (lattice units)
+            return F(1) if isinstance(f, Inf) else F(0)
+        return best
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+def _final(q, m):
+    """The value at which the quantifier q can stop scanning points: 0 for
+    an inf and 1 for a sup, when every table value of m is in [0, 1].
+    Otherwise None: the scan must see every point."""
+    if not m.unit_valued():
+        return None
+    return F(0) if isinstance(q, Inf) else F(1)
 
 TRIANGLE = "sup x. sup y. sup z. (d(x,z) -. (d(x,y) +. d(y,z)))"
 
@@ -62,6 +129,19 @@ class TestEvaluate:
     def test_assignment(self, tri_space):
         f = parse_formula("d(x,y)", SIG)
         assert evaluate(f, tri_space, {"x": 1, "y": 2}) == 1
+
+    @pytest.mark.parametrize("point", [-1, 3])
+    def test_assignment_outside_prefix_rejected(self, tri_space, point):
+        f = parse_formula("d(x,y)", SIG)
+        with pytest.raises(ValueError, match=rf"^y={point} is not a point of 0\.\.2$"):
+            evaluate(f, tri_space, {"x": 0, "y": point})
+
+    def test_unbound_variable_raises_only_when_an_atom_is_reached(self):
+        f = parse_formula("sup x. d(x,y)", SIG)
+        # over no points the sup is 0 and its body is never valued
+        assert evaluate(f, from_distance_matrix([])) == 0
+        with pytest.raises(UnboundVariableError, match="unbound variable 'y'"):
+            evaluate(f, from_distance_matrix([[0]]))
 
 
 class TestPrefixBounds:
@@ -277,9 +357,10 @@ def test_bounds_early_exit_matches_full_scans(rows, prefix, matrix, points):
 
 
 # tables with entries outside [0, 1], including the empty structure
+WILD = MIXED + [F(-1, 2), F(3, 2), F(2)]
 _wild_rows = st.integers(0, 3).flatmap(
     lambda n: st.lists(
-        st.lists(st.sampled_from(MIXED + [F(-1, 2), F(3, 2), F(2)]), min_size=n, max_size=n),
+        st.lists(st.sampled_from(WILD), min_size=n, max_size=n),
         min_size=n,
         max_size=n,
     )
@@ -384,3 +465,122 @@ def test_exactness_denominators(tri_space):
     v = evaluate(f, tri_space)
     assert isinstance(v, F)
     assert 30 % v.denominator == 0
+
+
+# ------------------------------------ the integer kernel against the oracle
+
+ODD = [F(1, 3), F(2, 5), F(3, 7), F(5, 9)]
+# d beside relations of arity 1 and 3
+SIG13 = Signature((Relation("d", 2, F(1)), Relation("P", 1, F(1)), Relation("T", 3, F(1))))
+# w is never assigned, so an atom naming it outside a quantifier is unbound
+NAMES = VARS + ("w",)
+_names = st.sampled_from(NAMES)
+
+
+@st.composite
+def _structures(draw):
+    """A SIG13 structure of 0 to 3 points, not necessarily metric: its d
+    rows from ``_wild_rows`` or ``_unit_rows``, P and T from the same
+    range, with denominators 3, 5, 7 and 9 among the values."""
+    wild = draw(st.booleans())
+    rows = draw(_wild_rows if wild else _unit_rows)
+    n = len(rows)
+    values = st.sampled_from((WILD if wild else MIXED) + ODD)
+    tables = {"d": from_distance_matrix(rows).tables["d"]}
+    for rel in SIG13.relations[1:]:
+        tables[rel.name] = {t: draw(values) for t in product(range(n), repeat=rel.arity)}
+    return PresentedStructure(SIG13, n, tables)
+
+
+_atoms = st.one_of(
+    st.builds(lambda v, w: Atom("d", (v, w)), _names, _names),
+    st.builds(lambda v: Atom("P", (v,)), _names),
+    st.builds(lambda u, v, w: Atom("T", (u, v, w)), _names, _names, _names),
+    st.sampled_from(QUARTERS + ODD).map(Const),
+)
+_kernel_formulas = st.recursive(
+    _atoms,
+    lambda sub: st.one_of(
+        _connectives(sub),
+        st.builds(ScaleQ, st.sampled_from(ODD[:3]), sub),
+        st.builds(Inf, _names, sub),
+        st.builds(Sup, _names, sub),
+    ),
+    max_leaves=8,
+)
+
+
+def _value_or_error(value):
+    try:
+        return value()
+    except UnboundVariableError as exc:
+        return type(exc), str(exc)
+
+
+NESTED_SCALES = ScaleQ(F(1, 3), ScaleQ(F(2, 5), ScaleQ(F(3, 7), Atom("d", ("x", "y")))))
+
+
+def test_denominator_rule():
+    # a scale by p/q multiplies its operand's D by q, so D exceeds L here
+    assert denominator(NESTED_SCALES, 4) == 4 * 3 * 5 * 7
+    f = parse_formula("sup x. max(2/5 * (d(x,y)), absdiff(d(x,y), 1/6))", SIG)
+    assert denominator(f, 4) == 60
+    assert denominator(Const(F(0)), 4) == 1
+
+
+@settings(max_examples=400)
+@given(_structures(), _kernel_formulas, st.lists(st.integers(-1, 2), min_size=3, max_size=3))
+@example(
+    PresentedStructure(SIG13, 0, {"d": {}, "P": {}, "T": {}}),
+    Sup("x", Atom("d", ("x", "w"))),
+    [0, 0, 0],
+)
+@example(
+    PresentedStructure(
+        SIG13,
+        2,
+        {
+            "d": {(i, j): F(i != j, 2) for i in range(2) for j in range(2)},
+            "P": {(0,): F(3, 2), (1,): F(1, 3)},
+            "T": {t: F(sum(t), 7) for t in product(range(2), repeat=3)},
+        },
+    ),
+    Inf("x", TruncPlus(NESTED_SCALES, Neg(Atom("T", ("x", "y", "x"))))),
+    [1, 0, -1],
+)
+def test_kernel_matches_fraction_oracle(m, f, points):
+    # a point of -1 leaves its variable unassigned
+    asg = {v: p % m.n for v, p in zip(VARS, points) if p >= 0 and m.n}
+    ours = _value_or_error(lambda: evaluate(f, m, asg))
+    reference = _value_or_error(lambda: _eval(f, m, dict(asg)))
+    assert ours == reference
+    assert type(ours) is type(reference)
+
+
+def _reference_audit(spec, n, trials, phi, eps):
+    """The audit's frequencies from samples frozen to Fractions, each
+    tuple valued by the oracle."""
+    free = phi.free_variables()
+    counts = dict.fromkeys(permutations(range(n), len(free)), 0)
+    for t_idx in range(trials):
+        m = sample_space(n, spec, trial_rng(spec.seed, "audit", n, t_idx))
+        for t in counts:
+            counts[t] += _eval(phi, m, dict(zip(free, t))) < eps
+    return {t: c / trials for t, c in counts.items()}
+
+
+@pytest.mark.parametrize("kind", ["sequential", "rejection"])
+@pytest.mark.parametrize("text, eps", [
+    ("d(x,y)", F(1, 2)),
+    # D = 12 on the grid's L = 4
+    ("1/3 * d(x,y)", F(1, 7)),
+    ("sup z. min(d(x,z), d(y,z))", F(1, 2)),
+])
+def test_audit_matches_frozen_oracle(kind, text, eps):
+    spec = MeasureSpec(kind, grid=F(1, 4), seed=11)
+    phi = parse_formula(text, SIG)
+    report = invariance_audit(spec, n=3, trials=60, phi=phi, eps=eps)
+    reference = _reference_audit(spec, 3, 60, phi, eps)
+    assert report.frequencies == reference
+    # neither always nor never: the comparison is not vacuous
+    assert 0 < sum(reference.values()) < len(reference)
