@@ -12,11 +12,9 @@ from .errors import (
     IndexOutOfPrefixError,
     LengthMismatchError,
     MetrikaError,
-    NotAPrefixError,
     NotPrenexUnsupportedError,
     PointsOutOfPrefixError,
     PreconditionViolatedError,
-    QuotientIllDefinedError,
     RejectionBudgetExceededError,
     SchemaMismatchError,
     SeedViolatesTheoryError,
@@ -38,12 +36,8 @@ from .logic import (
 from .structures import (
     PresentedStructure,
     ValidationReport,
-    empty_structure,
     extend_point,
-    extend_with_distances,
-    from_distance_matrix,
     load,
-    metric_quotient,
     metric_rows,
     save,
     validate,
@@ -68,7 +62,6 @@ from .polish import (
 from .urysohn import (
     DistanceConfiguration,
     all_configurations,
-    axiom_instance,
     config_error,
     delta_for,
     extension_property_report,
@@ -78,7 +71,6 @@ from .urysohn import (
 from .synth import (
     TheorySpec,
     ec_close,
-    ec_witness_check,
     empty_metric_spec,
     graph_seed,
     graph_spec,

@@ -108,7 +108,8 @@ def _step(text, option):
 
 
 def _tolerance(text):
-    """An eps for the extension obligations: a rational in (0, 1]."""
+    """An eps, for the extension obligations or an audited open set: a
+    rational in (0, 1]."""
     if text is None:
         raise SystemExit2("--eps is required")
     return _step(text, "--eps")
@@ -136,8 +137,11 @@ def _parse_assignment(text) -> dict:
     asg = {}
     for part in text.split(",") if text else ():
         name, _, idx = part.partition("=")
+        name = name.strip()
+        if name in asg:
+            raise SystemExit2(f"--assign names {name} twice")
         try:
-            asg[name.strip()] = int(idx)
+            asg[name] = int(idx)
         except ValueError:
             raise SystemExit2(f"bad assignment {part!r}, expected var=point") from None
     return asg
@@ -342,7 +346,7 @@ def _audit(args) -> int:
     least = max(1, len(phi.free_variables()))
     if args.n < least:
         raise SystemExit2(f"--n must be at least {least} for {args.formula!r}, got {args.n}")
-    eps = _rational(args.eps, "--eps")
+    eps = _tolerance(args.eps)
     report = sampling.invariance_audit(spec, args.n, args.trials, phi, eps, sigma=args.sigma)
     fields = {"kind": args.kind, "seed": spec.seed, **report.to_json()}
     _emit("audit", [], fields, args.out)

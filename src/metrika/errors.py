@@ -47,10 +47,6 @@ class ExtensionViolatesAxiomsError(MetrikaError):
         super().__init__(f"extension violates structure axioms: {first}")
 
 
-class QuotientIllDefinedError(MetrikaError):
-    pass
-
-
 # ------------------------------------------------------------ evaluation
 
 
@@ -92,10 +88,6 @@ class PreconditionViolatedError(MetrikaError):
 
 
 class SeedViolatesTheoryError(MetrikaError):
-    pass
-
-
-class NotAPrefixError(MetrikaError):
     pass
 
 

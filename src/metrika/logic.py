@@ -14,7 +14,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import reduce
 
 from .errors import (
     ArityMismatchError,
@@ -204,11 +203,6 @@ def _collect_free(f: Formula, bound: tuple[str, ...], seen: list[str]) -> None:
 
 def is_quantifier_free(f: Formula) -> bool:
     return not isinstance(f, _QUANT) and all(map(is_quantifier_free, _children(f)))
-
-
-def max_of(parts) -> Formula:
-    parts = list(parts)
-    return reduce(Max, parts) if parts else Const(ZERO)
 
 
 # --------------------------------------------------------------- pretty

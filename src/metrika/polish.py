@@ -18,7 +18,7 @@ from .errors import (
     LengthMismatchError,
     PointsOutOfPrefixError,
 )
-from .evaluation import evaluate
+from .evaluation import bind, evaluate
 from .logic import Formula, Inf, Signature, is_quantifier_free
 from .rationals import ONE, ZERO, format_rational
 from .structures import PresentedStructure, tuples_naming
@@ -170,8 +170,10 @@ def pi2_depth_membership(
     witness_inf = b.phi
     for v in reversed(b.inner_vars):
         witness_inf = Inf(v, witness_inf)
+    # one kernel and one scaling of the tables serve every outer tuple
+    D, kernel, tables = bind(witness_inf, m, tuple(b.outer_vars))
     for outer in islice(fair_tuples(m.n, len(b.outer_vars)), depth):
         # an inf over no witnesses (empty prefix) is ONE, never below eps
-        if not evaluate(witness_inf, m, dict(zip(b.outer_vars, outer))) < b.eps:
+        if not Fraction(kernel(tables, outer), D) < b.eps:
             return Pi2Result("refuted" if mode == "finite" else "unknown", outer)
     return Pi2Result("consistent")

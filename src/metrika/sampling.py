@@ -167,6 +167,9 @@ def invariance_audit(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    # the range of polish.BasicOpen, the open set whose measure this estimates
+    if not ZERO < eps <= ONE:
+        raise ValueError(f"eps must be in (0,1], got {eps}")
     free = phi.free_variables()
     k = len(free)
     if k > n:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import chain, product
 from math import lcm
 
-from .errors import ExtensionViolatesAxiomsError, QuotientIllDefinedError
+from .errors import ExtensionViolatesAxiomsError
 from .logic import Relation, Signature
 from .rationals import ONE, ZERO, format_rational, parse_rational
 
@@ -87,21 +87,6 @@ class PresentedStructure:
 
     def __repr__(self):
         return f"PresentedStructure(n={self.n}, sig={[r.name for r in self.sig.relations]})"
-
-
-def empty_structure(sig: Signature) -> PresentedStructure:
-    return PresentedStructure(sig, 0, {r.name: {} for r in sig.relations})
-
-
-def from_distance_matrix(rows) -> PresentedStructure:
-    """Build a metric-only structure from a full square matrix of rationals."""
-    from .logic import metric_signature
-
-    n = len(rows)
-    table = {
-        (i, j): Fraction(rows[i][j]) for i in range(n) for j in range(n)
-    }
-    return PresentedStructure(metric_signature(), n, {"d": table})
 
 
 # ------------------------------------------------------------ validation
@@ -288,10 +273,6 @@ def extend_point(
     return out
 
 
-def extend_with_distances(m, dists, note=None) -> PresentedStructure:
-    return extend_point(m, metric_rows(list(dists)), note=note)
-
-
 class MetricBuilder:
     """A metric-only structure grown point by point over integers.
 
@@ -385,36 +366,6 @@ class MetricBuilder:
         m = PresentedStructure(self.sig, n, {"d": table}, log)
         m._unit = all(0 <= v <= L for v in values)
         return m
-
-
-# --------------------------------------------------------------- quotient
-
-
-def metric_quotient(m: PresentedStructure) -> PresentedStructure:
-    """Identify zero-distance points (representative = least index)."""
-    d = m.tables["d"]
-    rep = list(range(m.n))
-    for i in range(m.n):
-        for j in range(i):
-            if d[(i, j)] == 0 and rep[i] == i:
-                rep[i] = rep[j]
-    reps = sorted(set(rep))
-    index = {r: k for k, r in enumerate(reps)}
-    tables: Tables = {}
-    for rel in m.sig.relations:
-        table = m.tables[rel.name]
-        new_table = {}
-        for tup in product(range(m.n), repeat=rel.arity):
-            canon = tuple(rep[i] for i in tup)
-            if table[tup] != table[canon]:
-                raise QuotientIllDefinedError(
-                    f"{rel.name}{tup} = {table[tup]} but {rel.name}{canon} = {table[canon]}"
-                )
-            if tup == canon:
-                new_table[tuple(index[i] for i in tup)] = table[tup]
-        tables[rel.name] = new_table
-    record = {"quotient": {orig: index[rep[orig]] for orig in range(m.n)}}
-    return PresentedStructure(m.sig, len(reps), tables, m.provenance_log + (record,))
 
 
 # --------------------------------------------------------------- file I/O

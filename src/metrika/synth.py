@@ -35,12 +35,10 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations, count, product
 
-from .errors import NotAPrefixError, SeedViolatesTheoryError
-from .evaluation import check_condition, evaluate
+from .errors import SeedViolatesTheoryError
+from .evaluation import check_condition
 from .logic import (
     Condition,
-    Formula,
-    Inf,
     Signature,
     graph_signature,
     metric_signature,
@@ -313,13 +311,7 @@ def graph_tasks(max_size: int, vertices: int | None = None):
                     yield _split(rest + (v,), split)
 
 
-# ----------------------------------------------------------- e.c. checks
-
-
-@dataclass(frozen=True)
-class WitnessCheck:
-    passes: bool
-    gap: Fraction
+# ---------------------------------------------------------------- prefix
 
 
 def is_prefix(m: PresentedStructure, n_ext: PresentedStructure) -> bool:
@@ -332,33 +324,3 @@ def is_prefix(m: PresentedStructure, n_ext: PresentedStructure) -> bool:
             if big[tup] != v:
                 return False
     return True
-
-
-def ec_witness_check(
-    m: PresentedStructure,
-    n_ext: PresentedStructure,
-    phi: Formula,
-    params,
-    tol: Fraction,
-) -> WitnessCheck:
-    """Finite-scale falsifier of e.c.-ness: does inf_x phi(x, params) drop
-    by more than tol when passing from m to the extension?
-
-    The witness variable x is phi's first free variable; params bind the
-    remaining free variables in order.
-    """
-    if not is_prefix(m, n_ext):
-        raise NotAPrefixError("first structure is not a prefix of the second")
-    free = phi.free_variables()
-    witness_var, others = free[0], free[1:]
-    params = tuple(params)
-    if len(others) != len(params):
-        raise ValueError(f"need {len(others)} parameters, got {len(params)}")
-    if any(p >= m.n for p in params):
-        raise ValueError("parameters must lie in the prefix")
-    base = dict(zip(others, params))
-    inf_phi = Inf(witness_var, phi)
-    inf_m = min(ONE, evaluate(inf_phi, m, base))
-    inf_n = min(ONE, evaluate(inf_phi, n_ext, base))
-    gap = max(ZERO, inf_m - inf_n)
-    return WitnessCheck(inf_m <= inf_n + Fraction(tol), gap)

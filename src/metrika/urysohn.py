@@ -16,19 +16,6 @@ from fractions import Fraction
 from itertools import chain, combinations, product
 
 from .errors import PreconditionViolatedError, SizeMismatchError
-from .logic import (
-    AbsDiff,
-    Atom,
-    Condition,
-    Const,
-    Formula,
-    Inf,
-    Min,
-    Neg,
-    ScaleQ,
-    Sup,
-    max_of,
-)
 from .rationals import ONE, ZERO, format_rational, parse_rational
 from .structures import PresentedStructure, admissible, lattice, scaled, tuples_naming
 
@@ -175,19 +162,6 @@ class ObligationScan:
         return any(all(abs(dist(p, y) - c) <= eps for p, c in col) for y in range(n))
 
 
-def config_formula(theta: DistanceConfiguration, var_names=None) -> Formula:
-    """The configuration as a formula (max of |d(x_i,x_j) - r_ij|)."""
-    names = var_names or tuple(f"x{i + 1}" for i in range(theta.n))
-    if len(names) != theta.n:
-        raise SizeMismatchError("need one variable per configuration point")
-    parts = [
-        AbsDiff(Atom("d", (names[i], names[j])), Const(theta.r[i][j]))
-        for i in range(theta.n)
-        for j in range(i + 1, theta.n)
-    ]
-    return max_of(parts)
-
-
 # --------------------------------------------------------- Katetov repair
 
 
@@ -233,40 +207,6 @@ def katetov_row(n, d, pts, s, slack, unit=ONE) -> list:
     anchor pts_a.  The unit is ONE for rational distances, or L for
     distances as integers over L."""
     return [min([unit] + [sa + slack + d(x, p) for p, sa in zip(pts, s)]) for x in range(n)]
-
-
-# ----------------------------------------------------------- axiom schema
-
-
-def axiom_instance(
-    theta: DistanceConfiguration, eps: Fraction, delta: Fraction
-) -> Condition:
-    """The extension axiom for theta as a closed condition:
-    roughly "wherever theta's restriction holds within delta, some y
-    realizes theta within eps".
-
-    When eps/(1-delta) exceeds 1 it is not a legal scale factor; the
-    condition is then rescaled by (1-delta) on both sides, preserving its
-    meaning while staying inside [0,1]-valued connectives.
-    """
-    eps, delta = Fraction(eps), Fraction(delta)
-    if not (ZERO < eps < ONE and ZERO < delta < ONE):
-        raise ValueError("need eps, delta in (0,1)")
-    k = theta.n - 1
-    xs = tuple(f"x{i + 1}" for i in range(k))
-    rest = config_formula(restrict(theta), xs)
-    full = config_formula(theta, xs + ("y",))
-    coeff = eps / (ONE - delta)
-    if coeff <= ONE:
-        inner = Min(ScaleQ(coeff, Neg(rest)), full)
-        bound = eps
-    else:
-        inner = Min(ScaleQ(eps, Neg(rest)), ScaleQ(ONE - delta, full))
-        bound = eps * (ONE - delta)
-    body: Formula = Inf("y", inner)
-    for v in reversed(xs):
-        body = Sup(v, body)
-    return Condition(body, "<=", bound)
 
 
 # ----------------------------------------------------------------- report

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import settings
 
 from metrika import metric_signature
-from metrika.structures import from_distance_matrix
+
+from references import from_distance_matrix
 
 # wall-clock deadlines make exact-arithmetic property tests flaky under load
 settings.register_profile("metrika", deadline=None)

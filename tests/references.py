@@ -1,0 +1,191 @@
+"""Fraction-level builders and references that only the tests read.
+
+The package grows structures on integers (``structures.MetricBuilder``)
+and evaluates formulas through compiled kernels; the helpers here build
+small structures from rational matrices and state a few definitions
+directly in Fractions, so that the tests can hold the package to them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import reduce
+from itertools import islice, product
+
+from metrika.errors import SizeMismatchError
+from metrika.evaluation import evaluate
+from metrika.logic import (
+    AbsDiff,
+    Atom,
+    Condition,
+    Const,
+    Formula,
+    Inf,
+    Max,
+    Min,
+    Neg,
+    ScaleQ,
+    Sup,
+    metric_signature,
+)
+from metrika.polish import BorelPi2, Pi2Result, fair_tuples
+from metrika.rationals import ONE, ZERO
+from metrika.structures import PresentedStructure, Tables, extend_point, metric_rows
+from metrika.synth import is_prefix
+from metrika.urysohn import DistanceConfiguration, restrict
+
+
+# ------------------------------------------------------------- builders
+
+
+def empty_structure(sig) -> PresentedStructure:
+    return PresentedStructure(sig, 0, {r.name: {} for r in sig.relations})
+
+
+def from_distance_matrix(rows) -> PresentedStructure:
+    """Build a metric-only structure from a full square matrix of rationals."""
+    n = len(rows)
+    table = {
+        (i, j): Fraction(rows[i][j]) for i in range(n) for j in range(n)
+    }
+    return PresentedStructure(metric_signature(), n, {"d": table})
+
+
+def extend_with_distances(m, dists, note=None) -> PresentedStructure:
+    return extend_point(m, metric_rows(list(dists)), note=note)
+
+
+def metric_quotient(m: PresentedStructure) -> PresentedStructure:
+    """Identify zero-distance points (representative = least index); a
+    relation that tells two identified tuples apart raises ValueError."""
+    d = m.tables["d"]
+    rep = list(range(m.n))
+    for i in range(m.n):
+        for j in range(i):
+            if d[(i, j)] == 0 and rep[i] == i:
+                rep[i] = rep[j]
+    reps = sorted(set(rep))
+    index = {r: k for k, r in enumerate(reps)}
+    tables: Tables = {}
+    for rel in m.sig.relations:
+        table = m.tables[rel.name]
+        new_table = {}
+        for tup in product(range(m.n), repeat=rel.arity):
+            canon = tuple(rep[i] for i in tup)
+            if table[tup] != table[canon]:
+                raise ValueError(
+                    f"{rel.name}{tup} = {table[tup]} but {rel.name}{canon} = {table[canon]}"
+                )
+            if tup == canon:
+                new_table[tuple(index[i] for i in tup)] = table[tup]
+        tables[rel.name] = new_table
+    record = {"quotient": {orig: index[rep[orig]] for orig in range(m.n)}}
+    return PresentedStructure(m.sig, len(reps), tables, m.provenance_log + (record,))
+
+
+# ------------------------------------------------------- e.c. witnesses
+
+
+@dataclass(frozen=True)
+class WitnessCheck:
+    passes: bool
+    gap: Fraction
+
+
+def ec_witness_check(
+    m: PresentedStructure,
+    n_ext: PresentedStructure,
+    phi: Formula,
+    params,
+    tol: Fraction,
+) -> WitnessCheck:
+    """Finite-scale falsifier of e.c.-ness: does inf_x phi(x, params) drop
+    by more than tol when passing from m to the extension?
+
+    The witness variable x is phi's first free variable; params bind the
+    remaining free variables in order.  An n_ext that m is not a prefix
+    of raises ValueError.
+    """
+    if not is_prefix(m, n_ext):
+        raise ValueError("first structure is not a prefix of the second")
+    free = phi.free_variables()
+    witness_var, others = free[0], free[1:]
+    params = tuple(params)
+    if len(others) != len(params):
+        raise ValueError(f"need {len(others)} parameters, got {len(params)}")
+    if any(p >= m.n for p in params):
+        raise ValueError("parameters must lie in the prefix")
+    base = dict(zip(others, params))
+    inf_phi = Inf(witness_var, phi)
+    inf_m = min(ONE, evaluate(inf_phi, m, base))
+    inf_n = min(ONE, evaluate(inf_phi, n_ext, base))
+    gap = max(ZERO, inf_m - inf_n)
+    return WitnessCheck(inf_m <= inf_n + Fraction(tol), gap)
+
+
+# ------------------------------------------------------- axiom schema
+
+
+def max_of(parts) -> Formula:
+    parts = list(parts)
+    return reduce(Max, parts) if parts else Const(ZERO)
+
+
+def config_formula(theta: DistanceConfiguration, var_names=None) -> Formula:
+    """The configuration as a formula (max of |d(x_i,x_j) - r_ij|)."""
+    names = var_names or tuple(f"x{i + 1}" for i in range(theta.n))
+    if len(names) != theta.n:
+        raise SizeMismatchError("need one variable per configuration point")
+    parts = [
+        AbsDiff(Atom("d", (names[i], names[j])), Const(theta.r[i][j]))
+        for i in range(theta.n)
+        for j in range(i + 1, theta.n)
+    ]
+    return max_of(parts)
+
+
+def axiom_instance(
+    theta: DistanceConfiguration, eps: Fraction, delta: Fraction
+) -> Condition:
+    """The extension axiom for theta as a closed condition:
+    roughly "wherever theta's restriction holds within delta, some y
+    realizes theta within eps".
+
+    When eps/(1-delta) exceeds 1 it is not a legal scale factor; the
+    condition is then rescaled by (1-delta) on both sides, preserving its
+    meaning while staying inside [0,1]-valued connectives.
+    """
+    eps, delta = Fraction(eps), Fraction(delta)
+    if not (ZERO < eps < ONE and ZERO < delta < ONE):
+        raise ValueError("need eps, delta in (0,1)")
+    k = theta.n - 1
+    xs = tuple(f"x{i + 1}" for i in range(k))
+    rest = config_formula(restrict(theta), xs)
+    full = config_formula(theta, xs + ("y",))
+    coeff = eps / (ONE - delta)
+    if coeff <= ONE:
+        inner = Min(ScaleQ(coeff, Neg(rest)), full)
+        bound = eps
+    else:
+        inner = Min(ScaleQ(eps, Neg(rest)), ScaleQ(ONE - delta, full))
+        bound = eps * (ONE - delta)
+    body: Formula = Inf("y", inner)
+    for v in reversed(xs):
+        body = Sup(v, body)
+    return Condition(body, "<=", bound)
+
+
+# ------------------------------------------------------- Pi-2 membership
+
+
+def per_tuple_pi2_membership(m, b: BorelPi2, depth: int, mode: str) -> Pi2Result:
+    """``polish.pi2_depth_membership`` as one ``evaluate`` call per outer
+    tuple, each rescaling m's tables: the oracle of the compile-once scan."""
+    witness_inf = b.phi
+    for v in reversed(b.inner_vars):
+        witness_inf = Inf(v, witness_inf)
+    for outer in islice(fair_tuples(m.n, len(b.outer_vars)), depth):
+        if not evaluate(witness_inf, m, dict(zip(b.outer_vars, outer))) < b.eps:
+            return Pi2Result("refuted" if mode == "finite" else "unknown", outer)
+    return Pi2Result("consistent")

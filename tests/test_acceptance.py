@@ -53,14 +53,14 @@ from metrika.logic import (
 )
 from metrika.polish import BasicOpen, basic_open_membership
 from metrika.sampling import trial_rng
-from metrika.structures import extend_with_distances
 from metrika.urysohn import (
     DistanceConfiguration,
     config_error,
-    config_formula,
     delta_for,
     restrict,
 )
+
+from references import config_formula, extend_with_distances
 
 ZERO = F(0)
 ONE = F(1)

@@ -16,7 +16,9 @@ from hypothesis import example, given, settings, strategies as st
 from metrika import all_configurations, cli, graph_seed
 from metrika.logic import Relation, Signature
 from metrika.rationals import ZERO, ONE
-from metrika.structures import PresentedStructure, from_distance_matrix, save
+from metrika.structures import PresentedStructure, save
+
+from references import from_distance_matrix
 
 
 @pytest.fixture()
@@ -64,6 +66,14 @@ class TestEval:
         assert code == 2
         err = assert_one_line_error(capsys, "usage error:")
         assert "--assign names z, not a free variable" in err
+
+    def test_variable_assigned_twice_usage_error(self, two_point, capsys):
+        code = cli.main(
+            ["eval", "--structure", two_point, "--formula", "d(x,y)",
+             "--assign", "x=0,y=1,x=1"])
+        assert code == 2
+        err = assert_one_line_error(capsys, "usage error:")
+        assert "--assign names x twice" in err
 
     def test_unassigned_free_variable_domain_error(self, two_point, capsys):
         code = cli.main(["eval", "--structure", two_point, "--formula", "sup x. d(x,y)"])
@@ -276,6 +286,17 @@ class TestSampleAuditGenericity:
              "d(x,y)", "--eps", "1/2", "--sigma", sigma, "--seed", "0", "--out", str(out)])
         assert code == 2
         assert_one_line_error(capsys, "usage error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eps", ["-1/2", "0", "3"])
+    def test_audit_eps_outside_unit_interval_usage_error(self, eps, tmp_path, capsys):
+        out = tmp_path / "audit.json"
+        code = cli.main(
+            ["audit", "--kind", "sequential", "--n", "2", "--trials", "3", "--formula",
+             "d(x,y)", f"--eps={eps}", "--seed", "0", "--out", str(out)])
+        assert code == 2
+        err = assert_one_line_error(capsys, "usage error:")
+        assert "--eps must be in (0,1]" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("verb", ["sample", "audit", "genericity"])

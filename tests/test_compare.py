@@ -14,8 +14,10 @@ from metrika import (
 )
 from metrika.compare import BackAndForthResult, PartialCorrespondence, _Budget
 from metrika.sampling import trial_rng
-from metrika.structures import PresentedStructure, from_distance_matrix
+from metrika.structures import PresentedStructure
 from metrika.logic import Relation, Signature, metric_signature
+
+from references import from_distance_matrix
 
 ZERO = F(0)
 ONE = F(1)

@@ -39,9 +39,9 @@ from metrika.sampling import MeasureSpec, invariance_audit, sample_space, trial_
 from metrika.structures import (
     PresentedStructure,
     admissible,
-    extend_with_distances,
-    from_distance_matrix,
 )
+
+from references import extend_with_distances, from_distance_matrix, metric_quotient
 
 SIG = metric_signature()
 
@@ -447,8 +447,6 @@ class TestCheckCondition:
         m = from_distance_matrix(
             [[0, 0, F(1, 2)], [0, 0, F(1, 2)], [F(1, 2), F(1, 2), 0]]
         )
-        from metrika.structures import metric_quotient
-
         q = metric_quotient(m)
         for text in (
             "sup x. sup y. d(x,y) <= 1/2",

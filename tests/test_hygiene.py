@@ -1,6 +1,7 @@
 """Source hygiene, read with the stdlib ``ast``: no unused import in the
 package or its tests, no private module-level function or class that
-nothing in the package references, no defaulted parameter that no call
+nothing in the package references, no public one that neither the rest of
+the package nor the benchmark reads, no defaulted parameter that no call
 passes, no parameter that its function never reads, no error class that
 no other module raises, and no package line wider than ``MAX_COLUMNS``."""
 
@@ -71,6 +72,34 @@ def test_no_unreferenced_private_definitions():
             if not any(stmt.name in names_read(node) for node in elsewhere):
                 unreferenced.append(f"{name}:{stmt.lineno} {stmt.name}")
     assert not unreferenced
+
+
+# public names that wait for a caller the ROADMAP promises
+AWAITING_CALLER = {
+    "basic_open_membership",  # item 6, the topological notion
+    "encoded_distance",  # item 6
+    "pi2_depth_membership",  # item 6
+    "graph_tasks",  # item 3, one fair worklist for both theories
+}
+BENCHMARK = [ast.parse(path.read_text(), str(path))
+             for path in sorted((Path(__file__).parent.parent / "perfbench").rglob("*.py"))]
+
+
+def test_every_public_name_has_a_caller():
+    """Each public module-level function or class is read by another part
+    of the package (``__init__``'s exports aside) or by the benchmark."""
+    uncalled = []
+    for name, tree in MODULES.items():
+        for i, stmt in enumerate(tree.body):
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if stmt.name.startswith("_") or stmt.name in AWAITING_CALLER:
+                continue
+            elsewhere = [s for j, s in enumerate(tree.body) if j != i]
+            elsewhere += [t for other, t in MODULES.items() if other not in (name, "__init__.py")]
+            if not any(stmt.name in names_read(node) for node in elsewhere + BENCHMARK):
+                uncalled.append(f"{name}:{stmt.lineno} {stmt.name}")
+    assert not uncalled
 
 
 def test_every_error_class_is_raised_elsewhere():

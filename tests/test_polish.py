@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from metrika import (
     BasicOpen,
@@ -12,20 +12,32 @@ from metrika import (
     IndexOutOfPrefixError,
     LengthMismatchError,
     PointsOutOfPrefixError,
-        basic_open_membership,
+    basic_open_membership,
     encode,
     encoded_distance,
-    extend_with_distances,
-    from_distance_matrix,
     graph_seed,
     index_enumeration,
     metric_signature,
     parse_formula,
     pi2_depth_membership,
 )
-from metrika.logic import Relation, Signature
+from metrika.logic import (
+    AbsDiff,
+    Atom,
+    Const,
+    DotMinus,
+    Max,
+    Min,
+    Neg,
+    Relation,
+    ScaleQ,
+    Signature,
+    TruncPlus,
+)
 from metrika import polish
 from metrika.polish import Code, fair_tuples
+
+from references import extend_with_distances, from_distance_matrix, per_tuple_pi2_membership
 
 
 SIG = metric_signature()
@@ -291,3 +303,45 @@ def test_pi2_depth_zero_vacuous():
     phi = parse_formula("absdiff(d(x,y), 1/2)", SIG)
     b = BorelPi2(phi, ("x",), ("y",), F(1, 8))
     assert pi2_depth_membership(m, b, depth=0).status == "consistent"
+
+
+VARS = ("x", "y", "z")
+
+
+def _matrices(n):
+    # entries off [0, 1] too, so that the kernel's early stop is off
+    entry = st.sampled_from([F(k, 4) for k in range(-2, 7)])
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+_qf_formulas = st.recursive(
+    st.one_of(
+        st.builds(Atom, st.just("d"), st.tuples(st.sampled_from(VARS), st.sampled_from(VARS))),
+        st.sampled_from([Const(F(0)), Const(F(1, 3)), Const(F(1))]),
+    ),
+    lambda sub: st.one_of(
+        st.builds(Neg, sub),
+        st.builds(ScaleQ, st.sampled_from([F(1, 2), F(2, 3)]), sub),
+        *(st.builds(c, sub, sub) for c in (Min, Max, DotMinus, TruncPlus, AbsDiff)),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150)
+@given(
+    rows=st.integers(0, 4).flatmap(_matrices),
+    phi=_qf_formulas,
+    split=st.integers(0, 3),
+    eps=st.sampled_from([F(1, 8), F(1, 3), F(1, 2), F(1)]),
+    depth=st.integers(0, 30),
+    mode=st.sampled_from(["finite", "prefix"]),
+)
+def test_pi2_matches_per_tuple_evaluate(rows, phi, split, eps, depth, mode):
+    """One bound kernel over every outer tuple gives the status and the
+    refuting outer tuple of one ``evaluate`` call per tuple."""
+    m = from_distance_matrix(rows)
+    b = BorelPi2(phi, VARS[:split], VARS[split:], eps)
+    got = pi2_depth_membership(m, b, depth, mode)
+    assert got == per_tuple_pi2_membership(m, b, depth, mode)
+

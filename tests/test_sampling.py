@@ -22,8 +22,6 @@ from metrika.sampling import trial_rng
 from metrika.structures import (
     admissible,
     admissible_interval,
-    extend_with_distances,
-    from_distance_matrix,
 )
 from metrika.urysohn import (
     DistanceConfiguration,
@@ -32,6 +30,8 @@ from metrika.urysohn import (
     delta_for,
     restrict,
 )
+
+from references import extend_with_distances, from_distance_matrix
 
 ZERO = F(0)
 ONE = F(1)
@@ -155,6 +155,12 @@ class TestInvarianceAudit:
         phi = parse_formula("d(x,y)", metric_signature())
         with pytest.raises(ValueError, match="trials must be >= 1"):
             invariance_audit(SEQ, n=3, trials=0, phi=phi, eps=F(1, 2))
+
+    @pytest.mark.parametrize("eps", [F(-1, 2), ZERO, F(3)])
+    def test_eps_outside_unit_interval_rejected(self, eps):
+        phi = parse_formula("d(x,y)", metric_signature())
+        with pytest.raises(ValueError, match=r"eps must be in \(0,1\]"):
+            invariance_audit(SEQ, n=3, trials=10, phi=phi, eps=eps)
 
     def test_json_shape(self):
         sig = metric_signature()

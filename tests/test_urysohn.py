@@ -11,14 +11,11 @@ from metrika import (
     PreconditionViolatedError,
     SizeMismatchError,
     all_configurations,
-    axiom_instance,
     check_condition,
     config_error,
     delta_for,
     evaluate,
     extension_property_report,
-    extend_with_distances,
-    from_distance_matrix,
     katetov_witness,
     restrict,
     validate,
@@ -26,9 +23,15 @@ from metrika import (
 from metrika.structures import MetricBuilder, admissible, admissible_interval, lattice, scaled
 from metrika.urysohn import (
     ObligationScan,
-    config_formula,
     load_configurations,
     save_configurations,
+)
+
+from references import (
+    axiom_instance,
+    config_formula,
+    extend_with_distances,
+    from_distance_matrix,
 )
 
 
