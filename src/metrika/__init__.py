@@ -34,11 +34,10 @@ from .logic import (
     quantifier_class,
 )
 from .structures import (
+    MetricBuilder,
     PresentedStructure,
     ValidationReport,
-    extend_point,
     load,
-    metric_rows,
     save,
     validate,
 )

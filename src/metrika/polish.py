@@ -137,6 +137,9 @@ class BorelPi2:
             raise ValueError("the matrix of a Pi-2 condition must be quantifier free")
         if not ZERO < self.eps <= ONE:
             raise ValueError(f"eps must be in (0,1], got {self.eps}")
+        stray = set(self.phi.free_variables()) - set(self.outer_vars + self.inner_vars)
+        if stray:
+            raise ValueError(f"free variables {sorted(stray)} are neither outer nor inner")
 
 
 def fair_tuples(n: int, k: int):

@@ -1,14 +1,13 @@
 """Finite pre-structures with exact rational interpretation tables.
 
 A ``PresentedStructure`` is the finite prefix 0..n-1 of a countable dense
-presentation.  Values are immutable after construction; ``extend_point``
-returns a new structure sharing the old prefix bit-for-bit.
+presentation, checked by ``validate``; a metric-only one grows point by
+point on a ``MetricBuilder``, which keeps the prefix bit-for-bit.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
@@ -94,7 +93,7 @@ class PresentedStructure:
 
 def validate(m: PresentedStructure) -> ValidationReport:
     """Exhaustively check the pre-structure axioms; never raises."""
-    violations = tuple(_violations(m, 0))
+    violations = tuple(_violations(m))
     d = m.tables["d"]
     is_metric = all(
         d[(i, j)] > 0 for i in range(m.n) for j in range(m.n) if i != j
@@ -141,30 +140,27 @@ def scaled_tables(*ms: PresentedStructure) -> tuple[int, list[dict]]:
     ]
 
 
-def _violations(m: PresentedStructure, first_new: int):
-    """Axiom violations among the tuples naming a point >= first_new, in
-    validate's order.  The checks of one extension of a metric prefix by a
-    single point (first_new = n - 1) cost O(n^2)."""
+def _violations(m: PresentedStructure):
+    """Every axiom violation of m, in validate's order."""
     n = m.n
-    new = range(first_new, n)
     for rel in m.sig.relations:
         table = m.tables[rel.name]
-        for tup in tuples_naming(n, rel.arity, first_new):
+        for tup in m.tuples(rel.arity):
             v = table[tup]
             if not ZERO <= v <= ONE:
                 yield Violation("range", (rel.name,) + tup, v, ONE)
     d = m.tables["d"]
-    for i in new:
+    for i in range(n):
         if d[(i, i)] != 0:
             yield Violation("reflexivity", (i,), d[(i, i)], ZERO)
     for i in range(n):
-        for j in range(max(i + 1, first_new), n):
+        for j in range(i + 1, n):
             if d[(i, j)] != d[(j, i)]:
                 yield Violation("symmetry", (i, j), d[(i, j)], d[(j, i)])
     for i in range(n):
         for j in range(n):
             dij = d[(i, j)]
-            for k in (range(n) if i >= first_new or j >= first_new else new):
+            for k in range(n):
                 if d[(i, k)] > dij + d[(j, k)]:
                     yield Violation("triangle", (i, j, k), d[(i, k)], dij + d[(j, k)])
     # Lipschitz bounds for the non-metric relations.  The metric's own
@@ -181,16 +177,9 @@ def _violations(m: PresentedStructure, first_new: int):
         table, a = m.tables[rel.name], ints[rel.name]
         p, q = rel.lipschitz.numerator, rel.lipschitz.denominator
         every = list(m.tuples(rel.arity))
-        fresh = tuples_naming(n, rel.arity, first_new)
         for iu, u in enumerate(every):
             au = a[u]
-            # the pairs u < v: every later tuple, or only the fresh ones
-            # when u names no new point
-            if max(u, default=-1) >= first_new:
-                later = every[iu + 1:]
-            else:
-                later = fresh[bisect_right(fresh, u):]
-            for v in later:
+            for v in every[iu + 1:]:
                 if abs(au - a[v]) * q > p * max(map(gaps.__getitem__, zip(u, v))):
                     yield Violation(
                         "lipschitz",
@@ -235,54 +224,15 @@ def admissible_interval(d, s, unit=ONE):
 # -------------------------------------------------------------- extension
 
 
-def metric_rows(dists) -> Tables:
-    """Rows for a new point of a metric-only structure: dists[i] = d(i, new)."""
-    n = len(dists)
-    rows: dict[tuple[int, ...], Fraction] = {(n, n): ZERO}
-    for i, v in enumerate(dists):
-        v = Fraction(v)
-        rows[(i, n)] = v
-        rows[(n, i)] = v
-    return {"d": rows}
-
-
-def extend_point(
-    m: PresentedStructure, rows: Tables, note=None
-) -> PresentedStructure:
-    """Add point n; ``rows`` must give every tuple mentioning it.
-
-    The prefix m is assumed valid: only the tuples naming the new point
-    are checked, at O(n^2) cost for a metric-only structure.  On failure
-    the raised error carries the full ``validate`` report of the result.
-    """
-    n = m.n
-    tables: Tables = {}
-    for rel in m.sig.relations:
-        new_table = dict(m.tables[rel.name])
-        given = rows.get(rel.name, {})
-        for tup in product(range(n + 1), repeat=rel.arity):
-            if n in tup:
-                if tup not in given:
-                    raise ValueError(f"missing row for {rel.name}{tup}")
-                new_table[tup] = Fraction(given[tup])
-        tables[rel.name] = new_table
-    record = {"point": n, "note": note}
-    out = PresentedStructure(m.sig, n + 1, tables, m.provenance_log + (record,))
-    if next(_violations(out, n), None) is not None:
-        raise ExtensionViolatesAxiomsError(validate(out))
-    return out
-
-
 class MetricBuilder:
-    """A metric-only structure grown point by point over integers.
+    """The one-point extension: a metric-only structure grown over integers.
 
     Every distance is held as an integer over one denominator L, the lcm
     of the `grids`' denominators and the prefix's: ``rows[j][i]`` is
     d(i, j) for i < j, the row point j was added with.  The prefix is
-    assumed valid, as for ``extend_point``; each new row gets exactly the
-    check ``extend_point`` makes of it (every entry in 0..L, then the
-    Katetov row test), and ``freeze`` builds the ``PresentedStructure``
-    once, at the end.
+    assumed valid, so a new row is checked only where it can break an
+    axiom: every entry in 0..L, then the Katetov row test, at O(n^2)
+    cost.  ``freeze`` builds the ``PresentedStructure`` once, at the end.
     """
 
     __slots__ = ("sig", "L", "rows", "_base", "_log", "_notes")
@@ -330,12 +280,17 @@ class MetricBuilder:
         return True
 
     def add(self, row, note=None) -> None:
-        """``try_add``, raising as ``extend_point`` does on a bad row."""
+        """``try_add``; on a bad row, raise ExtensionViolatesAxiomsError
+        carrying the ``validate`` report of the structure it would give."""
         if not self.try_add(row, note):
+            n = len(row)
             table = self.freeze().tables["d"]
-            table.update(metric_rows([Fraction(v, self.L) for v in row])["d"])
-            m = PresentedStructure(self.sig, len(row) + 1, {"d": table})
-            raise ExtensionViolatesAxiomsError(validate(m))
+            table[(n, n)] = ZERO
+            for i, v in enumerate(row):
+                table[(i, n)] = table[(n, i)] = Fraction(v, self.L)
+            raise ExtensionViolatesAxiomsError(
+                validate(PresentedStructure(self.sig, n + 1, {"d": table}))
+            )
 
     def truncate(self, n: int) -> None:
         """Drop the points added from point n on; n >= the prefix size."""
@@ -346,8 +301,8 @@ class MetricBuilder:
 
     def freeze(self, provenance=True) -> PresentedStructure:
         """The structure built so far, with one Fraction per distinct
-        distance.  Each added point leaves the record ``extend_point``
-        writes; provenance=False keeps only the prefix's records."""
+        distance.  Each added point leaves the record {"point": index,
+        "note": note}; provenance=False keeps only the prefix's records."""
         rows, L = self.rows, self.L
         values = set(chain.from_iterable(rows))
         frac = {v: Fraction(v, L) for v in values}

@@ -64,6 +64,8 @@ class DistanceConfiguration:
     def from_json(rows, parse=parse_rational) -> "DistanceConfiguration":
         if not all(isinstance(row, list) for row in rows):
             raise ValueError(f"a configuration is a list of rows, got {rows!r}")
+        if not rows:
+            raise ValueError("a configuration needs at least one point")
         return DistanceConfiguration(tuple(tuple(parse(v) for v in row) for row in rows))
 
 
@@ -291,6 +293,8 @@ def save_configurations(configs, path) -> None:
 def load_configurations(path):
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, list) or not data:
+        raise ValueError("a configuration file is a nonempty list of configurations")
     memo: dict[str, Fraction] = {}
 
     def parse(text):

@@ -31,7 +31,7 @@ from metrika.logic import (
 )
 from metrika.polish import BorelPi2, Pi2Result, fair_tuples
 from metrika.rationals import ONE, ZERO
-from metrika.structures import PresentedStructure, Tables, extend_point, metric_rows
+from metrika.structures import MetricBuilder, PresentedStructure, Tables, scaled
 from metrika.synth import is_prefix
 from metrika.urysohn import DistanceConfiguration, restrict
 
@@ -53,7 +53,12 @@ def from_distance_matrix(rows) -> PresentedStructure:
 
 
 def extend_with_distances(m, dists, note=None) -> PresentedStructure:
-    return extend_point(m, metric_rows(list(dists)), note=note)
+    """m plus one point at the rational distances dists, through the
+    builder's check."""
+    dists = [Fraction(v) for v in dists]
+    b = MetricBuilder(m, *dists)
+    b.add(scaled(dists, b.L), note)
+    return b.freeze()
 
 
 def metric_quotient(m: PresentedStructure) -> PresentedStructure:

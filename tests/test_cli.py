@@ -473,6 +473,32 @@ class TestConfigurationFiles:
         assert code == 3
         assert_one_line_error(capsys, "file/format error:")
 
+    def test_configs_file_holding_none_is_format_error(self, two_point, tmp_path,
+                                                       capsys):
+        # an empty list would otherwise report "total": 0, a vacuous pass
+        cfg_path = tmp_path / "configs.json"
+        cfg_path.write_text("[]")
+        code = cli.main(
+            ["report", "--structure", two_point, "--configs", str(cfg_path),
+             "--eps", "1/8"])
+        assert code == 3
+        assert str(cfg_path) in assert_one_line_error(capsys, "file/format error:")
+
+    @pytest.mark.parametrize("verb", ["report", "genericity"])
+    def test_zero_point_configuration_is_format_error(self, verb, two_point, tmp_path,
+                                                      capsys):
+        path = tmp_path / "cfg.json"
+        if verb == "report":
+            path.write_text("[[]]")
+            argv = ["report", "--structure", two_point, "--configs", str(path),
+                    "--eps", "1/8"]
+        else:
+            path.write_text("[]")
+            argv = ["genericity", "--theta", str(path), "--eps", "1/4",
+                    "--n-values", "3", "--trials", "2", "--seed", "0"]
+        assert cli.main(argv) == 3
+        assert str(path) in assert_one_line_error(capsys, "file/format error:")
+
     @pytest.mark.parametrize("verb", ["report", "genericity"])
     def test_matrix_of_strings_is_format_error(self, verb, two_point, tmp_path,
                                                capsys):

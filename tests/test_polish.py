@@ -298,6 +298,12 @@ def test_pi2_prefix_mode_never_refutes():
     assert res.status == "unknown"
 
 
+def test_pi2_free_variable_outside_both_blocks_rejected():
+    # z is neither outer nor inner, so no prefix could decide the condition
+    with pytest.raises(ValueError, match="neither outer nor inner"):
+        BorelPi2(parse_formula("d(x,z)", SIG), ("x",), ("y",), F(1, 4))
+
+
 def test_pi2_depth_zero_vacuous():
     m = space([[0, 1], [1, 0]])
     phi = parse_formula("absdiff(d(x,y), 1/2)", SIG)
