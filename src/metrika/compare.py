@@ -8,8 +8,18 @@ The search compares integers: both structures' tables are scaled by the
 lcm L of all their denominators, and a gap |A - B| exceeds eps exactly
 when the scaled gap exceeds floor(eps * L).  Only ``distortion`` and the
 reported result use rationals.  The search holds the matched points once,
-as two position-aligned lists that it appends to and pops from, and checks
-a new pair against the tuples through it alone.
+as two position-aligned lists that it appends to and pops from.
+
+A new pair can raise the distortion only through the tuples naming it.
+For a source s, each such tuple fixes the source side's value v and, on
+the candidate side, a pattern of matched points with the new position
+left open; the candidates c keeping |T[pattern filled with c] - v| within
+eps form one bitmask, built by one scan of the candidate side the first
+time that (side, relation, pattern, v) comes up in a call.  The AND of a
+source's masks is its set of passing candidates, found once per source
+rather than once per candidate.  Nodes still count every candidate the
+one-by-one search would have tried: each visited candidate charges the
+run of unmatched points up to it, and a finished source the rest.
 """
 
 from __future__ import annotations
@@ -37,6 +47,12 @@ class PartialCorrespondence:
 def distortion(pairs, m: PresentedStructure, n: PresentedStructure) -> Fraction:
     """Exact max deviation over all matched tuples and relations."""
     pairs = list(pairs)
+    for i, j in pairs:
+        if not (0 <= i < m.n and 0 <= j < n.n):
+            raise ValueError(
+                f"pair ({i}, {j}) names a point outside the structures "
+                f"({m.n} and {n.n} points)"
+            )
     left = [p[0] for p in pairs]
     right = [p[1] for p in pairs]
     if len(set(left)) != len(left) or len(set(right)) != len(right):
@@ -83,25 +99,37 @@ def back_and_forth(
 
     Sides alternate by turn (even turns draw the source from m, odd turns
     from n); the least unmatched point is tried first, and each source is
-    matched to any point on the other side keeping distortion <= eps.
-    Backtracking covers the source choice as well, so every injective
-    pairing of size `depth` is reachable: "failure" means the bounded
-    search proved no correspondence of that size exists (and is therefore
-    symmetric in m and n); "budget-exhausted" means it ran out of nodes
-    first.
+    matched to any point on the other side keeping distortion <= eps,
+    least first.  Backtracking covers the source choice as well, so every
+    injective pairing of size `depth` is reachable: "failure" means the
+    bounded search proved no correspondence of that size exists (and is
+    therefore symmetric in m and n); "budget-exhausted" means it ran out
+    of nodes first.
+
+    Each source's passing candidates are one AND of memoised bitmasks
+    (see the module docstring), but `nodes_explored` counts one node per
+    candidate tried, passing or not, as a one-by-one search would, and a
+    budget stop reports node_budget + 1 nodes.  Raises ValueError for
+    structures of different signatures, depth < 1, eps < 0 or
+    node_budget < 1.
     """
     if m.sig != n.sig:
         raise ValueError("structures must share a signature")
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    eps = Fraction(eps)
+    if eps < 0:
+        raise ValueError(f"eps must be >= 0, got {eps}")
+    if node_budget < 1:
+        raise ValueError(f"node_budget must be >= 1, got {node_budget}")
     if depth > min(m.n, n.n):
         return BackAndForthResult("failure", None, 0)
-    scale, (a_tables, b_tables) = scaled_tables(m, n)
-    (threshold,) = scaled([Fraction(eps)], scale)
+    scale, tables = scaled_tables(m, n)
+    (threshold,) = scaled([eps], scale)
     # newest[k]: the tuples through the last of k matched points; over
     # every k <= depth there are depth**arity of them, no more than a table
     rels = [
-        (a_tables[r.name], b_tables[r.name],
+        (r.name, [t[r.name] for t in tables],
          [tuples_naming(k, r.arity, k - 1) for k in range(depth + 1)])
         for r in m.sig.relations
     ]
@@ -110,36 +138,72 @@ def back_and_forth(
     left, right = matched
     nodes = 0
     best_stuck = ()
+    masks = {}  # (candidate side, relation, pattern, v) -> passing points
 
-    def extension_ok(k):
-        # only tuples naming the newest pair can raise the distortion
-        for a, b, newest in rels:
-            for idx in newest[k]:
-                a_idx = tuple(map(left.__getitem__, idx))
-                b_idx = tuple(map(right.__getitem__, idx))
-                if abs(a[a_idx] - b[b_idx]) > threshold:
-                    return False
-        return True
+    def scan(table, size, pattern, v):
+        # the points c with |table[pattern, c in its open positions] - v| <= eps
+        holes = [i for i, p in enumerate(pattern) if p < 0]
+        filled = list(pattern)
+        bits = 0
+        for c in range(size):
+            for i in holes:
+                filled[i] = c
+            if abs(table[tuple(filled)] - v) <= threshold:
+                bits |= 1 << c
+        return bits
+
+    def passing(k, side, src, dst, free):
+        # the points of `free` that extend the k matched pairs plus source
+        # src[k]; dst[k] is -1, the open position of every pattern
+        other = 1 - side
+        for name, tabs, newest in rels:
+            table = tabs[side]
+            for idx in newest[k + 1]:
+                pattern = tuple(map(dst.__getitem__, idx))
+                v = table[tuple(map(src.__getitem__, idx))]
+                key = (other, name, pattern, v)
+                bits = masks.get(key)
+                if bits is None:
+                    bits = masks[key] = scan(tabs[other], sizes[other], pattern, v)
+                free &= bits
+                if not free:
+                    return 0
+        return free
+
+    def charge(count):
+        nonlocal nodes
+        nodes += count
+        if nodes > node_budget:
+            nodes = node_budget + 1  # where counting one by one stops
+            raise _Budget()
 
     def search():
-        nonlocal nodes, best_stuck
+        nonlocal best_stuck
         k = len(left)
         if k == depth:
             return True
         side = k % 2  # the side this turn draws its source from
         src, dst = matched[side], matched[1 - side]
+        free = (1 << sizes[1 - side]) - 1
+        for j in dst:
+            free ^= 1 << j
         sources = [i for i in range(sizes[side]) if i not in src]
-        candidates = [j for j in range(sizes[1 - side]) if j not in dst]
         for s in sources:
             src.append(s)
-            for c in candidates:
-                nodes += 1
-                if nodes > node_budget:
-                    raise _Budget()
-                dst.append(c)
-                if extension_ok(k + 1) and search():
+            dst.append(-1)
+            ok = passing(k, side, src, dst, free)
+            rest = free  # the candidates not yet charged
+            while ok:
+                low = ok & -ok
+                run = rest & ((low << 1) - 1)
+                rest ^= run
+                charge(run.bit_count())
+                dst[k] = low.bit_length() - 1
+                if search():
                     return True
-                dst.pop()
+                ok ^= low
+            charge(rest.bit_count())
+            dst.pop()
             src.pop()
         if k >= len(best_stuck):
             best_stuck = tuple(zip(left, right))

@@ -45,6 +45,11 @@ class TestDistortion:
         pairs = [(0, 1), (1, 0), (2, 2)]
         assert distortion(pairs, THREE, THREE) == HALF
 
+    def test_point_outside_either_structure_rejected(self):
+        for pairs in ([(0, 0), (999, 999)], [(3, 0)], [(0, -1)]):
+            with pytest.raises(ValueError, match=r"pair \(\d+, -?\d+\)"):
+                distortion(pairs, THREE, THREE)
+
     def test_non_injective_rejected(self):
         with pytest.raises(ValueError):
             distortion([(0, 0), (1, 0)], THREE, THREE)
@@ -111,6 +116,17 @@ class TestBackAndForth:
     def test_depth_zero_rejected(self):
         with pytest.raises(ValueError):
             back_and_forth(THREE, THREE, eps=ONE, depth=0)
+
+    def test_negative_eps_rejected(self):
+        # no correspondence keeps a gap below 0, so a "failure" would be
+        # a vacuous proof
+        with pytest.raises(ValueError, match="eps"):
+            back_and_forth(THREE, THREE, eps=-HALF, depth=2)
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="node_budget"):
+            back_and_forth(THREE, THREE, eps=ONE, depth=1, node_budget=budget)
 
     def test_budget_exhaustion_reported(self):
         spec = MeasureSpec(kind="sequential", grid=F(1, 8), seed=3)
@@ -216,13 +232,14 @@ def _reference_back_and_forth(m, n, eps, depth, node_budget):
 
 @st.composite
 def _structure_pairs(draw):
-    """Two structures over d and a second relation P of arity 1 or 2, with
-    table values of mixed denominators (not necessarily metric)."""
-    arity = draw(st.integers(1, 2))
+    """Two structures of 1-7 points over d and a second relation P of arity
+    1, 2 or 3, with table values of mixed denominators (not necessarily
+    metric)."""
+    arity = draw(st.integers(1, 3))
     sig = Signature((Relation("d", 2, ONE), Relation("P", arity, ONE)))
 
     def structure():
-        size = draw(st.integers(1, 4))
+        size = draw(st.integers(1, 7))
         tables = {
             rel.name: {
                 t: draw(st.sampled_from(MIXED))
@@ -239,10 +256,25 @@ def _structure_pairs(draw):
 @given(
     _structure_pairs(),
     st.sampled_from(EPSILONS),
-    st.integers(1, 4),
-    st.sampled_from([4, 30, 100_000]),
+    st.integers(1, 5),
+    # small budgets stop inside a run of rejected candidates
+    st.one_of(st.integers(1, 120), st.just(100_000)),
 )
 def test_integer_search_matches_rational_reference(pair, eps, depth, node_budget):
     m, n = pair
     got = back_and_forth(m, n, eps, depth, node_budget=node_budget)
     assert got == _reference_back_and_forth(m, n, eps, depth, node_budget)
+
+
+def test_graph_closures_match_reference_at_workload_size():
+    # the graph-pipeline's compare: 39 against 35 vertices, stopped by its
+    # budget deep inside runs of rejected candidates
+    from metrika import ec_close, graph_seed, graph_spec
+
+    a = ec_close(graph_seed(1), graph_spec(3), 3000, rng_seed=0)
+    b = ec_close(graph_seed(1), graph_spec(3), 3000, rng_seed=1)
+    assert (a.n, b.n) == (39, 35)
+    got = back_and_forth(a, b, HALF, 12, node_budget=10_000)
+    assert got.status == "budget-exhausted"
+    assert got.nodes_explored == 10_001
+    assert got == _reference_back_and_forth(a, b, HALF, 12, 10_000)
