@@ -10,10 +10,8 @@ from .errors import (
     FormulaSyntaxError,
     FreeVariableInConditionError,
     IndexOutOfPrefixError,
-    LengthMismatchError,
     MetrikaError,
     NotPrenexUnsupportedError,
-    PointsOutOfPrefixError,
     PreconditionViolatedError,
     RejectionBudgetExceededError,
     SchemaMismatchError,
@@ -48,16 +46,7 @@ from .evaluation import (
     evaluate,
     evaluate_prefix_bounds,
 )
-from .polish import (
-    BasicOpen,
-    BorelPi2,
-    Code,
-    basic_open_membership,
-    encode,
-    encoded_distance,
-    index_enumeration,
-    pi2_depth_membership,
-)
+from .polish import Code, encode, index_enumeration
 from .urysohn import (
     DistanceConfiguration,
     all_configurations,
@@ -73,7 +62,6 @@ from .synth import (
     empty_metric_spec,
     graph_seed,
     graph_spec,
-    graph_tasks,
     is_prefix,
     metric_seed,
 )

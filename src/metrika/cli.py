@@ -69,13 +69,16 @@ class FileFormatError(Exception):
 @contextmanager
 def _file_format(path):
     """Report a ValueError, TypeError or KeyError raised while reading
-    `path` as a format error."""
+    `path`, or a RecursionError from JSON nested too deeply, as a format
+    error."""
     try:
         yield
     except (ValueError, TypeError) as exc:
         raise FileFormatError(f"{path}: {exc}") from None
     except KeyError as exc:
         raise FileFormatError(f"{path}: missing key {exc}") from None
+    except RecursionError:
+        raise FileFormatError(f"{path}: nested too deeply") from None
 
 
 def _load(path):

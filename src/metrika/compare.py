@@ -37,12 +37,6 @@ class PartialCorrespondence:
     pairs: tuple[tuple[int, int], ...]
     distortion: Fraction
 
-    def to_json(self) -> dict:
-        return {
-            "pairs": [list(p) for p in self.pairs],
-            "distortion": str(self.distortion),
-        }
-
 
 def distortion(pairs, m: PresentedStructure, n: PresentedStructure) -> Fraction:
     """Exact max deviation over all matched tuples and relations."""

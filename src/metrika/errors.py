@@ -65,14 +65,6 @@ class IndexOutOfPrefixError(MetrikaError):
     pass
 
 
-class LengthMismatchError(MetrikaError):
-    pass
-
-
-class PointsOutOfPrefixError(MetrikaError):
-    pass
-
-
 # --------------------------------------------------------------- urysohn
 
 

@@ -20,8 +20,8 @@ integers over D to integers over D: ``not`` is D - x, ``-.`` is
 max(0, x - y), ``+.`` is min(D, x + y), ``absdiff`` is |x - y|, and a scale
 by p/q is x * p // q.  That division is exact: the operand's value is an
 integer over its own denominator D', and q * D' divides D, so q divides x.
-``bind`` compiles the kernel and scales the tables to D once, and
-``evaluate`` binds once per call and returns x / D.
+``evaluate`` fetches the kernel, scales the tables to D once per call and
+returns x / D.
 
 A quantifier stops scanning points once its value reaches the lattice
 bound: 0 for an inf, D for a sup.  That is exact only when no value can
@@ -71,9 +71,6 @@ class ValueInterval:
     def __contains__(self, value) -> bool:
         return self.lo <= value <= self.hi
 
-    def contains_interval(self, other: "ValueInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
 
 def evaluate(f: Formula, m: PresentedStructure, asg=None) -> Fraction:
     """Exact value of f with quantifiers ranging over the n prefix points.
@@ -85,23 +82,14 @@ def evaluate(f: Formula, m: PresentedStructure, asg=None) -> Fraction:
     for name, point in asg.items():
         if not 0 <= point < m.n:
             raise ValueError(f"{name}={point} is not a point of 0..{m.n - 1}")
-    D, kernel, tables = bind(f, m, tuple(asg))
-    return Fraction(kernel(tables, asg.values()), D)
-
-
-def bind(f: Formula, m: PresentedStructure, variables: tuple[str, ...]):
-    """(D, kernel, tables): f's denominator D over m's table lattice, its
-    kernel over D with ``variables[k]`` naming the k-th point, and m's
-    tables scaled to D once, so that ``Fraction(kernel(tables, points), D)``
-    is f's value at every tuple of points, each in 0..n-1."""
     D = denominator(f, lattice(chain.from_iterable(t.values() for t in m.tables.values())))
-    kernel = compile_formula(f, D, m.unit_valued(), variables)
+    kernel = compile_formula(f, D, m.unit_valued(), tuple(asg))
 
     def scale(v):
         return v.numerator * (D // v.denominator)
 
     tables = {r.name: nested(m.tables[r.name], r.arity, m.n, scale) for r in m.sig.relations}
-    return D, kernel, tables
+    return Fraction(kernel(tables, asg.values()), D)
 
 
 def denominator(f: Formula, L: int) -> int:

@@ -258,10 +258,6 @@ class Condition:
                 f"condition formula has free variables: {', '.join(free)}"
             )
 
-    @property
-    def is_closed(self) -> bool:
-        return self.relation in ("<=", "=")
-
     def pretty(self) -> str:
         return f"{_pretty(self.formula)} {self.relation} {format_rational(self.bound)}"
 
@@ -421,9 +417,18 @@ class _Parser:
         return q
 
 
+def _parse(p: _Parser) -> Formula:
+    """The formula at p's position, with a nesting too deep for the
+    recursive descent reported as a syntax error."""
+    try:
+        return p.formula()
+    except RecursionError:
+        raise FormulaSyntaxError("formula nested too deeply") from None
+
+
 def parse_formula(text: str, sig: Signature) -> Formula:
     p = _Parser(text, sig)
-    f = p.formula()
+    f = _parse(p)
     if p.peek()[0] != "eof":
         p.fail("end of input")
     return f
@@ -431,7 +436,7 @@ def parse_formula(text: str, sig: Signature) -> Formula:
 
 def parse_condition(text: str, sig: Signature) -> Condition:
     p = _Parser(text, sig)
-    f = p.formula()
+    f = _parse(p)
     kind, rel, pos = p.next()
     if rel not in ("<=", "<", "="):
         raise FormulaSyntaxError(f"got {rel!r}", position=pos, expected="'<=', '<' or '='")

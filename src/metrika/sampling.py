@@ -167,7 +167,7 @@ def invariance_audit(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    # the range of polish.BasicOpen, the open set whose measure this estimates
+    # eps of the basic open [phi(a) < eps] whose measure this estimates
     if not ZERO < eps <= ONE:
         raise ValueError(f"eps must be in (0,1], got {eps}")
     free = phi.free_variables()

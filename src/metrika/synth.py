@@ -19,10 +19,8 @@ extension axioms over the discrete metric encoding: a vertex adjacent to
 all of A and to none of B.  The closure decides each in one loop over its
 subset's positions on adjacency bitmasks, read off the seed once and
 written back once over `metric_seed`'s discrete metric, rescanning every
-subset pass by pass until a pass adds no vertex or the budget is spent;
-`graph_tasks` streams the same axioms fairly as plain (A, B) pairs of
-vertex tuples, built by the closure's `_split`.  Seeds are preserved as
-bit-identical prefixes.  A seed must share its theory's signature.
+subset pass by pass until a pass adds no vertex or the budget is spent.
+Seeds are preserved as bit-identical prefixes.  A seed must share its theory's signature.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, count, product
+from itertools import combinations, product
 
 from .errors import SeedViolatesTheoryError
 from .evaluation import check_condition
@@ -264,7 +262,8 @@ def _ec_close_graph(seed, budget, rng_seed, *, max_size):
                     if cand:
                         continue
                     # add a fresh vertex joined to A, missing B, random elsewhere
-                    a, b = _split(subset, split)
+                    a = tuple(v for pos, v in enumerate(subset) if split >> pos & 1)
+                    b = tuple(v for pos, v in enumerate(subset) if not split >> pos & 1)
                     mask = sum(1 << v for v in a) | rng.getrandbits(n) & ~members
                     for w in range(n):
                         if mask >> w & 1:
@@ -276,39 +275,12 @@ def _ec_close_graph(seed, budget, rng_seed, *, max_size):
     return _graph_structure(seed.sig, adj, provenance)
 
 
-def _split(subset, split):
-    """(A, B): subset[pos] goes to A when bit pos of split is set, else to B."""
-    a = tuple(v for pos, v in enumerate(subset) if split >> pos & 1)
-    b = tuple(v for pos, v in enumerate(subset) if not split >> pos & 1)
-    return a, b
-
-
 def _graph_structure(sig, adj, provenance) -> PresentedStructure:
     """The graph of the adjacency bitmasks adj on metric_seed's discrete
     metric; no mask has its own bit, so R(x, x) = 1."""
     n = len(adj)
     r = {(i, j): ZERO if adj[i] >> j & 1 else ONE for i in range(n) for j in range(n)}
     return PresentedStructure(sig, n, {"d": metric_seed(n).tables["d"], "R": r}, provenance)
-
-
-# ---------------------------------------------------------- graph tasks
-
-
-def graph_tasks(max_size: int, vertices: int | None = None):
-    """Fair, duplicate-free stream of (A, B) extension tasks: pairs of vertex
-    tuples, each asking for a vertex adjacent to all of A and none of B.
-
-    Dovetailed by the largest vertex named; restricting `vertices` gives
-    the finite stream over a fixed vertex set.
-    """
-    if max_size < 1:
-        raise ValueError("max_size must be >= 1")
-    top = count() if vertices is None else range(vertices)
-    for v in top:
-        for size in range(1, max_size + 1):
-            for rest in combinations(range(v), size - 1):
-                for split in range(1 << size):
-                    yield _split(rest + (v,), split)
 
 
 # ---------------------------------------------------------------- prefix

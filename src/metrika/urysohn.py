@@ -51,12 +51,6 @@ class DistanceConfiguration:
     def n(self) -> int:
         return len(self.r)
 
-    @staticmethod
-    def from_rows(rows) -> "DistanceConfiguration":
-        return DistanceConfiguration(
-            tuple(tuple(Fraction(v) for v in row) for row in rows)
-        )
-
     def to_json(self):
         return [[format_rational(v) for v in row] for row in self.r]
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import islice, product
+from itertools import product
 
 from metrika.errors import SizeMismatchError
 from metrika.evaluation import evaluate
@@ -29,7 +29,6 @@ from metrika.logic import (
     Sup,
     metric_signature,
 )
-from metrika.polish import BorelPi2, Pi2Result, fair_tuples
 from metrika.rationals import ONE, ZERO
 from metrika.structures import MetricBuilder, PresentedStructure, Tables, scaled
 from metrika.synth import is_prefix
@@ -179,18 +178,3 @@ def axiom_instance(
     for v in reversed(xs):
         body = Sup(v, body)
     return Condition(body, "<=", bound)
-
-
-# ------------------------------------------------------- Pi-2 membership
-
-
-def per_tuple_pi2_membership(m, b: BorelPi2, depth: int, mode: str) -> Pi2Result:
-    """``polish.pi2_depth_membership`` as one ``evaluate`` call per outer
-    tuple, each rescaling m's tables: the oracle of the compile-once scan."""
-    witness_inf = b.phi
-    for v in reversed(b.inner_vars):
-        witness_inf = Inf(v, witness_inf)
-    for outer in islice(fair_tuples(m.n, len(b.outer_vars)), depth):
-        if not evaluate(witness_inf, m, dict(zip(b.outer_vars, outer))) < b.eps:
-            return Pi2Result("refuted" if mode == "finite" else "unknown", outer)
-    return Pi2Result("consistent")

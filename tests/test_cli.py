@@ -593,6 +593,43 @@ class TestConfigurationFiles:
         assert_one_line_error(capsys, "file/format error:")
 
 
+class TestDeepNesting:
+    @pytest.mark.parametrize("verb", [
+        "validate", "report-configs", "genericity", "report-artifacts"])
+    def test_deeply_nested_json_is_format_error(self, verb, two_point, tmp_path,
+                                                capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        argv = {
+            "validate": ["validate", "--structure", str(path)],
+            "report-configs": ["report", "--structure", two_point, "--configs",
+                               str(path), "--eps", "1/8"],
+            "genericity": ["genericity", "--theta", str(path), "--eps", "1/4",
+                           "--n-values", "3", "--trials", "2", "--seed", "0"],
+            "report-artifacts": ["report", "--artifacts", str(path)],
+        }[verb]
+        assert cli.main(argv) == 3
+        err = assert_one_line_error(capsys, "file/format error:")
+        assert f"{path}: nested too deeply" in err
+
+    @pytest.mark.parametrize("formula", [
+        "(" * 3000 + "d(x,y)" + ")" * 3000,
+        "not(" * 400 + "d(x,y)" + ")" * 400,
+    ], ids=["parentheses", "not"])
+    @pytest.mark.parametrize("verb", ["eval", "check"])
+    def test_deeply_nested_formula_is_syntax_error(self, verb, formula, two_point,
+                                                   capsys):
+        argv = {
+            "eval": ["eval", "--structure", two_point, "--formula", formula,
+                     "--assign", "x=0,y=1"],
+            "check": ["check", "--structure", two_point, "--condition",
+                      f"sup x. sup y. {formula} <= 1"],
+        }[verb]
+        assert cli.main(argv) == 4
+        err = assert_one_line_error(capsys, "error:")
+        assert "formula nested too deeply" in err
+
+
 class TestCompareEncode:
     def test_compare_identity_success(self, two_point, capsys):
         code, out = run(

@@ -1,11 +1,14 @@
 """Source hygiene, read with the stdlib ``ast``: no unused import in the
 package or its tests, no private module-level function or class that
 nothing in the package references, no public one that neither the rest of
-the package nor the benchmark reads, no defaulted parameter that no call
-passes, no parameter that its function never reads, no error class that
-no other module raises, and no package line wider than ``MAX_COLUMNS``."""
+the package nor the benchmark reads, no public method or property that
+nothing outside it reads as an attribute, no defaulted parameter that no
+call passes, no parameter that its function never reads, no error class
+that no other module raises, and no package line wider than
+``MAX_COLUMNS``."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import metrika
@@ -74,31 +77,44 @@ def test_no_unreferenced_private_definitions():
     assert not unreferenced
 
 
-# public names that wait for a caller the ROADMAP promises
-AWAITING_CALLER = {
-    "basic_open_membership",  # item 6, the topological notion
-    "encoded_distance",  # item 6
-    "pi2_depth_membership",  # item 6
-    "graph_tasks",  # item 3, one fair worklist for both theories
-}
 BENCHMARK = [ast.parse(path.read_text(), str(path))
              for path in sorted((Path(__file__).parent.parent / "perfbench").rglob("*.py"))]
 
 
+def attributes_read(node) -> Counter:
+    """How often node reads each attribute name (``x.name`` in load context)."""
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+
+
 def test_every_public_name_has_a_caller():
     """Each public module-level function or class is read by another part
-    of the package (``__init__``'s exports aside) or by the benchmark."""
+    of the package (``__init__``'s exports aside) or by the benchmark, and
+    each public method or property of a package class is read as an
+    attribute by the package or the benchmark outside its own definition.
+    Dunders are exempt."""
     uncalled = []
     for name, tree in MODULES.items():
         for i, stmt in enumerate(tree.body):
             if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if stmt.name.startswith("_") or stmt.name in AWAITING_CALLER:
+            if stmt.name.startswith("_"):
                 continue
             elsewhere = [s for j, s in enumerate(tree.body) if j != i]
             elsewhere += [t for other, t in MODULES.items() if other not in (name, "__init__.py")]
             if not any(stmt.name in names_read(node) for node in elsewhere + BENCHMARK):
                 uncalled.append(f"{name}:{stmt.lineno} {stmt.name}")
+    everywhere = sum((attributes_read(tree) for tree in [*MODULES.values(), *BENCHMARK]),
+                     Counter())
+    for name, tree in MODULES.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
+                    continue
+                if everywhere[method.name] == attributes_read(method)[method.name]:
+                    uncalled.append(f"{name}:{method.lineno} {cls.name}.{method.name}")
     assert not uncalled
 
 

@@ -118,7 +118,7 @@ def test_condition_spelling_is_pinned(text, pinned):
 class TestConditions:
     def test_closed_inf(self):
         c = parse_condition("inf x. inf y. d(x,y) = 0", SIG)
-        assert c.is_closed
+        assert c.relation in ("<=", "=")
         assert c.bound == 0
 
     def test_free_variable_rejected(self):
@@ -127,12 +127,12 @@ class TestConditions:
 
     def test_closed_le(self):
         c = parse_condition("sup x. d(x,x) <= 0", SIG)
-        assert c.is_closed
+        assert c.relation in ("<=", "=")
         assert c.bound == 0
 
     def test_open(self):
         c = parse_condition("inf x. d(x,x) < 1/2", SIG)
-        assert not c.is_closed
+        assert c.relation not in ("<=", "=")
 
 
 class TestHierarchy:

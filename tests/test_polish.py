@@ -7,37 +7,36 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metrika import (
-    BasicOpen,
-    BorelPi2,
+    FreeVariableInConditionError,
     IndexOutOfPrefixError,
-    LengthMismatchError,
-    PointsOutOfPrefixError,
-    basic_open_membership,
+    check_condition,
     encode,
-    encoded_distance,
+    evaluate,
     graph_seed,
     index_enumeration,
     metric_signature,
+    parse_condition,
     parse_formula,
-    pi2_depth_membership,
 )
 from metrika.logic import (
     AbsDiff,
     Atom,
+    Condition,
     Const,
     DotMinus,
+    Inf,
     Max,
     Min,
     Neg,
     Relation,
     ScaleQ,
     Signature,
+    Sup,
     TruncPlus,
 )
 from metrika import polish
-from metrika.polish import Code, fair_tuples
 
-from references import extend_with_distances, from_distance_matrix, per_tuple_pi2_membership
+from references import extend_with_distances, from_distance_matrix
 
 
 SIG = metric_signature()
@@ -67,6 +66,27 @@ def test_index_enumeration_deterministic_prefix():
     long = index_enumeration(SIG, 40)
     short = index_enumeration(SIG, 7)
     assert long[:7] == short
+
+
+def reference_tuples_with_max(k, mx):
+    """The tuples over 0..mx whose max is mx, filtered from the full
+    product (an empty tuple has max 0)."""
+    for tup in product(range(mx + 1), repeat=k):
+        if (max(tup) if tup else 0) == mx:
+            yield tup
+
+
+def test_index_enumeration_matches_product_filter_reference():
+    sig = Signature((Relation("d", 2, F(1)), Relation("R", 2, F(1)),
+                     Relation("T", 3, F(1, 2))))
+    count = 200
+    want, mx = [], 0
+    while len(want) < count:
+        for rel in sig.relations:
+            want += [(rel.name, t) for t in reference_tuples_with_max(rel.arity, mx)]
+        mx += 1
+    got = [(e.relation, e.tup) for e in index_enumeration(sig, count)]
+    assert got == want[:count]
 
 
 # ----------------------------------------------------------------- encode
@@ -137,178 +157,75 @@ def test_encode_json_versioned():
     assert obj["values"] == ["0", "1/3"]
 
 
-# ------------------------------------------------------- encoded distance
-
-
-def test_distance_identity():
-    m = space([[0, "1/2"], ["1/2", 0]])
-    u = encode(m, 4)
-    assert encoded_distance(u, u) == 0
-
-
-def test_distance_first_coordinate():
-    entries = index_enumeration(SIG, 1)
-    u = Code(entries, (F(0),))
-    v = Code(entries, (F(1),))
-    assert encoded_distance(u, v) == F(1, 2)
-
-
-def test_distance_two_coordinates():
-    entries = index_enumeration(SIG, 2)
-    u = Code(entries, (F(0), F(0)))
-    v = Code(entries, (F(1, 2), F(1, 2)))
-    assert encoded_distance(u, v) == F(3, 8)
-
-
-def test_distance_length_mismatch():
-    m = space([[0, "1/2"], ["1/2", 0]])
-    with pytest.raises(LengthMismatchError):
-        encoded_distance(encode(m, 2), encode(m, 3))
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(0, 8).map(lambda k: F(k, 8)),
-            st.integers(0, 8).map(lambda k: F(k, 8)),
-            st.integers(0, 8).map(lambda k: F(k, 8)),
-        ),
-        min_size=1,
-        max_size=6,
-    )
-)
-def test_distance_is_metric(cols):
-    entries = index_enumeration(SIG, len(cols))
-    u = Code(entries, tuple(c[0] for c in cols))
-    v = Code(entries, tuple(c[1] for c in cols))
-    w = Code(entries, tuple(c[2] for c in cols))
-    duv = encoded_distance(u, v)
-    assert duv == encoded_distance(v, u)
-    assert (duv == 0) == (u.values == v.values)
-    assert encoded_distance(u, w) <= duv + encoded_distance(v, w)
-
-
 # ------------------------------------------------------------ basic opens
+#
+# The basic open [phi(a) < eps], phi quantifier free, holds exactly when
+# evaluate(phi, m, a) < eps.
 
 
 def test_basic_open_membership_true():
     m = space([[0, "1/3"], ["1/3", 0]])
-    u = BasicOpen(parse_formula("d(x,y)", SIG), (0, 1), F(1, 2))
-    assert basic_open_membership(m, u)
+    assert evaluate(parse_formula("d(x,y)", SIG), m, {"x": 0, "y": 1}) < F(1, 2)
 
 
 def test_basic_open_membership_strict():
     m = space([[0, "1/3"], ["1/3", 0]])
-    u = BasicOpen(parse_formula("d(x,y)", SIG), (0, 1), F(1, 3))
-    assert not basic_open_membership(m, u)
+    assert not evaluate(parse_formula("d(x,y)", SIG), m, {"x": 0, "y": 1}) < F(1, 3)
 
 
 def test_basic_open_value_one_never_member():
     m = space([[0, "1/3"], ["1/3", 0]])
-    u = BasicOpen(parse_formula("not(d(x,y))", SIG), (0, 0), F(1))
-    assert not basic_open_membership(m, u)
-
-
-def test_basic_open_requires_qf():
-    with pytest.raises(ValueError):
-        BasicOpen(parse_formula("inf x. d(x,y)", SIG), (0,), F(1, 2))
+    assert not evaluate(parse_formula("not(d(x,y))", SIG), m, {"x": 0, "y": 0}) < F(1)
 
 
 def test_basic_open_points_out_of_prefix():
     m = space([[0, "1/3"], ["1/3", 0]])
-    u = BasicOpen(parse_formula("d(x,y)", SIG), (0, 5), F(1, 2))
-    with pytest.raises(PointsOutOfPrefixError):
-        basic_open_membership(m, u)
+    with pytest.raises(ValueError, match="not a point of 0..1"):
+        evaluate(parse_formula("d(x,y)", SIG), m, {"x": 0, "y": 5})
 
 
 def test_basic_open_stable_under_extension():
     m = space([[0, "1/2", "3/4"], ["1/2", 0, "1/2"], ["3/4", "1/2", 0]])
     phi = parse_formula("d(x,y) -. 1/4", SIG)
-    opens = [
-        BasicOpen(phi, (i, j), F(e, 8))
-        for i in range(3)
-        for j in range(3)
-        for e in (1, 3, 8)
-    ]
-    before = [basic_open_membership(m, u) for u in opens]
+    opens = [({"x": i, "y": j}, F(e, 8)) for i in range(3) for j in range(3)
+             for e in (1, 3, 8)]
+    before = [evaluate(phi, m, asg) < eps for asg, eps in opens]
     ext = extend_with_distances(m, [F(1, 2), F(1, 2), F(1, 2)])
-    after = [basic_open_membership(ext, u) for u in opens]
+    after = [evaluate(phi, ext, asg) < eps for asg, eps in opens]
     assert before == after
 
 
 # ------------------------------------------------------------- Pi-2 opens
-
-
-def test_fair_tuples_order():
-    got = list(fair_tuples(3, 2))
-    assert got[:4] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert len(got) == 9
-    assert len(set(got)) == 9
-
-
-def reference_tuples_with_max(k, mx):
-    """The tuples over 0..mx whose max is mx, filtered from the full
-    product (an empty tuple has max 0)."""
-    for tup in product(range(mx + 1), repeat=k):
-        if (max(tup) if tup else 0) == mx:
-            yield tup
-
-
-def test_fair_tuples_match_product_filter_reference():
-    for n in range(7):
-        for k in range(4):
-            want = [t for mx in range(n if k else 1)
-                    for t in reference_tuples_with_max(k, mx)]
-            assert list(fair_tuples(n, k)) == want, (n, k)
-
-
-def test_index_enumeration_matches_product_filter_reference():
-    sig = Signature((Relation("d", 2, F(1)), Relation("R", 2, F(1)),
-                     Relation("T", 3, F(1, 2))))
-    count = 200
-    want, mx = [], 0
-    while len(want) < count:
-        for rel in sig.relations:
-            want += [(rel.name, t) for t in reference_tuples_with_max(rel.arity, mx)]
-        mx += 1
-    got = [(e.relation, e.tup) for e in index_enumeration(sig, count)]
-    assert got == want[:count]
+#
+# The condition [sup xs inf ys phi < eps] is decided by check_condition.
 
 
 def test_pi2_self_witness_consistent():
     m = space([[0, "1/2"], ["1/2", 0]])
-    b = BorelPi2(parse_formula("d(x,y)", SIG), ("x",), ("y",), F(1, 4))
-    assert pi2_depth_membership(m, b, depth=10).status == "consistent"
+    c = parse_condition("sup x. inf y. d(x,y) < 1/4", SIG)
+    assert check_condition(c, m).status == "holds"
 
 
 def test_pi2_refuted_in_finite_mode():
     m = space([[0, 1], [1, 0]])  # discrete 2-point space
-    phi = parse_formula("absdiff(d(x,y), 1/2)", SIG)
-    b = BorelPi2(phi, ("x",), ("y",), F(1, 8))
-    res = pi2_depth_membership(m, b, depth=2, mode="finite")
-    assert res.status == "refuted"
-    assert res.outer == (0,)
+    c = parse_condition("sup x. inf y. absdiff(d(x,y), 1/2) < 1/8", SIG)
+    assert check_condition(c, m, mode="finite").status == "fails"
+    # the first outer point already refutes it
+    inner = parse_formula("inf y. absdiff(d(x,y), 1/2)", SIG)
+    assert not evaluate(inner, m, {"x": 0}) < F(1, 8)
 
 
 def test_pi2_prefix_mode_never_refutes():
+    # under the alternation the prefix bounds the value only by [0, 1]
     m = space([[0, 1], [1, 0]])
-    phi = parse_formula("absdiff(d(x,y), 1/2)", SIG)
-    b = BorelPi2(phi, ("x",), ("y",), F(1, 8))
-    res = pi2_depth_membership(m, b, depth=2, mode="prefix")
-    assert res.status == "unknown"
+    c = parse_condition("sup x. inf y. absdiff(d(x,y), 1/2) < 1/8", SIG)
+    assert check_condition(c, m, mode="prefix").status == "unknown"
 
 
 def test_pi2_free_variable_outside_both_blocks_rejected():
     # z is neither outer nor inner, so no prefix could decide the condition
-    with pytest.raises(ValueError, match="neither outer nor inner"):
-        BorelPi2(parse_formula("d(x,z)", SIG), ("x",), ("y",), F(1, 4))
-
-
-def test_pi2_depth_zero_vacuous():
-    m = space([[0, 1], [1, 0]])
-    phi = parse_formula("absdiff(d(x,y), 1/2)", SIG)
-    b = BorelPi2(phi, ("x",), ("y",), F(1, 8))
-    assert pi2_depth_membership(m, b, depth=0).status == "consistent"
+    with pytest.raises(FreeVariableInConditionError, match="free variables: z"):
+        parse_condition("sup x. inf y. d(x,z) < 1/4", SIG)
 
 
 VARS = ("x", "y", "z")
@@ -340,14 +257,20 @@ _qf_formulas = st.recursive(
     phi=_qf_formulas,
     split=st.integers(0, 3),
     eps=st.sampled_from([F(1, 8), F(1, 3), F(1, 2), F(1)]),
-    depth=st.integers(0, 30),
-    mode=st.sampled_from(["finite", "prefix"]),
 )
-def test_pi2_matches_per_tuple_evaluate(rows, phi, split, eps, depth, mode):
-    """One bound kernel over every outer tuple gives the status and the
-    refuting outer tuple of one ``evaluate`` call per tuple."""
+def test_pi2_matches_per_tuple_evaluate(rows, phi, split, eps):
+    """check_condition on [sup outer inf inner phi < eps] holds in finite
+    mode exactly when ``evaluate`` puts inf inner phi below eps at every
+    outer tuple."""
     m = from_distance_matrix(rows)
-    b = BorelPi2(phi, VARS[:split], VARS[split:], eps)
-    got = pi2_depth_membership(m, b, depth, mode)
-    assert got == per_tuple_pi2_membership(m, b, depth, mode)
-
+    outer, inner = VARS[:split], VARS[split:]
+    witness_inf = phi
+    for v in reversed(inner):
+        witness_inf = Inf(v, witness_inf)
+    condition = witness_inf
+    for v in reversed(outer):
+        condition = Sup(v, condition)
+    got = check_condition(Condition(condition, "<", eps), m, mode="finite")
+    want = all(evaluate(witness_inf, m, dict(zip(outer, tup))) < eps
+               for tup in product(range(m.n), repeat=len(outer)))
+    assert got.status == ("holds" if want else "fails")

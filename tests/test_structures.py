@@ -195,7 +195,7 @@ def _all_triples_ok(rows):
 @settings(max_examples=300)
 def test_configuration_accepts_exactly_the_metric_matrices(rows):
     try:
-        DistanceConfiguration.from_rows(rows)
+        DistanceConfiguration(tuple(tuple(F(v) for v in row) for row in rows))
         accepted = True
     except ValueError:
         accepted = False

@@ -3,7 +3,7 @@
 import random
 from collections import deque
 from fractions import Fraction as F
-from itertools import combinations, islice, product
+from itertools import combinations, product
 
 import pytest
 
@@ -16,7 +16,6 @@ from metrika import (
     extension_property_report,
     graph_seed,
     graph_spec,
-    graph_tasks,
     is_prefix,
     metric_seed,
     metric_signature,
@@ -394,42 +393,6 @@ def test_graph_closure_matches_set_reference(max_size, rng_seed):
             assert got.n == want.n
             assert got.tables == want.tables
             assert got.provenance_log == want.provenance_log
-
-
-# --------------------------------------------------------------- graph tasks
-
-
-class TestGraphTasks:
-    def test_max_size_one_has_two_shapes(self):
-        tasks = list(graph_tasks(1, vertices=1))
-        shapes = {(len(a), len(b)) for a, b in tasks}
-        assert shapes == {(1, 0), (0, 1)}
-
-    def test_duplicate_free_and_fair(self):
-        # against a set-based oracle over 5 vertices, max_size <= 4
-        for max_size in range(1, 5):
-            seen = list(graph_tasks(max_size, vertices=5))
-            assert len(seen) == len(set(seen))
-            expected = set()
-            for size in range(1, max_size + 1):
-                for sub in combinations(range(5), size):
-                    for split in range(1 << size):
-                        a = tuple(v for k, v in enumerate(sub) if split >> k & 1)
-                        b = tuple(v for k, v in enumerate(sub)
-                                  if not split >> k & 1)
-                        expected.add((a, b))
-            assert set(seen) == expected
-
-    def test_infinite_stream_is_fair(self):
-        # every task over the first few vertices appears within a finite prefix
-        prefix = list(islice(graph_tasks(2), 200))
-        assert ((0,), (1,)) in prefix
-        assert ((), (0, 1)) in prefix
-        assert ((2,), ()) in prefix
-
-    def test_max_size_zero_rejected(self):
-        with pytest.raises(ValueError):
-            next(graph_tasks(0))
 
 
 # ------------------------------------------------------------ witness checks

@@ -36,7 +36,7 @@ from references import (
 
 
 def config(rows):
-    return DistanceConfiguration.from_rows(rows)
+    return DistanceConfiguration(tuple(tuple(F(v) for v in row) for row in rows))
 
 
 def space(rows):
@@ -158,7 +158,7 @@ def grid_configs(draw, max_n=4, denom=4):
             for j in range(n):
                 if rows[i][j] > rows[i][k] + rows[k][j]:
                     rows[i][j] = rows[j][i] = rows[i][k] + rows[k][j]
-    return DistanceConfiguration.from_rows(rows)
+    return DistanceConfiguration(tuple(tuple(F(v) for v in row) for row in rows))
 
 
 @given(grid_configs())
