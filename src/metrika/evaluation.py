@@ -27,7 +27,10 @@ A quantifier stops scanning points once its value reaches the lattice
 bound: 0 for an inf, D for a sup.  That is exact only when no value can
 undercut 0 or top 1, so it is guarded by
 ``PresentedStructure.unit_valued``: every table value in [0, 1].  Over
-the empty prefix an inf is 1 and a sup 0, the lattice units.
+the empty prefix an inf is 1 and a sup 0, the lattice units.  A
+quantifier whose variable is not free in its body is that body on any
+nonempty prefix, so the body is compiled once, without the variable, and
+valued once rather than at every point.
 """
 
 from __future__ import annotations
@@ -186,7 +189,12 @@ def _node(f, D, unit_valued, scope, slot):
 def _quantifier(f, D, unit_valued, scope, slot):
     """An inf or sup over the points, its variable at env[slot]: D (inf)
     or 0 (sup) over no points, and, with unit_valued, stopping at the
-    first 0 (inf) or D (sup)."""
+    first 0 (inf) or D (sup).  A body that never reads the variable is
+    compiled once, under the outer scope, and valued once."""
+    if f.var not in f.body.free_variables():
+        body = _node(f.body, D, unit_valued, scope, slot)
+        unit = D if isinstance(f, Inf) else 0
+        return lambda T, e: body(T, e) if T["d"] else unit
     body = _node(f.body, D, unit_valued, {**scope, f.var: slot}, slot + 1)
     if isinstance(f, Inf):
         stop = 0 if unit_valued else None

@@ -9,7 +9,10 @@ is coded once, in ``_grow``, which grows a ``MetricBuilder`` (integers
 over the lcm of the grid's and the prefix's denominators) by k points;
 the samplers freeze it to Fractions once, at the end, while the
 invariance audit and the genericity curve score each sample on the
-builder it was grown on, over its integers.
+builder it was grown on, over its integers.  A rejection proposal is
+drawn on the stream ``randint`` would consume and checked flat, beside
+the prefix's distances, triple by triple; only an accepted one is added,
+row by row, through the builder's ``try_add``.
 """
 
 from __future__ import annotations
@@ -69,9 +72,12 @@ def _grow(b: MetricBuilder, k: int, spec: MeasureSpec, rng) -> MetricBuilder:
 
     The sequential law adds k rows of ``_sequential_row``.  The rejection
     law draws every new distance at once, for the pairs (i, j) with
-    j >= b.n in row-major order, and keeps the draw only if each new row
-    passes ``try_add`` in turn.  A draw's integers scale with b.L, so a
-    larger L draws the same rationals."""
+    j >= b.n in row-major order, on the stream ``rng.randint(0, steps)``
+    would consume, into a flat list beside the prefix's distances.  It
+    checks the triangle inequality there on each triple naming a new
+    point; only an accepted draw is split into rows, each still added by
+    ``try_add``.  A draw's integers scale with b.L, so a larger L draws
+    the same rationals."""
     (g,) = scaled([spec.grid], b.L)
     if spec.kind == "sequential":
         for _ in range(k):
@@ -79,17 +85,35 @@ def _grow(b: MetricBuilder, k: int, spec: MeasureSpec, rng) -> MetricBuilder:
         return b
     base, end = b.n, b.n + k
     steps = int(ONE / spec.grid)
-    pairs = [(i, j) for i in range(end) for j in range(max(i + 1, base), end)]
-    # row j's entries are the draws of the pairs (i, j), i < j
-    rows = [[pairs.index((i, j)) for i in range(j)] for j in range(base, end)]
+    bits = (steps + 1).bit_length()
+    # flat[slot[i, j]] is d(i, j) over L, i < j: the prefix's pairs, then
+    # the draw's, in the order they are drawn
+    pairs = [(i, j) for j in range(base) for i in range(j)]
+    start = len(pairs)
+    pairs += [(i, j) for i in range(end) for j in range(max(i + 1, base), end)]
+    slot = {p: x for x, p in enumerate(pairs)}
+    flat = [b.d(i, j) for i, j in pairs[:start]] + [0] * (len(pairs) - start)
+    drawn = range(start, len(pairs))
+    # |d(i, j) - d(h, j)| <= d(i, h) <= d(i, j) + d(h, j) for i < h < j, j new
+    triples = [(slot[i, j], slot[h, j], slot[i, h])
+               for j in range(base, end) for h in range(j) for i in range(h)]
     note = {"sampler": "rejection"}
+    getrandbits = rng.getrandbits
     for _ in range(spec.max_tries):
-        draw = [rng.randint(0, steps) * g for _ in pairs]
-        for row in rows:
-            if not b.try_add([draw[x] for x in row], note):
-                b.truncate(base)
+        # randint(0, steps) is getrandbits(bits), redrawn while above steps
+        for x in drawn:
+            r = getrandbits(bits)
+            while r > steps:
+                r = getrandbits(bits)
+            flat[x] = r * g
+        for a, c, e in triples:
+            a, c, e = flat[a], flat[c], flat[e]
+            if e > a + c or abs(a - c) > e:
                 break
         else:
+            for j in range(base, end):
+                if not b.try_add([flat[slot[i, j]] for i in range(j)], note):
+                    raise RuntimeError(f"try_add refused row {j} of a checked draw")
             return b
     raise RejectionBudgetExceededError(
         f"rejection sampler: no {end}-point metric space accepted "

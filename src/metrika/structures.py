@@ -292,13 +292,6 @@ class MetricBuilder:
                 validate(PresentedStructure(self.sig, n + 1, {"d": table}))
             )
 
-    def truncate(self, n: int) -> None:
-        """Drop the points added from point n on; n >= the prefix size."""
-        if n < self._base:
-            raise ValueError(f"cannot drop prefix points: {n} < {self._base}")
-        del self.rows[n:]
-        del self._notes[n - self._base:]
-
     def freeze(self, provenance=True) -> PresentedStructure:
         """The structure built so far, with one Fraction per distinct
         distance.  Each added point leaves the record {"point": index,

@@ -13,13 +13,14 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product
 
-from metrika.errors import SizeMismatchError
+from metrika.errors import SizeMismatchError, UnboundVariableError
 from metrika.evaluation import evaluate
 from metrika.logic import (
     AbsDiff,
     Atom,
     Condition,
     Const,
+    DotMinus,
     Formula,
     Inf,
     Max,
@@ -27,6 +28,7 @@ from metrika.logic import (
     Neg,
     ScaleQ,
     Sup,
+    TruncPlus,
     metric_signature,
 )
 from metrika.rationals import ONE, ZERO
@@ -86,6 +88,67 @@ def metric_quotient(m: PresentedStructure) -> PresentedStructure:
         tables[rel.name] = new_table
     record = {"quotient": {orig: index[rep[orig]] for orig in range(m.n)}}
     return PresentedStructure(m.sig, len(reps), tables, m.provenance_log + (record,))
+
+
+# -------------------------------------------------- the Fraction oracle
+
+
+
+
+def fraction_value(f, m, asg) -> Fraction:
+    """f's exact value by walking the tree on Fractions, the reference the
+    compiled integer kernel of ``evaluate`` is held to."""
+    if isinstance(f, Const):
+        return f.value
+    if isinstance(f, Atom):
+        try:
+            idx = tuple(asg[v] for v in f.args)
+        except KeyError as exc:
+            raise UnboundVariableError(f"unbound variable {exc.args[0]!r}") from None
+        return m.value(f.relation, idx)
+    if isinstance(f, Min):
+        return min(fraction_value(f.left, m, asg), fraction_value(f.right, m, asg))
+    if isinstance(f, Max):
+        return max(fraction_value(f.left, m, asg), fraction_value(f.right, m, asg))
+    if isinstance(f, ScaleQ):
+        return f.factor * fraction_value(f.operand, m, asg)
+    if isinstance(f, Neg):
+        return 1 - fraction_value(f.operand, m, asg)
+    if isinstance(f, DotMinus):
+        return max(ZERO, fraction_value(f.left, m, asg) - fraction_value(f.right, m, asg))
+    if isinstance(f, TruncPlus):
+        return min(ONE, fraction_value(f.left, m, asg) + fraction_value(f.right, m, asg))
+    if isinstance(f, AbsDiff):
+        return abs(fraction_value(f.left, m, asg) - fraction_value(f.right, m, asg))
+    if isinstance(f, (Inf, Sup)):
+        pick = min if isinstance(f, Inf) else max
+        final = _final(f, m)
+        shadowed = asg.get(f.var)
+        best = None
+        for p in range(m.n):
+            asg[f.var] = p
+            v = fraction_value(f.body, m, asg)
+            best = v if best is None else pick(best, v)
+            if best == final:
+                break
+        if shadowed is None:
+            asg.pop(f.var, None)
+        else:
+            asg[f.var] = shadowed
+        if best is None:
+            # quantifier over an empty prefix: inf = 1, sup = 0 (lattice units)
+            return ONE if isinstance(f, Inf) else ZERO
+        return best
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+def _final(q, m):
+    """The value at which the quantifier q can stop scanning points: 0 for
+    an inf and 1 for a sup, when every table value of m is in [0, 1].
+    Otherwise None: the scan must see every point."""
+    if not m.unit_valued():
+        return None
+    return ZERO if isinstance(q, Inf) else ONE
 
 
 # ------------------------------------------------------- e.c. witnesses

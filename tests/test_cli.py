@@ -3,6 +3,7 @@
 import argparse
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import metrika
 from metrika import all_configurations, cli, graph_seed
 from metrika.logic import Relation, Signature
 from metrika.rationals import ZERO, ONE
@@ -759,6 +761,15 @@ def test_report_on_non_metric_builder_structures(kind, two_point, tmp_path, caps
     assert (code, {k: obj[k] for k in ("satisfied", "total", "failures")}) == REPORT_PINS[kind]
 
 
+def run_module(*args):
+    """``python -m metrika.cli args`` in a subprocess that imports the
+    package this test imports, whether or not PYTHONPATH names it."""
+    src = str(Path(metrika.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "metrika.cli", *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
 class TestEntryPoint:
     def test_every_verb_has_one_handler(self):
         (verbs,) = [a for a in cli.build_parser()._actions
@@ -767,17 +778,13 @@ class TestEntryPoint:
         assert len(set(cli.HANDLERS.values())) == len(cli.HANDLERS)
 
     def test_console_script_installed(self, two_point):
-        proc = subprocess.run(
-            [sys.executable, "-m", "metrika.cli", "eval", "--structure",
-             two_point, "--formula", "d(x,y)", "--assign", "x=0,y=1"],
-            capture_output=True, text=True)
+        proc = run_module("eval", "--structure", two_point, "--formula", "d(x,y)",
+                          "--assign", "x=0,y=1")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "1/2"
 
     def test_no_verb_is_usage_error(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "metrika.cli"], capture_output=True,
-            text=True)
+        proc = run_module()
         assert proc.returncode == 2
 
 

@@ -41,68 +41,15 @@ from metrika.structures import (
     admissible,
 )
 
-from references import extend_with_distances, from_distance_matrix, metric_quotient
+from references import (
+    extend_with_distances,
+    fraction_value,
+    from_distance_matrix,
+    metric_quotient,
+)
 
 SIG = metric_signature()
 
-
-# ------------------------------------------ the Fraction tree-walk oracle
-
-
-def _eval(f, m, asg) -> F:
-    """f's exact value by walking the tree on Fractions, the reference the
-    compiled integer kernel of ``evaluate`` is held to."""
-    if isinstance(f, Const):
-        return f.value
-    if isinstance(f, Atom):
-        try:
-            idx = tuple(asg[v] for v in f.args)
-        except KeyError as exc:
-            raise UnboundVariableError(f"unbound variable {exc.args[0]!r}") from None
-        return m.value(f.relation, idx)
-    if isinstance(f, Min):
-        return min(_eval(f.left, m, asg), _eval(f.right, m, asg))
-    if isinstance(f, Max):
-        return max(_eval(f.left, m, asg), _eval(f.right, m, asg))
-    if isinstance(f, ScaleQ):
-        return f.factor * _eval(f.operand, m, asg)
-    if isinstance(f, Neg):
-        return 1 - _eval(f.operand, m, asg)
-    if isinstance(f, DotMinus):
-        return max(F(0), _eval(f.left, m, asg) - _eval(f.right, m, asg))
-    if isinstance(f, TruncPlus):
-        return min(F(1), _eval(f.left, m, asg) + _eval(f.right, m, asg))
-    if isinstance(f, AbsDiff):
-        return abs(_eval(f.left, m, asg) - _eval(f.right, m, asg))
-    if isinstance(f, (Inf, Sup)):
-        pick = min if isinstance(f, Inf) else max
-        final = _final(f, m)
-        shadowed = asg.get(f.var)
-        best = None
-        for p in range(m.n):
-            asg[f.var] = p
-            v = _eval(f.body, m, asg)
-            best = v if best is None else pick(best, v)
-            if best == final:
-                break
-        if shadowed is None:
-            asg.pop(f.var, None)
-        else:
-            asg[f.var] = shadowed
-        if best is None:
-            # quantifier over an empty prefix: inf = 1, sup = 0 (lattice units)
-            return F(1) if isinstance(f, Inf) else F(0)
-        return best
-    raise TypeError(f"not a formula node: {f!r}")
-
-
-def _final(q, m):
-    """The value at which the quantifier q can stop scanning points: 0 for
-    an inf and 1 for a sup, when every table value of m is in [0, 1].
-    Otherwise None: the scan must see every point."""
-    if not m.unit_valued():
-        return None
-    return F(0) if isinstance(q, Inf) else F(1)
 
 TRIANGLE = "sup x. sup y. sup z. (d(x,z) -. (d(x,y) +. d(y,z)))"
 
@@ -497,6 +444,14 @@ _atoms = st.one_of(
     st.builds(lambda u, v, w: Atom("T", (u, v, w)), _names, _names, _names),
     st.sampled_from(QUARTERS + ODD).map(Const),
 )
+
+
+def _vacuous(quantifier, var, body):
+    """quantifier over var, or over u (which no atom names) when var is
+    free in body: a quantifier whose variable the body never reads."""
+    return quantifier(var if var not in body.free_variables() else "u", body)
+
+
 _kernel_formulas = st.recursive(
     _atoms,
     lambda sub: st.one_of(
@@ -504,6 +459,7 @@ _kernel_formulas = st.recursive(
         st.builds(ScaleQ, st.sampled_from(ODD[:3]), sub),
         st.builds(Inf, _names, sub),
         st.builds(Sup, _names, sub),
+        st.builds(_vacuous, st.sampled_from((Inf, Sup)), _names, sub),
     ),
     max_leaves=8,
 )
@@ -551,9 +507,24 @@ def test_kernel_matches_fraction_oracle(m, f, points):
     # a point of -1 leaves its variable unassigned
     asg = {v: p % m.n for v, p in zip(VARS, points) if p >= 0 and m.n}
     ours = _value_or_error(lambda: evaluate(f, m, asg))
-    reference = _value_or_error(lambda: _eval(f, m, dict(asg)))
+    reference = _value_or_error(lambda: fraction_value(f, m, dict(asg)))
     assert ours == reference
     assert type(ours) is type(reference)
+
+
+def test_nested_vacuous_quantifiers_value_the_body_once():
+    # 3**200 body calls if each sup scanned its points
+    m = from_distance_matrix([[0, F(1, 2), F(1, 3)], [F(1, 2), 0, F(1, 4)], [F(1, 3), F(1, 4), 0]])
+    f = parse_formula("sup y. " * 200 + "d(x,x)", SIG)
+    # only the innermost sup reads y: the outer 199 are vacuous
+    g = parse_formula("sup y. " * 200 + "d(x,y)", SIG)
+    for x in range(3):
+        assert evaluate(f, m, {"x": x}) == evaluate(parse_formula("d(x,x)", SIG), m, {"x": x})
+        assert evaluate(g, m, {"x": x}) == max(m.d(x, y) for y in range(3))
+    # over no points the lattice units stand: inf is 1, sup is 0
+    empty = from_distance_matrix([])
+    assert evaluate(parse_formula("inf z. sup z. d(x,x)", SIG), empty) == 1
+    assert evaluate(parse_formula("sup z. inf z. d(x,x)", SIG), empty) == 0
 
 
 def _reference_audit(spec, n, trials, phi, eps):
@@ -564,7 +535,7 @@ def _reference_audit(spec, n, trials, phi, eps):
     for t_idx in range(trials):
         m = sample_space(n, spec, trial_rng(spec.seed, "audit", n, t_idx))
         for t in counts:
-            counts[t] += _eval(phi, m, dict(zip(free, t))) < eps
+            counts[t] += fraction_value(phi, m, dict(zip(free, t))) < eps
     return {t: c / trials for t, c in counts.items()}
 
 

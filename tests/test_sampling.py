@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from metrika import (
     MeasureSpec,
@@ -18,8 +18,9 @@ from metrika import (
     validate,
 )
 from metrika.logic import metric_signature
-from metrika.sampling import trial_rng
+from metrika.sampling import InvarianceReport, trial_rng
 from metrika.structures import (
+    MetricBuilder,
     admissible,
     admissible_interval,
 )
@@ -31,7 +32,7 @@ from metrika.urysohn import (
     restrict,
 )
 
-from references import extend_with_distances, from_distance_matrix
+from references import extend_with_distances, fraction_value, from_distance_matrix
 
 ZERO = F(0)
 ONE = F(1)
@@ -116,6 +117,13 @@ class TestSampleSpace:
         spec = MeasureSpec(kind="rejection", grid=F(1, 4), seed=0, max_tries=0)
         with pytest.raises(RejectionBudgetExceededError):
             sample_space(3, spec)
+
+    def test_checked_draw_refused_by_the_builder_is_an_error(self, monkeypatch):
+        # a draw the flat check accepted is added, never redrawn behind
+        # try_add's back
+        monkeypatch.setattr(MetricBuilder, "try_add", lambda self, row, note: False)
+        with pytest.raises(RuntimeError, match="try_add refused row 1"):
+            sample_space(3, REJ)
 
     def test_full_support_on_coarse_grid(self):
         # every 1/2-grid value of d(0,1) shows up among 2-point samples
@@ -305,6 +313,50 @@ def test_off_grid_prefix_takes_the_lo_fallback():
         assert m.tables == ref.tables and m.provenance_log == ref.provenance_log
         off_grid += any(8 % m.d(i, 2).denominator for i in range(2))
     assert off_grid > 0
+
+
+# --------------------------------------- the invariance audit vs a rational reference
+
+
+def _ref_invariance_audit(spec, n, trials, phi, eps, sigma):
+    """The report over _ref_sample_space draws, each tuple valued by the
+    Fraction oracle."""
+    free = phi.free_variables()
+    counts = dict.fromkeys(permutations(range(n), len(free)), 0)
+    for t_idx in range(trials):
+        m = _ref_sample_space(n, spec, trial_rng(spec.seed, "audit", n, t_idx))
+        for t in counts:
+            counts[t] += fraction_value(phi, m, dict(zip(free, t))) < eps
+    freqs = {t: c / trials for t, c in counts.items()}
+    values = list(freqs.values())
+    gap = max(values) - min(values)
+    pooled = sum(values) / len(values)
+    bound = sigma * (2 * pooled * (1 - pooled) / trials) ** 0.5
+    return InvarianceReport(freqs, gap, bound, gap > bound, trials)
+
+
+# arity 0 to 3, with a scale that puts the kernel's D above the grid's L
+AUDITED = [
+    "sup x. inf y. max(d(x,y), 1/3)",
+    "inf y. absdiff(d(x,y), 1/2)",
+    "d(x,y)",
+    "1/3 * d(x,y)",
+    "d(x,z) -. (d(x,y) +. d(y,z))",
+    "min(d(x,y), absdiff(d(y,z), d(x,z)))",
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(KINDS, st.sampled_from([F(1, 4), F(1, 8), F(2, 5), F(3, 7)]), st.sampled_from(AUDITED),
+       st.sampled_from([F(1, 3), F(1, 2), F(2, 7), ONE]), st.integers(0, 2),
+       st.sampled_from([0.5, 3.0]), st.integers(0, 2**32))
+@example("rejection", F(2, 5), "d(x,y)", F(1, 2), 1, 0.5, 3)
+def test_invariance_audit_matches_rational_reference(kind, grid, text, eps, extra, sigma, seed):
+    phi = parse_formula(text, metric_signature())
+    n = max(1, len(phi.free_variables())) + extra
+    spec = MeasureSpec(kind=kind, grid=grid, seed=seed)
+    got = invariance_audit(spec, n, 20, phi, eps, sigma)
+    assert got == _ref_invariance_audit(spec, n, 20, phi, eps, sigma)
 
 
 # --------------------------------------- the genericity curve vs a rational reference
