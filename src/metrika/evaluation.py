@@ -35,13 +35,14 @@ valued once rather than at every point.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import lcm
 
-from .errors import NotPrenexUnsupportedError, UnboundVariableError
+from .errors import FormulaSyntaxError, NotPrenexUnsupportedError, UnboundVariableError
 from .logic import (
     AbsDiff,
     Atom,
@@ -80,19 +81,35 @@ def evaluate(f: Formula, m: PresentedStructure, asg=None) -> Fraction:
 
     asg maps variable names to points of 0..n-1; a point outside raises
     ValueError, and an atom reached with a variable neither assigned nor
-    bound raises ``UnboundVariableError``."""
+    bound raises ``UnboundVariableError``.  A formula nested deeper than
+    the compiler and kernel can recurse raises ``FormulaSyntaxError``, as
+    one nested too deeply for the parser does."""
     asg = dict(asg) if asg else {}
     for name, point in asg.items():
         if not 0 <= point < m.n:
             raise ValueError(f"{name}={point} is not a point of 0..{m.n - 1}")
-    D = denominator(f, lattice(chain.from_iterable(t.values() for t in m.tables.values())))
-    kernel = compile_formula(f, D, m.unit_valued(), tuple(asg))
+    with depth_guard():
+        L = lattice(chain.from_iterable(t.values() for t in m.tables.values()))
+        D = denominator(f, L)
+        kernel = compile_formula(f, D, m.unit_valued(), tuple(asg))
 
-    def scale(v):
-        return v.numerator * (D // v.denominator)
+        def scale(v):
+            return v.numerator * (D // v.denominator)
 
-    tables = {r.name: nested(m.tables[r.name], r.arity, m.n, scale) for r in m.sig.relations}
-    return Fraction(kernel(tables, asg.values()), D)
+        tables = {r.name: nested(m.tables[r.name], r.arity, m.n, scale)
+                  for r in m.sig.relations}
+        return Fraction(kernel(tables, asg.values()), D)
+
+
+@contextmanager
+def depth_guard():
+    """Turn the RecursionError of a formula nested deeper than
+    ``denominator``, the compiler or a kernel can recurse into a
+    ``FormulaSyntaxError``, as the parser does for one too deep for it."""
+    try:
+        yield
+    except RecursionError:
+        raise FormulaSyntaxError("formula nested too deeply to evaluate") from None
 
 
 def denominator(f: Formula, L: int) -> int:

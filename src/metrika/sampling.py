@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .errors import RejectionBudgetExceededError
-from .evaluation import compile_formula, denominator
+from .evaluation import compile_formula, denominator, depth_guard
 from .logic import Formula, metric_signature
 from .rationals import ONE, ZERO
 from .structures import MetricBuilder, PresentedStructure, admissible_interval, scaled
@@ -202,15 +202,16 @@ def invariance_audit(
     counts = {t: 0 for t in tuples}
     # every sample's builder is over L, its distances all in 0..L (unit valued)
     L = spec.grid.denominator
-    D = denominator(phi, L)
-    kernel = compile_formula(phi, D, True, free)
-    cut = eps.numerator * D
-    for t_idx in range(trials):
-        b = _sample(n, spec, trial_rng(spec.seed, "audit", n, t_idx))
-        tables = {"d": b.matrix(D // L)}
-        for t in tuples:
-            if kernel(tables, t) * eps.denominator < cut:
-                counts[t] += 1
+    with depth_guard():
+        D = denominator(phi, L)
+        kernel = compile_formula(phi, D, True, free)
+        cut = eps.numerator * D
+        for t_idx in range(trials):
+            b = _sample(n, spec, trial_rng(spec.seed, "audit", n, t_idx))
+            tables = {"d": b.matrix(D // L)}
+            for t in tuples:
+                if kernel(tables, t) * eps.denominator < cut:
+                    counts[t] += 1
     freqs = {t: c / trials for t, c in counts.items()}
     values = list(freqs.values())
     max_gap = max(values) - min(values)

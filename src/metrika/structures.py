@@ -8,10 +8,12 @@ point on a ``MetricBuilder``, which keeps the prefix bit-for-bit.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from math import lcm
+from operator import sub
 
 from .errors import ExtensionViolatesAxiomsError
 from .logic import Relation, Signature
@@ -93,11 +95,11 @@ class PresentedStructure:
 
 def validate(m: PresentedStructure) -> ValidationReport:
     """Exhaustively check the pre-structure axioms; never raises."""
-    violations = tuple(_violations(m))
-    d = m.tables["d"]
-    is_metric = all(
-        d[(i, j)] > 0 for i in range(m.n) for j in range(m.n) if i != j
-    )
+    L, (ints,) = scaled_tables(m)
+    n, gaps = m.n, ints["d"]
+    rows = [[gaps[(i, j)] for j in range(n)] for i in range(n)]
+    violations = tuple(_violations(m, L, ints, rows))
+    is_metric = all(x > 0 for i, row in enumerate(rows) for j, x in enumerate(row) if i != j)
     return ValidationReport(not violations, violations, is_metric)
 
 
@@ -140,47 +142,73 @@ def scaled_tables(*ms: PresentedStructure) -> tuple[int, list[dict]]:
     ]
 
 
-def _violations(m: PresentedStructure):
-    """Every axiom violation of m, in validate's order."""
+def _violations(m: PresentedStructure, L: int, ints: dict, rows: list[list[int]]):
+    """Every axiom violation of m, in validate's order, found on m's tables
+    scaled to integers over L (``ints``; ``rows[i][j]`` is d(i, j) * L).
+    The Fractions are read only to build a reported violation.
+
+    Triangle: d(i, k) > d(i, j) + d(j, k) is rows[i][k] - rows[j][k] >
+    rows[i][j], so one C-level max over the row pair screens each (i, j),
+    and only a pair that fails the screen walks k.
+
+    Lipschitz, by a value window: let delta(u) be the least distance from
+    a coordinate of the tuple u to another point.  Any v != u differs from
+    u at some coordinate t, so gap(u, v) = max_t d(u_t, v_t) >= delta(u),
+    and with the constant p/q >= 0 the pair breaks its bound
+    |a_u - a_v| * q > p * gap(u, v) only if |a_u - a_v| > w(u) =
+    floor(p * delta(u) / q).  So each u is tested exactly only against the
+    tuples whose value lies outside [a_u - w, a_u + w], found by bisecting
+    the relation's values sorted once; a negative w makes every tuple a
+    candidate.  On a discrete metric with values in {0, 1} and constant 1,
+    w = L and no tuple is a candidate."""
     n = m.n
     for rel in m.sig.relations:
-        table = m.tables[rel.name]
+        table, a = m.tables[rel.name], ints[rel.name]
         for tup in m.tuples(rel.arity):
-            v = table[tup]
-            if not ZERO <= v <= ONE:
-                yield Violation("range", (rel.name,) + tup, v, ONE)
+            if not 0 <= a[tup] <= L:
+                yield Violation("range", (rel.name,) + tup, table[tup], ONE)
     d = m.tables["d"]
     for i in range(n):
-        if d[(i, i)] != 0:
+        if rows[i][i] != 0:
             yield Violation("reflexivity", (i,), d[(i, i)], ZERO)
     for i in range(n):
         for j in range(i + 1, n):
-            if d[(i, j)] != d[(j, i)]:
+            if rows[i][j] != rows[j][i]:
                 yield Violation("symmetry", (i, j), d[(i, j)], d[(j, i)])
-    for i in range(n):
-        for j in range(n):
-            dij = d[(i, j)]
-            for k in range(n):
-                if d[(i, k)] > dij + d[(j, k)]:
-                    yield Violation("triangle", (i, j, k), d[(i, k)], dij + d[(j, k)])
-    # Lipschitz bounds for the non-metric relations.  The metric's own
-    # continuity is exactly symmetry + triangle (a 1-Lipschitz-in-max bound
-    # would wrongly reject valid metric spaces), so d is skipped here.
-    # With the constant p/q and the tables scaled to integers,
-    # |A_u - A_v| > (p/q) * gap is |a_u - a_v| * q > p * gap.
+    for i, ri in enumerate(rows):
+        for j, rj in enumerate(rows):
+            dij = ri[j]
+            if max(map(sub, ri, rj)) > dij:
+                for k in range(n):
+                    if ri[k] - rj[k] > dij:
+                        yield Violation("triangle", (i, j, k), d[(i, k)], d[(i, j)] + d[(j, k)])
+    # The metric's own continuity is exactly symmetry + triangle (a
+    # 1-Lipschitz-in-max bound would wrongly reject valid metric spaces),
+    # so d is skipped here.  With one point or none there is no pair.
     rels = m.sig.relations[1:]
-    if not rels:
+    if not rels or n < 2:
         return
-    _, (ints,) = scaled_tables(m)
     gaps = ints["d"]
+    near = [min(row[:i] + row[i + 1:]) for i, row in enumerate(rows)]
     for rel in rels:
         table, a = m.tables[rel.name], ints[rel.name]
         p, q = rel.lipschitz.numerator, rel.lipschitz.denominator
         every = list(m.tuples(rel.arity))
+        k = len(every)
+        values = [a[u] for u in every]
+        order = sorted(range(k), key=values.__getitem__)
+        ranked = [values[x] for x in order]
         for iu, u in enumerate(every):
-            au = a[u]
-            for v in every[iu + 1:]:
-                if abs(au - a[v]) * q > p * max(map(gaps.__getitem__, zip(u, v))):
+            au = values[iu]
+            w = p * min(map(near.__getitem__, u)) // q
+            if w < 0:
+                candidates = range(iu + 1, k)
+            else:
+                lo, hi = bisect_left(ranked, au - w), bisect_right(ranked, au + w)
+                candidates = sorted(x for x in chain(order[:lo], order[hi:]) if x > iu)
+            for iv in candidates:
+                v = every[iv]
+                if abs(au - values[iv]) * q > p * max(map(gaps.__getitem__, zip(u, v))):
                     yield Violation(
                         "lipschitz",
                         (rel.name, u, v),
@@ -405,8 +433,8 @@ def from_json(obj: dict) -> PresentedStructure:
             raise ValueError(f"table {rel.name}: {exc}") from None
         tables[rel.name] = out
     m = PresentedStructure(sig, n, tables)
-    # _unnest checked that every entry is in [0, 1]; the rest of validate
-    # (its Lipschitz scan is quartic in n) is left to the caller
+    # _unnest checked that every entry is in [0, 1]; the other axioms are
+    # left to the caller's validate
     m._unit = True
     return m
 

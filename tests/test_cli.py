@@ -32,6 +32,14 @@ def two_point(tmp_path):
 
 
 @pytest.fixture()
+def three_point(tmp_path):
+    path = tmp_path / "three.json"
+    h = F(1, 2)
+    save(from_distance_matrix([[ZERO, h, ONE], [h, ZERO, h], [ONE, h, ZERO]]), path)
+    return str(path)
+
+
+@pytest.fixture()
 def two_point_p(tmp_path):
     """The two-point space with a unary relation P beside d."""
     path = tmp_path / "two_p.json"
@@ -630,6 +638,32 @@ class TestDeepNesting:
         assert cli.main(argv) == 4
         err = assert_one_line_error(capsys, "error:")
         assert "formula nested too deeply" in err
+
+    @pytest.mark.parametrize("levels", [600, 800])
+    @pytest.mark.parametrize("verb", ["eval", "check", "audit"])
+    def test_formula_too_deep_to_evaluate_is_error(self, verb, levels, three_point,
+                                                   capsys):
+        # the parser takes these; compiling them would overflow the stack
+        formula = "sup y. " * levels + "d(x,x)"
+        argv = {
+            "eval": ["eval", "--structure", three_point, "--formula", formula,
+                     "--assign", "x=0"],
+            "check": ["check", "--structure", three_point, "--condition",
+                      f"sup x. {formula} <= 1"],
+            "audit": ["audit", "--kind", "sequential", "--n", "3", "--trials", "2",
+                      "--formula", formula, "--eps", "1/2", "--seed", "0"],
+        }[verb]
+        assert cli.main(argv) == 4
+        err = assert_one_line_error(capsys, "error:")
+        assert "formula nested too deeply to evaluate" in err
+
+    def test_formula_480_levels_deep_evaluates(self, three_point):
+        # in a subprocess, so that the recursion starts at the command's
+        # own stack depth rather than under pytest's frames
+        proc = run_module("eval", "--structure", three_point, "--formula",
+                          "sup y. " * 480 + "d(x,x)", "--assign", "x=0")
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "0"
 
 
 class TestCompareEncode:

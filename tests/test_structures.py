@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from metrika.errors import ExtensionViolatesAxiomsError
 from metrika.logic import Relation, Signature, graph_signature, parse_formula
+from metrika.synth import ec_close, graph_seed, graph_spec
 from metrika.urysohn import DistanceConfiguration
 from metrika.evaluation import evaluate
 from metrika.structures import (
@@ -370,24 +371,66 @@ def _reference_validate(m):
     return ValidationReport(not out, tuple(out), is_metric)
 
 
+CONSTANTS = [F(1, 5), F(2, 3), F(1), F(3, 2)]
+OFF_RANGE = [F(-1, 2), F(-1, 6), F(5, 4), F(3, 2)]
+BITS = [F(0), F(1)]
+
+
 @st.composite
 def _lipschitz_structures(draw):
-    """d symmetric with a zero diagonal (often not a metric) and P of arity
-    1 or 2 with Lipschitz constant 2/3 or 3/2; values of mixed denominators,
-    so P often breaks its bound."""
-    rel = Relation("P", draw(st.integers(1, 2)), draw(st.sampled_from([F(2, 3), F(3, 2)])))
-    sig = Signature((Relation("d", 2, F(1)), rel))
-    n = draw(st.integers(1, 4))
-    d = {(i, i): F(0) for i in range(n)}
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[(i, j)] = d[(j, i)] = draw(st.sampled_from(MIXED))
-    p = {t: draw(st.sampled_from(MIXED)) for t in product(range(n), repeat=rel.arity)}
-    return PresentedStructure(sig, n, {"d": d, "P": p})
+    """d and up to two relations of arity 1-3, each with Lipschitz constant
+    1/5, 2/3, 1 or 3/2, on 0-6 points.  Either a graph table (the discrete
+    metric, relations valued in {0, 1}), on which the value window of a
+    constant-1 relation holds no candidate, or d drawn from mixed
+    denominators, often not a metric: asymmetric, with a nonzero diagonal
+    or with values below 0 and above 1.  So the axioms, the relations'
+    bounds among them, often fail."""
+    n = draw(st.integers(0, 6))
+    rels = tuple(
+        Relation(name, draw(st.integers(1, 3)), draw(st.sampled_from(CONSTANTS)))
+        for name in ("P", "Q")[: draw(st.integers(0, 2))]
+    )
+    sig = Signature((Relation("d", 2, F(1)),) + rels)
+    if draw(st.booleans()):
+        d = {(i, j): F(i != j) for i in range(n) for j in range(n)}
+        values = st.sampled_from(BITS)
+    else:
+        values = st.sampled_from(MIXED + OFF_RANGE if draw(st.booleans()) else MIXED)
+        asymmetric, diagonal = draw(st.booleans()), draw(st.booleans())
+        d = {}
+        for i, j in product(range(n), repeat=2):
+            if i == j:
+                d[(i, i)] = draw(values) if diagonal else F(0)
+            elif i < j or asymmetric:
+                d[(i, j)] = draw(values)
+            else:
+                d[(i, j)] = d[(j, i)]
+    tables = {"d": d}
+    for rel in rels:
+        tables[rel.name] = {t: draw(values) for t in product(range(n), repeat=rel.arity)}
+    return PresentedStructure(sig, n, tables)
 
 
-@settings(max_examples=400)
+@settings(max_examples=400, deadline=None)
 @given(_lipschitz_structures())
 def test_lipschitz_scan_matches_rational_reference(m):
     expected = _reference_validate(m)
+    assert validate(m) == expected
+
+
+def test_graph_closure_with_planted_defects_matches_reference():
+    # the graph-pipeline's validate, at its size, with defects planted:
+    # d(3, 11) and d(11, 12) lowered to 1/4 (so d(3, 12) = 1 breaks the
+    # triangle, and R may differ by more than 1/4 across either pair) and
+    # R(3, 7) set to 1/2, where R(11, 7) is 0
+    m = ec_close(graph_seed(1), graph_spec(3), 60, rng_seed=2)
+    assert m.n == 18
+    assert validate(m) == _reference_validate(m) == ValidationReport(True, (), True)
+    d, r = m.tables["d"], m.tables["R"]
+    assert r[(3, 7)] == r[(11, 7)] == 0
+    d[(3, 11)] = d[(11, 3)] = d[(11, 12)] = d[(12, 11)] = F(1, 4)
+    r[(3, 7)] = F(1, 2)
+    expected = _reference_validate(m)
+    assert {v.axiom for v in expected.violations} == {"triangle", "lipschitz"}
+    assert Violation("lipschitz", ("R", (3, 7), (11, 7)), F(1, 2), F(1, 4)) in expected.violations
     assert validate(m) == expected
