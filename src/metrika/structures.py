@@ -8,7 +8,6 @@ point on a ``MetricBuilder``, which keeps the prefix bit-for-bit.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
@@ -151,16 +150,14 @@ def _violations(m: PresentedStructure, L: int, ints: dict, rows: list[list[int]]
     rows[i][j], so one C-level max over the row pair screens each (i, j),
     and only a pair that fails the screen walks k.
 
-    Lipschitz, by a value window: let delta(u) be the least distance from
-    a coordinate of the tuple u to another point.  Any v != u differs from
-    u at some coordinate t, so gap(u, v) = max_t d(u_t, v_t) >= delta(u),
-    and with the constant p/q >= 0 the pair breaks its bound
-    |a_u - a_v| * q > p * gap(u, v) only if |a_u - a_v| > w(u) =
-    floor(p * delta(u) / q).  So each u is tested exactly only against the
-    tuples whose value lies outside [a_u - w, a_u + w], found by bisecting
-    the relation's values sorted once; a negative w makes every tuple a
-    candidate.  On a discrete metric with values in {0, 1} and constant 1,
-    w = L and no tuple is a candidate."""
+    Lipschitz: with the constant p/q, |A_u - A_v| > (p/q) * gap is
+    |a_u - a_v| * q > p * gap.  Any v != u differs from u at some
+    coordinate t, so gap(u, v) = max_t d(u_t, v_t) >= delta, the least
+    distance between two distinct points.  A relation whose value spread
+    max a - min a has spread * q <= p * delta therefore has no violating
+    pair and is skipped whole; any other is tested pair by pair.  On a
+    graph (the discrete metric, values in {0, 1}, constant 1) every
+    relation is skipped."""
     n = m.n
     for rel in m.sig.relations:
         table, a = m.tables[rel.name], ints[rel.name]
@@ -189,26 +186,17 @@ def _violations(m: PresentedStructure, L: int, ints: dict, rows: list[list[int]]
     if not rels or n < 2:
         return
     gaps = ints["d"]
-    near = [min(row[:i] + row[i + 1:]) for i, row in enumerate(rows)]
+    delta = min(x for i, row in enumerate(rows) for j, x in enumerate(row) if i != j)
     for rel in rels:
         table, a = m.tables[rel.name], ints[rel.name]
         p, q = rel.lipschitz.numerator, rel.lipschitz.denominator
+        if (max(a.values()) - min(a.values())) * q <= p * delta:
+            continue
         every = list(m.tuples(rel.arity))
-        k = len(every)
-        values = [a[u] for u in every]
-        order = sorted(range(k), key=values.__getitem__)
-        ranked = [values[x] for x in order]
         for iu, u in enumerate(every):
-            au = values[iu]
-            w = p * min(map(near.__getitem__, u)) // q
-            if w < 0:
-                candidates = range(iu + 1, k)
-            else:
-                lo, hi = bisect_left(ranked, au - w), bisect_right(ranked, au + w)
-                candidates = sorted(x for x in chain(order[:lo], order[hi:]) if x > iu)
-            for iv in candidates:
-                v = every[iv]
-                if abs(au - values[iv]) * q > p * max(map(gaps.__getitem__, zip(u, v))):
+            au = a[u]
+            for v in every[iu + 1:]:
+                if abs(au - a[v]) * q > p * max(map(gaps.__getitem__, zip(u, v))):
                     yield Violation(
                         "lipschitz",
                         (rel.name, u, v),

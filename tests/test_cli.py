@@ -657,11 +657,13 @@ class TestDeepNesting:
         err = assert_one_line_error(capsys, "error:")
         assert "formula nested too deeply to evaluate" in err
 
-    def test_formula_480_levels_deep_evaluates(self, three_point):
-        # in a subprocess, so that the recursion starts at the command's
-        # own stack depth rather than under pytest's frames
+    def test_formula_300_levels_deep_evaluates(self, three_point):
+        # well inside the recursion budget (about 490 levels on CPython's
+        # default limit), so a deep formula the evaluator can take is not
+        # refused; in a subprocess, so that the recursion starts at the
+        # command's own stack depth rather than under pytest's frames
         proc = run_module("eval", "--structure", three_point, "--formula",
-                          "sup y. " * 480 + "d(x,x)", "--assign", "x=0")
+                          "sup y. " * 300 + "d(x,x)", "--assign", "x=0")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0"
 

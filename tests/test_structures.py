@@ -380,11 +380,11 @@ BITS = [F(0), F(1)]
 def _lipschitz_structures(draw):
     """d and up to two relations of arity 1-3, each with Lipschitz constant
     1/5, 2/3, 1 or 3/2, on 0-6 points.  Either a graph table (the discrete
-    metric, relations valued in {0, 1}), on which the value window of a
-    constant-1 relation holds no candidate, or d drawn from mixed
-    denominators, often not a metric: asymmetric, with a nonzero diagonal
-    or with values below 0 and above 1.  So the axioms, the relations'
-    bounds among them, often fail."""
+    metric, relations valued in {0, 1}), on which validate skips a relation
+    of constant 1 or 3/2 whole and scans one of 1/5 or 2/3 pair by pair, or
+    d drawn from mixed denominators, often not a metric: asymmetric, with a
+    nonzero diagonal or with values below 0 and above 1.  So the axioms,
+    the relations' bounds among them, often fail."""
     n = draw(st.integers(0, 6))
     rels = tuple(
         Relation(name, draw(st.integers(1, 3)), draw(st.sampled_from(CONSTANTS)))
