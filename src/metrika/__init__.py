@@ -12,7 +12,6 @@ from .errors import (
     IndexOutOfPrefixError,
     MetrikaError,
     NotPrenexUnsupportedError,
-    PreconditionViolatedError,
     RejectionBudgetExceededError,
     SchemaMismatchError,
     SeedViolatesTheoryError,
@@ -50,11 +49,8 @@ from .polish import Code, encode, index_enumeration
 from .urysohn import (
     DistanceConfiguration,
     all_configurations,
-    config_error,
     delta_for,
     extension_property_report,
-    katetov_witness,
-    restrict,
 )
 from .synth import (
     TheorySpec,
@@ -69,7 +65,6 @@ from .sampling import (
     MeasureSpec,
     genericity_frequency,
     invariance_audit,
-    sample_one_point,
     sample_space,
 )
 from .compare import back_and_forth, distortion

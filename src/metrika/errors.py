@@ -72,10 +72,6 @@ class SizeMismatchError(MetrikaError):
     pass
 
 
-class PreconditionViolatedError(MetrikaError):
-    pass
-
-
 # ----------------------------------------------------------------- synth
 
 

@@ -7,7 +7,7 @@ keeps the metric ones (exchangeable by construction, exponential cost).
 Distances live on a fine rational grid so every draw is exact.  Each law
 is coded once, in ``_grow``, which grows a ``MetricBuilder`` (integers
 over the lcm of the grid's and the prefix's denominators) by k points;
-the samplers freeze it to Fractions once, at the end, while the
+``sample_space`` freezes it to Fractions once, at the end, while the
 invariance audit and the genericity curve score each sample on the
 builder it was grown on, over its integers.  A rejection proposal is
 drawn on the stream ``randint`` would consume and checked flat, beside
@@ -119,13 +119,6 @@ def _grow(b: MetricBuilder, k: int, spec: MeasureSpec, rng) -> MetricBuilder:
         f"rejection sampler: no {end}-point metric space accepted "
         f"within {spec.max_tries} proposals"
     )
-
-
-def sample_one_point(
-    m: PresentedStructure, spec: MeasureSpec, rng: random.Random
-) -> PresentedStructure:
-    """Extend m by one point with random admissible distances."""
-    return _grow(MetricBuilder(m, spec.grid), 1, spec, rng).freeze()
 
 
 def _sample(n: int, spec: MeasureSpec, rng) -> MetricBuilder:

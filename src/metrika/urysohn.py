@@ -6,6 +6,8 @@ coded once in `structures.admissible` and `structures.admissible_interval`.
 A distance configuration of size n is the formula
 max_{i<j} |d(x_i, x_j) - r_ij| for a rational distance matrix r; realizing
 it within eps places n points at the prescribed mutual distances up to eps.
+Both sides run on integers: ``ObligationScan`` scores configurations, and
+``katetov_row`` builds the witness row that ``MetricBuilder.try_add`` checks.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
 
-from .errors import PreconditionViolatedError, SizeMismatchError
+from .errors import SizeMismatchError
 from .rationals import ONE, ZERO, format_rational, parse_rational
 from .structures import PresentedStructure, admissible, lattice, scaled, tuples_naming
 
@@ -63,28 +65,6 @@ class DistanceConfiguration:
         return DistanceConfiguration(tuple(tuple(parse(v) for v in row) for row in rows))
 
 
-def restrict(theta: DistanceConfiguration) -> DistanceConfiguration:
-    """Drop the last point: the top-left (n-1) x (n-1) submatrix."""
-    if theta.n < 1:
-        raise SizeMismatchError("cannot restrict an empty configuration")
-    k = theta.n - 1
-    return DistanceConfiguration(tuple(row[:k] for row in theta.r[:k]))
-
-
-def config_error(
-    theta: DistanceConfiguration, m: PresentedStructure, pts
-) -> Fraction:
-    """max_{i<j} |d(pts_i, pts_j) - r_ij|; zero for sizes < 2."""
-    pts = tuple(pts)
-    if len(pts) != theta.n:
-        raise SizeMismatchError(f"expected {theta.n} points, got {len(pts)}")
-    err = ZERO
-    for i in range(theta.n):
-        for j in range(i + 1, theta.n):
-            err = max(err, abs(m.d(pts[i], pts[j]) - theta.r[i][j]))
-    return err
-
-
 class ObligationScan:
     """The extension obligations of one configuration list at one eps,
     scored in integers over one denominator ``self.L``.
@@ -105,7 +85,7 @@ class ObligationScan:
         eps = Fraction(eps)
         delta = delta_for(eps)
         if any(theta.n < 1 for theta in configs):
-            raise SizeMismatchError("cannot restrict an empty configuration")
+            raise SizeMismatchError("an empty configuration has no restriction")
         self.L = L = lattice((v for theta in configs for row in theta.r for v in row), L)
         self._eps, self._delta = scaled((eps, delta), L)
         self.rows = [[scaled(row, L) for row in theta.r] for theta in configs]
@@ -169,39 +149,14 @@ def delta_for(eps: Fraction) -> Fraction:
     return 2 * eps / 3
 
 
-def katetov_witness(
-    m: PresentedStructure,
-    theta: DistanceConfiguration,
-    pts,
-    delta: Fraction,
-) -> tuple[Fraction, ...]:
-    """Distances from a realizable new point to every point of m.
-
-    Given anchors pts realizing theta's restriction within delta, the
-    repaired Katetov row (``katetov_row``) with slack 3 delta/2 always
-    extends m validly and places the new point within 3 delta/2 of every
-    prescribed distance s_k = r[k][n].
-    """
-    pts = tuple(pts)
-    k = theta.n - 1
-    if len(pts) != k:
-        raise SizeMismatchError(f"expected {k} anchor points, got {len(pts)}")
-    delta = Fraction(delta)
-    err = config_error(restrict(theta), m, pts)
-    if err > delta:
-        raise PreconditionViolatedError(
-            f"restriction error {err} exceeds delta {delta}"
-        )
-    s = [theta.r[a][k] for a in range(k)]
-    return tuple(katetov_row(m.n, m.d, pts, s, 3 * delta / 2))
-
-
-def katetov_row(n, d, pts, s, slack, unit=ONE) -> list:
+def katetov_row(n, d, pts, s, slack, unit) -> list:
     """The repaired Katetov row h(x) = min(unit, min_a(s_a + slack + d(x, pts_a)))
-    for x in 0..n-1, over a space with lookup d(i, j): distances from a
-    new point to every point, given its prescribed distance s_a to each
-    anchor pts_a.  The unit is ONE for rational distances, or L for
-    distances as integers over L."""
+    for x in 0..n-1: distances from a new point to every point of a space
+    with lookup d(i, j), given its prescribed distance s_a to each anchor
+    pts_a.  All are on one scale, integers over L in the package, and unit
+    caps the row (L itself for diameter 1).  With slack
+    3 delta / 2 over anchors that realize their restriction within delta,
+    the row is admissible and within the slack of each s_a."""
     return [min([unit] + [sa + slack + d(x, p) for p, sa in zip(pts, s)]) for x in range(n)]
 
 

@@ -1,9 +1,10 @@
 """Fraction-level builders and references that only the tests read.
 
-The package grows structures on integers (``structures.MetricBuilder``)
-and evaluates formulas through compiled kernels; the helpers here build
-small structures from rational matrices and state a few definitions
-directly in Fractions, so that the tests can hold the package to them.
+The package grows structures on integers (``structures.MetricBuilder``),
+scores configurations on integers (``urysohn.ObligationScan``) and
+evaluates formulas through compiled kernels; the helpers here build small
+structures from rational matrices and state a few definitions directly in
+Fractions, so that the tests can hold the package to them.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ from metrika.logic import (
     metric_signature,
 )
 from metrika.rationals import ONE, ZERO
+from metrika.sampling import _grow
 from metrika.structures import MetricBuilder, PresentedStructure, Tables, scaled
 from metrika.synth import is_prefix
-from metrika.urysohn import DistanceConfiguration, restrict
+from metrika.urysohn import DistanceConfiguration, katetov_row
 
 
 # ------------------------------------------------------------- builders
@@ -60,6 +62,21 @@ def extend_with_distances(m, dists, note=None) -> PresentedStructure:
     b = MetricBuilder(m, *dists)
     b.add(scaled(dists, b.L), note)
     return b.freeze()
+
+
+def katetov_extension(m, s, pts, slack) -> PresentedStructure:
+    """m plus the repaired Katetov point with prescribed distances s to the
+    anchors pts, built as the closure builds it: ``katetov_row`` on the
+    builder's integers, accepted by ``try_add``."""
+    b = MetricBuilder(m, slack, *s)
+    (slack_L,) = scaled([slack], b.L)
+    assert b.try_add(katetov_row(m.n, b.dist, pts, scaled(s, b.L), slack_L, b.L))
+    return b.freeze()
+
+
+def sample_one_point(m, spec, rng) -> PresentedStructure:
+    """m plus one point drawn by spec's law, on the samplers' ``_grow``."""
+    return _grow(MetricBuilder(m, spec.grid), 1, spec, rng).freeze()
 
 
 def metric_quotient(m: PresentedStructure) -> PresentedStructure:
@@ -149,6 +166,30 @@ def _final(q, m):
     if not m.unit_valued():
         return None
     return ZERO if isinstance(q, Inf) else ONE
+
+
+# ------------------------------------------------- configuration errors
+
+
+def restrict(theta: DistanceConfiguration) -> DistanceConfiguration:
+    """Drop the last point: the top-left (n-1) x (n-1) submatrix."""
+    if theta.n < 1:
+        raise SizeMismatchError("cannot restrict an empty configuration")
+    k = theta.n - 1
+    return DistanceConfiguration(tuple(row[:k] for row in theta.r[:k]))
+
+
+def config_error(theta: DistanceConfiguration, m: PresentedStructure, pts) -> Fraction:
+    """max_{i<j} |d(pts_i, pts_j) - r_ij| in Fractions, the reference the
+    integer ``ObligationScan`` is held to; zero for sizes < 2."""
+    pts = tuple(pts)
+    if len(pts) != theta.n:
+        raise SizeMismatchError(f"expected {theta.n} points, got {len(pts)}")
+    err = ZERO
+    for i in range(theta.n):
+        for j in range(i + 1, theta.n):
+            err = max(err, abs(m.d(pts[i], pts[j]) - theta.r[i][j]))
+    return err
 
 
 # ------------------------------------------------------- e.c. witnesses

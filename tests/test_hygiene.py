@@ -26,10 +26,9 @@ CALLERS = [ast.parse(path.read_text(), str(path))
            for path in sorted((Path(__file__).parent.parent / folder).rglob("*.py"))]
 
 
-def names_read(node) -> set[str]:
-    """Every name node reads: bare names, attributes, names imported from
-    another module, and identifiers written as strings (annotations and
-    ``__all__``)."""
+def code_names(node) -> set[str]:
+    """Every name node reads in code: bare names, attributes and names
+    imported from another module."""
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
@@ -38,9 +37,16 @@ def names_read(node) -> set[str]:
             out.add(sub.attr)
         elif isinstance(sub, ast.ImportFrom):
             out.update(alias.name for alias in sub.names)
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            out.update(sub.value.replace(".", " ").split())
     return out
+
+
+def names_read(node) -> set[str]:
+    """``code_names``, and identifiers written as strings (annotations and
+    ``__all__``)."""
+    strings = {word for sub in ast.walk(node)
+               if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+               for word in sub.value.replace(".", " ").split()}
+    return code_names(node) | strings
 
 
 def test_no_unused_imports():
@@ -89,10 +95,12 @@ def attributes_read(node) -> Counter:
 
 def test_every_public_name_has_a_caller():
     """Each public module-level function or class is read by another part
-    of the package (``__init__``'s exports aside) or by the benchmark, and
-    each public method or property of a package class is read as an
-    attribute by the package or the benchmark outside its own definition.
-    Dunders are exempt."""
+    of the package (``__init__``'s exports aside) or by the benchmark's
+    code, and each public method or property of a package class is read as
+    an attribute by the package or the benchmark outside its own
+    definition.  Dunders are exempt.  A name the benchmark only spells in a
+    string (a traced ``"layer.function"``) does not count: a traced name
+    with no caller reports zero calls."""
     uncalled = []
     for name, tree in MODULES.items():
         for i, stmt in enumerate(tree.body):
@@ -102,7 +110,8 @@ def test_every_public_name_has_a_caller():
                 continue
             elsewhere = [s for j, s in enumerate(tree.body) if j != i]
             elsewhere += [t for other, t in MODULES.items() if other not in (name, "__init__.py")]
-            if not any(stmt.name in names_read(node) for node in elsewhere + BENCHMARK):
+            if not (any(stmt.name in names_read(node) for node in elsewhere)
+                    or any(stmt.name in code_names(node) for node in BENCHMARK)):
                 uncalled.append(f"{name}:{stmt.lineno} {stmt.name}")
     everywhere = sum((attributes_read(tree) for tree in [*MODULES.values(), *BENCHMARK]),
                      Counter())

@@ -13,7 +13,6 @@ from metrika import (
     genericity_frequency,
     invariance_audit,
     parse_formula,
-    sample_one_point,
     sample_space,
     validate,
 )
@@ -24,15 +23,16 @@ from metrika.structures import (
     admissible,
     admissible_interval,
 )
-from metrika.urysohn import (
-    DistanceConfiguration,
-    all_configurations,
-    config_error,
-    delta_for,
-    restrict,
-)
+from metrika.urysohn import DistanceConfiguration, all_configurations, delta_for
 
-from references import extend_with_distances, fraction_value, from_distance_matrix
+from references import (
+    config_error,
+    extend_with_distances,
+    fraction_value,
+    from_distance_matrix,
+    restrict,
+    sample_one_point,
+)
 
 ZERO = F(0)
 ONE = F(1)

@@ -24,15 +24,16 @@ from metrika import (
 )
 from metrika.logic import AbsDiff, Atom, Const
 from metrika.structures import PresentedStructure, admissible
-from metrika.urysohn import (
-    all_configurations,
+from metrika.urysohn import all_configurations, delta_for, katetov_row
+
+from references import (
     config_error,
-    delta_for,
-    katetov_witness,
+    ec_witness_check,
+    extend_with_distances,
+    katetov_extension,
+    max_of,
     restrict,
 )
-
-from references import ec_witness_check, extend_with_distances, max_of
 
 ZERO = F(0)
 ONE = F(1)
@@ -224,7 +225,7 @@ def reference_witness(m, theta, pts, eps, delta, config_grid, grid, rng):
             continue
         if admissible(m.d, s):
             return tuple(s)
-    return katetov_witness(m, theta, pts, delta)
+    return tuple(katetov_row(m.n, m.d, pts, targets, 3 * delta / 2, ONE))
 
 
 def reference_ec_close_metric(seed, config_sizes, config_grid, eps, grid, budget, rng_seed):
@@ -426,12 +427,9 @@ class TestEcWitnessCheck:
     def test_saturated_metric_output_passes_config_corpus(self):
         eps = F(1, 8)
         m = ec_close(metric_seed(1), empty_metric_spec(eps=eps), budget=10_000, rng_seed=0)
-        # one-point grid extension of m as the challenger
-        from metrika.urysohn import katetov_witness
-
-        theta = all_configurations(2, 4)[1]
-        h = katetov_witness(m, theta, (0,), F(1, 12))
-        n_ext = extend_with_distances(m, h)
+        # the Katetov point for d(0, new) = 1/2, with slack 3 delta / 2 at
+        # delta = 1/12, as the challenger
+        n_ext = katetov_extension(m, [F(1, 2)], (0,), F(1, 8))
         for theta in metric_configs():
             k = theta.n - 1
             pts = tuple(range(k))

@@ -8,16 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from metrika import (
     DistanceConfiguration,
-    PreconditionViolatedError,
     SizeMismatchError,
     all_configurations,
     check_condition,
-    config_error,
     delta_for,
     evaluate,
     extension_property_report,
-    katetov_witness,
-    restrict,
     validate,
 )
 from metrika.structures import MetricBuilder, admissible, admissible_interval, lattice, scaled
@@ -29,9 +25,11 @@ from metrika.urysohn import (
 
 from references import (
     axiom_instance,
+    config_error,
     config_formula,
-    extend_with_distances,
     from_distance_matrix,
+    katetov_extension,
+    restrict,
 )
 
 
@@ -192,17 +190,25 @@ def test_delta_for_rejects_zero():
 # ---------------------------------------------------------- Katetov repair
 
 
+def katetov_point(m, theta, pts, delta):
+    """m extended by the repaired Katetov point for theta over the anchors
+    pts, with slack 3 delta / 2, and that point's distances to m."""
+    k = theta.n - 1
+    ext = katetov_extension(m, [theta.r[a][k] for a in range(k)], pts, 3 * delta / 2)
+    return ext, tuple(ext.d(x, m.n) for x in range(m.n))
+
+
 def test_katetov_exact_match():
     theta = config([[0, "1/2", "1/4"], ["1/2", 0, "3/4"], ["1/4", "3/4", 0]])
     m = space([[0, "1/2"], ["1/2", 0]])
-    h = katetov_witness(m, theta, (0, 1), F(0))
+    _, h = katetov_point(m, theta, (0, 1), F(0))
     assert h == (F(1, 4), F(3, 4))
 
 
 def test_katetov_repair_example():
     theta = config([[0, "3/5", "3/10"], ["3/5", 0, "3/10"], ["3/10", "3/10", 0]])
     m = space([[0, "1/2"], ["1/2", 0]])
-    h = katetov_witness(m, theta, (0, 1), F(1, 10))
+    _, h = katetov_point(m, theta, (0, 1), F(1, 10))
     assert h == (F(9, 20), F(9, 20))
     err = max(abs(h[a] - theta.r[a][2]) for a in range(2))
     assert err == F(3, 20)  # exactly 3 delta / 2
@@ -211,14 +217,7 @@ def test_katetov_repair_example():
 def test_katetov_empty_anchor_tuple():
     theta = config([[0]])
     m = space([[0, "1/2"], ["1/2", 0]])
-    assert katetov_witness(m, theta, (), F(1, 10)) == (F(1), F(1))
-
-
-def test_katetov_precondition():
-    theta = config([[0, 1, "1/2"], [1, 0, "1/2"], ["1/2", "1/2", 0]])
-    m = space([[0, "1/4"], ["1/4", 0]])
-    with pytest.raises(PreconditionViolatedError):
-        katetov_witness(m, theta, (0, 1), F(1, 10))
+    assert katetov_point(m, theta, (), F(1, 10))[1] == (F(1), F(1))
 
 
 @st.composite
@@ -250,8 +249,7 @@ def witness_instances(draw):
 @settings(max_examples=300, deadline=None)
 def test_katetov_soundness(inst):
     m, theta, pts, delta = inst
-    h = katetov_witness(m, theta, pts, delta)
-    ext = extend_with_distances(m, h)
+    ext, _ = katetov_point(m, theta, pts, delta)
     assert validate(ext).ok
     k = theta.n - 1
     slack = 3 * delta / 2
@@ -321,8 +319,7 @@ def test_report_vacuous():
 def test_report_satisfied_after_witness():
     m = space([[0, 1], [1, 0]])
     theta = config([[0, 1, "1/2"], [1, 0, "1/2"], ["1/2", "1/2", 0]])
-    h = katetov_witness(m, theta, (0, 1), F(0))
-    ext = extend_with_distances(m, h)
+    ext, _ = katetov_point(m, theta, (0, 1), F(0))
     rep = extension_property_report(ext, F(1, 8), [theta])
     assert rep.ok and rep.total == rep.satisfied > 0
 
