@@ -269,7 +269,7 @@ def _eval(args) -> int:
         if name not in free:
             raise SystemExit2(f"--assign names {name}, not a free variable of the formula")
         if not 0 <= point < m.n:
-            raise SystemExit2(f"{name}={point} is not a point of 0..{m.n - 1}")
+            raise SystemExit2(f"{name}={point} is not a point of {structures.point_range(m.n)}")
     print(format_rational(evaluate(f, m, asg)))
     return 0
 

@@ -60,7 +60,7 @@ from .logic import (
     quantifier_class,
 )
 from .rationals import ONE, ZERO
-from .structures import PresentedStructure, lattice, nested
+from .structures import PresentedStructure, lattice, nested, point_range
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def evaluate(f: Formula, m: PresentedStructure, asg=None) -> Fraction:
     asg = dict(asg) if asg else {}
     for name, point in asg.items():
         if not 0 <= point < m.n:
-            raise ValueError(f"{name}={point} is not a point of 0..{m.n - 1}")
+            raise ValueError(f"{name}={point} is not a point of {point_range(m.n)}")
     with depth_guard():
         L = lattice(chain.from_iterable(t.values() for t in m.tables.values()))
         D = denominator(f, L)

@@ -70,8 +70,8 @@ def encode(m: PresentedStructure, count: int) -> Code:
     values = []
     for e in entries:
         if any(p >= m.n for p in e.tup):
-            raise IndexOutOfPrefixError(
-                f"coordinate {e.relation}{e.tup} names a point outside prefix 0..{m.n - 1}"
-            )
+            where = (f" outside prefix 0..{m.n - 1}" if m.n
+                     else ", but the structure has no points")
+            raise IndexOutOfPrefixError(f"coordinate {e.relation}{e.tup} names a point{where}")
         values.append(m.value(e.relation, e.tup))
     return Code(entries, tuple(values))

@@ -5,11 +5,11 @@ admissible interval (fast, full support on the grid, not obviously
 exchangeable); ``rejection`` draws whole distance matrices uniformly and
 keeps the metric ones (exchangeable by construction, exponential cost).
 Distances live on a fine rational grid so every draw is exact.  Each law
-is coded once, in ``_grow``, which grows a ``MetricBuilder`` (integers
-over the lcm of the grid's and the prefix's denominators) by k points;
-``sample_space`` freezes it to Fractions once, at the end, while the
-invariance audit and the genericity curve score each sample on the
-builder it was grown on, over its integers.  A rejection proposal is
+is coded once, in ``_grow``, which grows a ``MetricBuilder`` (square
+integer rows over the lcm of the grid's and the prefix's denominators) by
+k points; ``sample_space`` freezes it to Fractions once, at the end, while
+the invariance audit and the genericity curve score each sample on the
+rows of the builder it was grown on.  A rejection proposal is
 drawn on the stream ``randint`` would consume and checked flat, beside
 the prefix's distances, triple by triple; only an accepted one is added,
 row by row, through the builder's ``try_add``.
@@ -63,7 +63,7 @@ def _sequential_row(b: MetricBuilder, g: int, rng) -> list[int]:
     admissible interval given the ones drawn before it."""
     s: list[int] = []
     for _ in range(b.n):
-        s.append(_grid_uniform(*admissible_interval(b.d, s, b.L), g, rng))
+        s.append(_grid_uniform(*admissible_interval(b.rows, s, b.L), g, rng))
     return s
 
 
@@ -92,7 +92,7 @@ def _grow(b: MetricBuilder, k: int, spec: MeasureSpec, rng) -> MetricBuilder:
     start = len(pairs)
     pairs += [(i, j) for i in range(end) for j in range(max(i + 1, base), end)]
     slot = {p: x for x, p in enumerate(pairs)}
-    flat = [b.d(i, j) for i, j in pairs[:start]] + [0] * (len(pairs) - start)
+    flat = [b.rows[i][j] for i, j in pairs[:start]] + [0] * (len(pairs) - start)
     drawn = range(start, len(pairs))
     # |d(i, j) - d(h, j)| <= d(i, h) <= d(i, j) + d(h, j) for i < h < j, j new
     triples = [(slot[i, j], slot[h, j], slot[i, h])
@@ -198,10 +198,10 @@ def invariance_audit(
     with depth_guard():
         D = denominator(phi, L)
         kernel = compile_formula(phi, D, True, free)
-        cut = eps.numerator * D
+        cut, scale = eps.numerator * D, D // L
         for t_idx in range(trials):
             b = _sample(n, spec, trial_rng(spec.seed, "audit", n, t_idx))
-            tables = {"d": b.matrix(D // L)}
+            tables = {"d": [[x * scale for x in row] for row in b.rows]}
             for t in tuples:
                 if kernel(tables, t) * eps.denominator < cut:
                     counts[t] += 1
@@ -238,7 +238,6 @@ def genericity_frequency(
             rng = trial_rng(spec.seed, "genericity", n, t_idx)
             # scored on the builder it was grown on, whose L is scan.L
             b = _grow(MetricBuilder(_POINT, spec.grid, unit), n - 1, spec, rng)
-            obligations = scan.obligations(b.n, b.dist)
-            good += all(scan.realized(0, pts, b.n, b.dist) for _, pts in obligations)
+            good += all(scan.realized(0, pts, b.rows) for _, pts in scan.obligations(b.rows))
         curve.append((n, good / trials))
     return curve

@@ -2,7 +2,10 @@
 
 A ``PresentedStructure`` is the finite prefix 0..n-1 of a countable dense
 presentation, checked by ``validate``; a metric-only one grows point by
-point on a ``MetricBuilder``, which keeps the prefix bit-for-bit.
+point on a ``MetricBuilder``, which keeps the prefix bit-for-bit.  On
+integers a metric has one form, the square rows ``distance_rows`` builds:
+``rows[i][j]`` is d(i, j) * L.  The builder, ``validate``, the Katetov
+tests here and the scans in ``urysohn`` all read it.
 """
 
 from __future__ import annotations
@@ -57,9 +60,6 @@ class PresentedStructure:
     def value(self, relation: str, idx: tuple[int, ...]) -> Fraction:
         return self.tables[relation][idx]
 
-    def d(self, i: int, j: int) -> Fraction:
-        return self.tables["d"][(i, j)]
-
     def tuples(self, arity: int):
         return product(range(self.n), repeat=arity)
 
@@ -89,17 +89,30 @@ class PresentedStructure:
         return f"PresentedStructure(n={self.n}, sig={[r.name for r in self.sig.relations]})"
 
 
+def point_range(n: int) -> str:
+    """The points 0..n-1 as an error message names them: a structure with
+    none is said to have no points, not to span 0..-1."""
+    return f"0..{n - 1}" if n else "a structure with no points"
+
+
 # ------------------------------------------------------------ validation
 
 
 def validate(m: PresentedStructure) -> ValidationReport:
     """Exhaustively check the pre-structure axioms; never raises."""
     L, (ints,) = scaled_tables(m)
-    n, gaps = m.n, ints["d"]
-    rows = [[gaps[(i, j)] for j in range(n)] for i in range(n)]
+    rows = distance_rows(m, L)
     violations = tuple(_violations(m, L, ints, rows))
     is_metric = all(x > 0 for i, row in enumerate(rows) for j, x in enumerate(row) if i != j)
     return ValidationReport(not violations, violations, is_metric)
+
+
+def distance_rows(m: PresentedStructure, L: int) -> list[list[int]]:
+    """m's distances as square integer rows, rows[i][j] = d(i, j) * L: the
+    one integer form of a metric.  L must be a multiple of every
+    distance's denominator (``scaled`` floors otherwise)."""
+    d, n = m.tables["d"], m.n
+    return [scaled([d[(i, j)] for j in range(n)], L) for i in range(n)]
 
 
 def tuples_naming(n: int, arity: int, first_new: int) -> list[tuple[int, ...]]:
@@ -185,7 +198,6 @@ def _violations(m: PresentedStructure, L: int, ints: dict, rows: list[list[int]]
     rels = m.sig.relations[1:]
     if not rels or n < 2:
         return
-    gaps = ints["d"]
     delta = min(x for i, row in enumerate(rows) for j, x in enumerate(row) if i != j)
     for rel in rels:
         table, a = m.tables[rel.name], ints[rel.name]
@@ -196,7 +208,7 @@ def _violations(m: PresentedStructure, L: int, ints: dict, rows: list[list[int]]
         for iu, u in enumerate(every):
             au = a[u]
             for v in every[iu + 1:]:
-                if abs(au - a[v]) * q > p * max(map(gaps.__getitem__, zip(u, v))):
+                if abs(au - a[v]) * q > p * max(rows[x][y] for x, y in zip(u, v)):
                     yield Violation(
                         "lipschitz",
                         (rel.name, u, v),
@@ -209,15 +221,14 @@ def _violations(m: PresentedStructure, L: int, ints: dict, rows: list[list[int]]
 
 
 def admissible(d, s) -> bool:
-    """Whether s is an admissible distance row for a new point over a base
-    with lookup d(i, j), i < j: |s_i - s_j| <= d(i, j) <= s_i + s_j for
-    every i < j.  This is the Katetov condition; with the s_i in [0, 1] it
-    is exactly the triangle inequality on every triple naming the new point.
-    """
+    """Whether s is an admissible distance row for a new point over the
+    square rows d: |s_i - s_j| <= d[i][j] <= s_i + s_j for every i < j.
+    This is the Katetov condition; with the s_i in [0, 1] it is exactly
+    the triangle inequality on every triple naming the new point."""
     for j in range(1, len(s)):
         sj = s[j]
         for i in range(j):
-            r = d(i, j)
+            r = d[i][j]
             if abs(s[i] - sj) > r or r > s[i] + sj:
                 return False
     return True
@@ -225,13 +236,14 @@ def admissible(d, s) -> bool:
 
 def admissible_interval(d, s, unit=ONE):
     """The values t in [0, unit] for which the row s + [t] stays admissible
-    over d, given that s is: [max_j |s_j - d(j, i)|, min_j (s_j + d(j, i))]
-    cut to [0, unit], where i = len(s) and j < i.  Empty when lo > hi.
-    The unit is ONE for rational rows, or L for rows of integers over L."""
+    over the square rows d, given that s is: [max_j |s_j - d[j][i]|,
+    min_j (s_j + d[j][i])] cut to [0, unit], where i = len(s) and j < i.
+    Empty when lo > hi.  The unit is ONE for rational rows, or L for rows
+    of integers over L."""
     i = len(s)
     lo, hi = unit * 0, unit
     for j in range(i):
-        r = d(j, i)
+        r = d[j][i]
         lo = max(lo, abs(s[j] - r))
         hi = min(hi, s[j] + r)
     return lo, hi
@@ -244,11 +256,12 @@ class MetricBuilder:
     """The one-point extension: a metric-only structure grown over integers.
 
     Every distance is held as an integer over one denominator L, the lcm
-    of the `grids`' denominators and the prefix's: ``rows[j][i]`` is
-    d(i, j) for i < j, the row point j was added with.  The prefix is
+    of the `grids`' denominators and the prefix's, in the square rows of
+    ``distance_rows``: ``rows[i][j]`` is d(i, j) * L.  The prefix is
     assumed valid, so a new row is checked only where it can break an
     axiom: every entry in 0..L, then the Katetov row test, at O(n^2)
-    cost.  ``freeze`` builds the ``PresentedStructure`` once, at the end.
+    cost; only a row that passes is added, as one new column and one new
+    row.  ``freeze`` builds the ``PresentedStructure`` once, at the end.
     """
 
     __slots__ = ("sig", "L", "rows", "_base", "_log", "_notes")
@@ -256,10 +269,9 @@ class MetricBuilder:
     def __init__(self, prefix: PresentedStructure, *grids: Fraction):
         if len(prefix.sig.relations) != 1:
             raise ValueError("MetricBuilder grows metric-only structures")
-        d = prefix.tables["d"]
         self.sig = prefix.sig
-        self.L = L = lattice(chain(grids, d.values()))
-        self.rows = [scaled([d[(i, j)] for i in range(j)], L) for j in range(prefix.n)]
+        self.L = lattice(chain(grids, prefix.tables["d"].values()))
+        self.rows = distance_rows(prefix, self.L)
         self._base = prefix.n
         self._log = prefix.provenance_log
         self._notes: list = []
@@ -268,30 +280,18 @@ class MetricBuilder:
     def n(self) -> int:
         return len(self.rows)
 
-    def d(self, i: int, j: int) -> int:
-        """d(i, j) over L, for i < j."""
-        return self.rows[j][i]
-
-    def dist(self, i: int, j: int) -> int:
-        """d(i, j) over L, for any i and j."""
-        if i < j:
-            return self.rows[j][i]
-        return self.rows[i][j] if j < i else 0
-
-    def matrix(self, factor: int) -> list[list[int]]:
-        """The full distance matrix, d(i, j) over L * factor."""
-        n = len(self.rows)
-        return [[self.dist(i, j) * factor for j in range(n)] for i in range(n)]
-
     def try_add(self, row, note=None) -> bool:
         """Add a point with row[i] = d(i, new) over L, if that keeps the
         structure valid; False, and nothing added, if not."""
-        n = len(self.rows)
+        rows = self.rows
+        n = len(rows)
         if len(row) != n:
             raise ValueError(f"point {n} needs {n} distances, got {len(row)}")
-        if row and (min(row) < 0 or max(row) > self.L or not admissible(self.d, row)):
+        if row and (min(row) < 0 or max(row) > self.L or not admissible(rows, row)):
             return False
-        self.rows.append(list(row))
+        for r, v in zip(rows, row):
+            r.append(v)
+        rows.append([*row, 0])
         self._notes.append(note)
         return True
 
@@ -315,19 +315,13 @@ class MetricBuilder:
         rows, L = self.rows, self.L
         values = set(chain.from_iterable(rows))
         frac = {v: Fraction(v, L) for v in values}
-        frac[0] = ZERO
-        n = len(rows)
-        table = {
-            (i, j): frac[rows[j][i] if i < j else rows[i][j] if j < i else 0]
-            for i in range(n)
-            for j in range(n)
-        }
+        table = {(i, j): frac[v] for i, row in enumerate(rows) for j, v in enumerate(row)}
         log = self._log
         if provenance:
             log += tuple(
                 {"point": self._base + k, "note": note} for k, note in enumerate(self._notes)
             )
-        m = PresentedStructure(self.sig, n, {"d": table}, log)
+        m = PresentedStructure(self.sig, len(rows), {"d": table}, log)
         m._unit = all(0 <= v <= L for v in values)
         return m
 

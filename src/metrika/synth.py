@@ -7,8 +7,8 @@ the spec factory.  For the empty metric theory the obligations are
 distance configurations to realize, and the whole closure runs on
 integers over one denominator L.  The space grows on one
 `structures.MetricBuilder`; one `urysohn.ObligationScan`, built over the
-builder's L, scores the obligations on its `n` and `dist` and holds the
-configuration rows the witnesses aim at, and the obligations drain as a
+builder's L, scores the obligations on the builder's square rows and holds
+the configuration rows the witnesses aim at, and the obligations drain as a
 FIFO queue that only gains the tuples through each new point.  The
 witness steers each new row, from the repaired Katetov row
 (`urysohn.katetov_row`, also the fallback) off the task grid by
@@ -164,19 +164,19 @@ def _ec_close_metric(seed, budget, rng_seed, *, config_sizes, config_grid, eps, 
     scan = ObligationScan(configs, eps, b.L)
     delta = delta_for(eps)
     grid_l, config_grid_l, eps_l, delta_l = scaled((grid, config_grid, eps, delta), b.L)
-    queue = deque(scan.obligations(b.n, b.dist))
+    queue = deque(scan.obligations(b.rows))
     dequeued = 0
     while queue and dequeued < budget:
         t_idx, pts = queue.popleft()
         dequeued += 1
-        if scan.realized(t_idx, pts, b.n, b.dist):
+        if scan.realized(t_idx, pts, b.rows):
             continue
         r, k = scan.rows[t_idx], len(pts)
         targets = [r[a][k] for a in range(k)]
         old_n = b.n
         note = {"task": t_idx, "tuple": pts}
         _add_metric_witness(b, targets, pts, grid_l, config_grid_l, eps_l, delta_l, rng, note)
-        queue.extend(scan.obligations(b.n, b.dist, first_new=old_n))
+        queue.extend(scan.obligations(b.rows, first_new=old_n))
     return b.freeze()
 
 
@@ -202,8 +202,7 @@ def _add_metric_witness(b, targets, pts, grid, config_grid, eps, delta, rng, not
     the default grids) the repaired Katetov row is added instead, with
     slack 3 delta/2 = eps.
     """
-    n = b.n
-    cap = b.L - grid
+    rows, cap = b.rows, b.L - grid
 
     def anchor_candidates(t):
         cands = [
@@ -214,14 +213,13 @@ def _add_metric_witness(b, targets, pts, grid, config_grid, eps, delta, rng, not
         rng.shuffle(cands)
         return cands
 
-    def anchor_d(i, j):
-        return b.dist(pts[i], pts[j])
-
+    # the anchors' own distances, the space an anchor row is admissible over
+    anchors = [[rows[p][q] for q in pts] for p in pts]
     for combo in product(*map(anchor_candidates, targets)):
-        if not admissible(anchor_d, combo):
+        if not admissible(anchors, combo):
             continue
         s = []
-        for v in katetov_row(n, b.dist, pts, combo, 0, cap):
+        for v in katetov_row(rows, pts, combo, 0, cap):
             while v > 0 and not _off_task_grid(v, config_grid, delta):
                 v -= grid
             s.append(v)
@@ -233,7 +231,7 @@ def _add_metric_witness(b, targets, pts, grid, config_grid, eps, delta, rng, not
             continue
         if b.try_add(s, note):
             return
-    b.add(katetov_row(n, b.dist, pts, targets, eps, b.L), note)
+    b.add(katetov_row(rows, pts, targets, eps, b.L), note)
 
 
 def _ec_close_graph(seed, budget, rng_seed, *, max_size):

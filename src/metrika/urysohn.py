@@ -6,8 +6,10 @@ coded once in `structures.admissible` and `structures.admissible_interval`.
 A distance configuration of size n is the formula
 max_{i<j} |d(x_i, x_j) - r_ij| for a rational distance matrix r; realizing
 it within eps places n points at the prescribed mutual distances up to eps.
-Both sides run on integers: ``ObligationScan`` scores configurations, and
-``katetov_row`` builds the witness row that ``MetricBuilder.try_add`` checks.
+Both sides run on integers, on a space's square rows (``rows[i][j]`` is
+d(i, j) * L, as ``structures.distance_rows`` builds them):
+``ObligationScan`` scores configurations, and ``katetov_row`` builds the
+witness row that ``MetricBuilder.try_add`` checks.
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ from itertools import chain, combinations, product
 
 from .errors import SizeMismatchError
 from .rationals import ONE, ZERO, format_rational, parse_rational
-from .structures import PresentedStructure, admissible, lattice, scaled, tuples_naming
+from .structures import (
+    PresentedStructure,
+    admissible,
+    distance_rows,
+    lattice,
+    scaled,
+    tuples_naming,
+)
 
 
 @dataclass(frozen=True)
@@ -46,7 +55,7 @@ class DistanceConfiguration:
                     raise ValueError(f"asymmetric at ({i},{j})")
         # the triangle inequality: each row is admissible over its prefix
         for k in range(n):
-            if not admissible(lambda i, j: s[i][j], s[k][:k]):
+            if not admissible(s, s[k][:k]):
                 raise ValueError(f"triangle violated by point {k}")
 
     @property
@@ -72,12 +81,12 @@ class ObligationScan:
     The scan is built over the denominator L of the space it reads:
     ``self.L`` is the lcm of L and the configurations' denominators, and
     eps, delta and every configuration row (``rows``) are scaled to it
-    once, here.  A space is a size ``n`` and ``dist(i, j)``, d(i, j) over
-    ``self.L`` for every i and j, as on a ``MetricBuilder`` whose grids
-    include the configurations'.  Each distance error is then an integer
-    over ``self.L``, and it is within eps (or delta) exactly when it is at
-    most floor(eps * L).  The configurations are grouped by restriction
-    once, too.
+    once, here.  A space is its square rows ``d``, ``d[i][j]`` the integer
+    d(i, j) over ``self.L``, as ``distance_rows(m, self.L)`` gives them or
+    a ``MetricBuilder`` whose grids include the configurations' keeps
+    them.  Each distance error is then an integer over ``self.L``, and it
+    is within eps (or delta) exactly when it is at most floor(eps * L).
+    The configurations are grouped by restriction once, too.
     """
 
     def __init__(self, configs, eps, L: int):
@@ -99,12 +108,12 @@ class ObligationScan:
             self._keys.append((k, key))
             self._groups.setdefault(k, {})[key] = None
 
-    def obligations(self, n: int, dist, first_new: int = 0):
+    def obligations(self, d, first_new: int = 0):
         """Every (theta_index, pts) whose anchor tuple pts realizes theta's
         restriction within delta, configuration-major with tuples in
         product order.  With first_new > 0, only the tuples naming a point
         >= first_new (so never the empty tuple)."""
-        delta = self._delta
+        delta, n = self._delta, len(d)
         anchors = {}
         for k, keys in self._groups.items():
             pairs = list(combinations(range(k), 2))
@@ -112,7 +121,7 @@ class ObligationScan:
                 tuples = tuples_naming(n, k, first_new)
             else:
                 tuples = product(range(n), repeat=k)
-            scored = [(pts, [dist(pts[i], pts[j]) for i, j in pairs]) for pts in tuples]
+            scored = [(pts, [d[pts[i]][pts[j]] for i, j in pairs]) for pts in tuples]
             for key in keys:
                 anchors[k, key] = [
                     pts
@@ -123,7 +132,7 @@ class ObligationScan:
             for pts in anchors[key]:
                 yield t_idx, pts
 
-    def realized(self, t_idx: int, pts, n: int, dist) -> bool:
+    def realized(self, t_idx: int, pts, d) -> bool:
         """Whether some point completes the anchors pts to configuration
         t_idx within eps."""
         r = self.rows[t_idx]
@@ -132,10 +141,10 @@ class ObligationScan:
             raise SizeMismatchError(f"expected {k + 1} points, got {len(pts) + 1}")
         eps = self._eps
         for i, j in combinations(range(k), 2):
-            if abs(dist(pts[i], pts[j]) - r[i][j]) > eps:
+            if abs(d[pts[i]][pts[j]] - r[i][j]) > eps:
                 return False
-        col = [(p, r[a][k]) for a, p in enumerate(pts)]
-        return any(all(abs(dist(p, y) - c) <= eps for p, c in col) for y in range(n))
+        col = [(d[p], r[a][k]) for a, p in enumerate(pts)]
+        return any(all(abs(dp[y] - c) <= eps for dp, c in col) for y in range(len(d)))
 
 
 # --------------------------------------------------------- Katetov repair
@@ -149,15 +158,15 @@ def delta_for(eps: Fraction) -> Fraction:
     return 2 * eps / 3
 
 
-def katetov_row(n, d, pts, s, slack, unit) -> list:
-    """The repaired Katetov row h(x) = min(unit, min_a(s_a + slack + d(x, pts_a)))
-    for x in 0..n-1: distances from a new point to every point of a space
-    with lookup d(i, j), given its prescribed distance s_a to each anchor
-    pts_a.  All are on one scale, integers over L in the package, and unit
-    caps the row (L itself for diameter 1).  With slack
-    3 delta / 2 over anchors that realize their restriction within delta,
-    the row is admissible and within the slack of each s_a."""
-    return [min([unit] + [sa + slack + d(x, p) for p, sa in zip(pts, s)]) for x in range(n)]
+def katetov_row(d, pts, s, slack, unit) -> list:
+    """The repaired Katetov row h(x) = min(unit, min_a(s_a + slack + d[x][pts_a]))
+    for every point x of the space with square rows d: distances from a
+    new point, given its prescribed distance s_a to each anchor pts_a.
+    All are on one scale, integers over L in the package, and unit caps
+    the row (L itself for diameter 1).  With slack 3 delta / 2 over
+    anchors that realize their restriction within delta, the row is
+    admissible and within the slack of each s_a."""
+    return [min([unit] + [sa + slack + dx[p] for p, sa in zip(pts, s)]) for dx in d]
 
 
 # ----------------------------------------------------------------- report
@@ -195,18 +204,13 @@ def extension_property_report(
     """For every configuration and every prefix tuple realizing its
     restriction within delta_for(eps): is some prefix point within eps of
     completing the configuration?"""
-    table = m.tables["d"]
-    scan = ObligationScan(configs, eps, lattice(table.values()))
-    d = dict(zip(table, scaled(table.values(), scan.L)))
-
-    def dist(i, j):
-        return d[i, j]
-
+    scan = ObligationScan(configs, eps, lattice(m.tables["d"].values()))
+    rows = distance_rows(m, scan.L)
     total = 0
     failures: list[ExtensionFailure] = []
-    for t_idx, pts in scan.obligations(m.n, dist):
+    for t_idx, pts in scan.obligations(rows):
         total += 1
-        if not scan.realized(t_idx, pts, m.n, dist):
+        if not scan.realized(t_idx, pts, rows):
             failures.append(ExtensionFailure(t_idx, pts))
     return ExtensionReport(total - len(failures), total, tuple(failures))
 

@@ -34,7 +34,7 @@ from metrika.logic import (
 )
 from metrika.rationals import ONE, ZERO
 from metrika.sampling import _grow
-from metrika.structures import MetricBuilder, PresentedStructure, Tables, scaled
+from metrika.structures import MetricBuilder, PresentedStructure, Tables, nested, scaled
 from metrika.synth import is_prefix
 from metrika.urysohn import DistanceConfiguration, katetov_row
 
@@ -55,6 +55,12 @@ def from_distance_matrix(rows) -> PresentedStructure:
     return PresentedStructure(metric_signature(), n, {"d": table})
 
 
+def fraction_rows(m) -> list[list[Fraction]]:
+    """m's distances as square rows of Fractions, rows[i][j] = d(i, j): the
+    form the Katetov tests read, on the rational scale."""
+    return nested(m.tables["d"], 2, m.n, Fraction)
+
+
 def extend_with_distances(m, dists, note=None) -> PresentedStructure:
     """m plus one point at the rational distances dists, through the
     builder's check."""
@@ -70,7 +76,7 @@ def katetov_extension(m, s, pts, slack) -> PresentedStructure:
     builder's integers, accepted by ``try_add``."""
     b = MetricBuilder(m, slack, *s)
     (slack_L,) = scaled([slack], b.L)
-    assert b.try_add(katetov_row(m.n, b.dist, pts, scaled(s, b.L), slack_L, b.L))
+    assert b.try_add(katetov_row(b.rows, pts, scaled(s, b.L), slack_L, b.L))
     return b.freeze()
 
 
@@ -188,7 +194,7 @@ def config_error(theta: DistanceConfiguration, m: PresentedStructure, pts) -> Fr
     err = ZERO
     for i in range(theta.n):
         for j in range(i + 1, theta.n):
-            err = max(err, abs(m.d(pts[i], pts[j]) - theta.r[i][j]))
+            err = max(err, abs(m.value("d", (pts[i], pts[j])) - theta.r[i][j]))
     return err
 
 

@@ -109,7 +109,7 @@ def one_point_grid_extensions(m, step):
     levels = [k * step for k in range(int(ONE / step) + 1)]
     for s in product(levels, repeat=m.n):
         if all(
-            abs(s[i] - s[j]) <= m.d(i, j) <= s[i] + s[j]
+            abs(s[i] - s[j]) <= m.value("d", (i, j)) <= s[i] + s[j]
             for i in range(m.n)
             for j in range(i + 1, m.n)
         ):
@@ -320,6 +320,7 @@ def test_c10_oracle_equivalences():
                 for j in range(k):
                     worst = max(
                         worst,
-                        abs(m.d(left[i], left[j]) - n.d(right[i], right[j])),
+                        abs(m.value("d", (left[i], left[j]))
+                            - n.value("d", (right[i], right[j]))),
                     )
             assert distortion(list(zip(left, right)), m, n) == worst

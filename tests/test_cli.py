@@ -91,6 +91,15 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == "" and "unbound variable 'y'" in captured.err
 
+    def test_assignment_into_no_points_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        save(from_distance_matrix([]), path)
+        code = cli.main(["eval", "--structure", str(path), "--formula", "d(x,x)",
+                         "--assign", "x=0"])
+        assert code == 2
+        err = assert_one_line_error(capsys, "usage error:")
+        assert "x=0 is not a point of a structure with no points" in err
+
     def test_missing_file_is_format_error(self, tmp_path, capsys):
         code, _ = run(
             ["eval", "--structure", str(tmp_path / "nope.json"),

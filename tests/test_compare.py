@@ -67,7 +67,7 @@ class TestDistortion:
             right = rng.sample(range(4), k)
             pairs = list(zip(left, right))
             worst = max(
-                abs(m.d(left[i], left[j]) - n.d(right[i], right[j]))
+                abs(m.value("d", (left[i], left[j])) - n.value("d", (right[i], right[j])))
                 for i in range(k)
                 for j in range(k)
             )

@@ -43,6 +43,7 @@ from metrika.structures import (
 
 from references import (
     extend_with_distances,
+    fraction_rows,
     fraction_value,
     from_distance_matrix,
     metric_quotient,
@@ -82,6 +83,11 @@ class TestEvaluate:
         f = parse_formula("d(x,y)", SIG)
         with pytest.raises(ValueError, match=rf"^y={point} is not a point of 0\.\.2$"):
             evaluate(f, tri_space, {"x": 0, "y": point})
+
+    def test_assignment_into_no_points_says_so(self):
+        f = parse_formula("d(x,x)", SIG)
+        with pytest.raises(ValueError, match=r"^x=0 is not a point of a structure with no points$"):
+            evaluate(f, from_distance_matrix([]), {"x": 0})
 
     def test_unbound_variable_raises_only_when_an_atom_is_reached(self):
         f = parse_formula("sup x. d(x,y)", SIG)
@@ -179,10 +185,11 @@ def _quantify(prefix, body):
 
 def _grid_extensions(m):
     """Every one-point extension of m with distances on the 1/4 grid."""
+    rows = fraction_rows(m)
     return [
         extend_with_distances(m, list(s))
         for s in product(QUARTERS, repeat=m.n)
-        if admissible(m.d, s)
+        if admissible(rows, s)
     ]
 
 
@@ -520,7 +527,7 @@ def test_nested_vacuous_quantifiers_value_the_body_once():
     g = parse_formula("sup y. " * 200 + "d(x,y)", SIG)
     for x in range(3):
         assert evaluate(f, m, {"x": x}) == evaluate(parse_formula("d(x,x)", SIG), m, {"x": x})
-        assert evaluate(g, m, {"x": x}) == max(m.d(x, y) for y in range(3))
+        assert evaluate(g, m, {"x": x}) == max(m.value("d", (x, y)) for y in range(3))
     # over no points the lattice units stand: inf is 1, sup is 0
     empty = from_distance_matrix([])
     assert evaluate(parse_formula("inf z. sup z. d(x,x)", SIG), empty) == 1

@@ -184,6 +184,12 @@ def test_basic_open_points_out_of_prefix():
         evaluate(parse_formula("d(x,y)", SIG), m, {"x": 0, "y": 5})
 
 
+def test_encode_of_no_points_says_so():
+    with pytest.raises(IndexOutOfPrefixError) as exc:
+        encode(from_distance_matrix([]), 3)
+    assert str(exc.value) == "coordinate d(0, 0) names a point, but the structure has no points"
+
+
 def test_basic_open_stable_under_extension():
     m = space([[0, "1/2", "3/4"], ["1/2", 0, "1/2"], ["3/4", "1/2", 0]])
     phi = parse_formula("d(x,y) -. 1/4", SIG)

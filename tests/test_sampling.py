@@ -28,6 +28,7 @@ from metrika.urysohn import DistanceConfiguration, all_configurations, delta_for
 from references import (
     config_error,
     extend_with_distances,
+    fraction_rows,
     fraction_value,
     from_distance_matrix,
     restrict,
@@ -61,7 +62,7 @@ class TestSampleOnePoint:
         total = ZERO
         for _ in range(trials):
             m = sample_one_point(base, spec, rng)
-            s = m.d(0, 1)
+            s = m.value("d", (0, 1))
             assert ZERO <= s <= ONE
             total += s
         mean = float(total) / trials
@@ -76,7 +77,7 @@ class TestSampleOnePoint:
         base = from_distance_matrix([[ZERO, ONE], [ONE, ZERO]])
         for _ in range(300):
             m = sample_one_point(base, spec, rng)
-            s0, s1 = m.d(0, 2), m.d(1, 2)
+            s0, s1 = m.value("d", (0, 2)), m.value("d", (1, 2))
             assert abs(s0 - s1) <= ONE <= s0 + s1
             if s0 == ZERO:
                 assert s1 == ONE
@@ -130,7 +131,7 @@ class TestSampleSpace:
         seen = set()
         spec = MeasureSpec(kind="sequential", grid=F(1, 2), seed=0)
         for t in range(200):
-            seen.add(sample_space(2, spec, trial_rng(0, "support", t)).d(0, 1))
+            seen.add(sample_space(2, spec, trial_rng(0, "support", t)).value("d", (0, 1)))
         assert seen == {ZERO, F(1, 2), ONE}
 
 
@@ -231,16 +232,16 @@ def _ref_grid_uniform(lo, hi, step, rng):
 
 
 def _ref_sample_one_point(m, spec, rng):
-    n = m.n
+    n, rows = m.n, fraction_rows(m)
     if spec.kind == "sequential":
         s = []
         for _ in range(n):
-            s.append(_ref_grid_uniform(*admissible_interval(m.d, s), spec.grid, rng))
+            s.append(_ref_grid_uniform(*admissible_interval(rows, s), spec.grid, rng))
         return extend_with_distances(m, s, note={"sampler": "sequential"})
     steps = int(ONE / spec.grid)
     for _ in range(spec.max_tries):
         s = [rng.randint(0, steps) * spec.grid for _ in range(n)]
-        if admissible(m.d, s):
+        if admissible(rows, s):
             return extend_with_distances(m, s, note={"sampler": "rejection"})
     raise RejectionBudgetExceededError("budget")
 
@@ -255,10 +256,9 @@ def _ref_sample_space(n, spec, rng):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for _ in range(spec.max_tries):
         draw = {p: rng.randint(0, steps) for p in pairs}
-
-        def d(i, j):
-            return draw[(i, j)]
-
+        d = [[0] * n for _ in range(n)]
+        for (i, j), v in draw.items():
+            d[i][j] = d[j][i] = v
         if all(admissible(d, [draw[(i, k)] for i in range(k)]) for k in range(2, n)):
             rows = [[ZERO] * n for _ in range(n)]
             for (i, j), v in draw.items():
@@ -311,7 +311,7 @@ def test_off_grid_prefix_takes_the_lo_fallback():
         m = sample_one_point(prefix, spec, random.Random(seed))
         ref = _ref_sample_one_point(prefix, spec, random.Random(seed))
         assert m.tables == ref.tables and m.provenance_log == ref.provenance_log
-        off_grid += any(8 % m.d(i, 2).denominator for i in range(2))
+        off_grid += any(8 % m.value("d", (i, 2)).denominator for i in range(2))
     assert off_grid > 0
 
 

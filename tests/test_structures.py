@@ -17,6 +17,7 @@ from metrika.structures import (
     Violation,
     admissible,
     admissible_interval,
+    distance_rows,
     from_json,
     to_json,
     validate,
@@ -25,6 +26,7 @@ from metrika.structures import (
 from references import (
     empty_structure,
     extend_with_distances,
+    fraction_rows,
     from_distance_matrix,
     metric_quotient,
 )
@@ -67,7 +69,7 @@ class TestExtend:
     def test_one_point_plus_third(self):
         m = from_distance_matrix([[0]])
         m2 = extend_with_distances(m, [F(1, 3)])
-        assert m2.n == 2 and m2.d(0, 1) == F(1, 3)
+        assert m2.n == 2 and m2.value("d", (0, 1)) == F(1, 3)
         assert validate(m2).ok
 
     def test_extension_violating_triangle(self):
@@ -103,14 +105,14 @@ class TestQuotient:
     def test_metric_input_identity(self):
         m = from_distance_matrix([[0, F(1, 2)], [F(1, 2), 0]])
         q = metric_quotient(m)
-        assert q.n == 2 and q.d(0, 1) == F(1, 2)
+        assert q.n == 2 and q.value("d", (0, 1)) == F(1, 2)
 
     def test_three_points_collapse(self):
         m = from_distance_matrix(
             [[0, 0, F(1, 2)], [0, 0, F(1, 2)], [F(1, 2), F(1, 2), 0]]
         )
         q = metric_quotient(m)
-        assert q.n == 2 and q.d(0, 1) == F(1, 2)
+        assert q.n == 2 and q.value("d", (0, 1)) == F(1, 2)
         assert validate(q).is_metric
 
     def test_idempotent(self):
@@ -214,7 +216,7 @@ def test_extension_checks_agree_with_full_validation(rows, row):
         [rows[i] + [s[i]] for i in range(n)] + [s + [F(0)]]
     )
     expected = validate(out)
-    assert admissible(m.d, s) == expected.ok
+    assert admissible(rows, s) == expected.ok
     try:
         extend_with_distances(m, s)
     except ExtensionViolatesAxiomsError as exc:
@@ -228,13 +230,12 @@ def test_extension_checks_agree_with_full_validation(rows, row):
 @settings(max_examples=200)
 def test_interval_is_the_set_of_admissible_next_values(rows, row):
     rows = _metric_closure(rows)
-    m = from_distance_matrix(rows)
     s = []
     for i in range(len(rows)):
-        lo, hi = admissible_interval(m.d, s)
+        lo, hi = admissible_interval(rows, s)
         for k in range(5):
             t = F(k, 4)
-            assert (lo <= t <= hi) == admissible(m.d, s + [t])
+            assert (lo <= t <= hi) == admissible(rows, s + [t])
         s.append(min(max(row[i], lo), hi))
 
 
@@ -279,9 +280,9 @@ def _valid_prefixes(draw):
     q = draw(st.sampled_from([2, 3, 4, 6]))
     m = empty_structure(from_distance_matrix([[0]]).sig)
     for _ in range(draw(st.integers(0, 5))):
-        s = []
+        s, rows = [], fraction_rows(m)
         for _ in range(m.n):
-            lo, hi = admissible_interval(m.d, s)
+            lo, hi = admissible_interval(rows, s)
             s.append(F(draw(st.integers(ceil(lo * q), floor(hi * q))), q))
         m = extend_with_distances(m, s, note={"q": q})
     return m
@@ -292,17 +293,20 @@ def _valid_prefixes(draw):
        st.data())
 def test_builder_agrees_with_validate(prefix, grid, data):
     """Each row the builder takes or refuses, against ``validate`` of the
-    full matrix the row would give."""
+    full matrix the row would give; after each, the builder's rows are
+    those of the structure it freezes to, a refused row leaving them as
+    they were."""
     b = MetricBuilder(prefix, grid)
     m = prefix
     for _ in range(data.draw(st.integers(1, 4))):
+        assert b.rows == distance_rows(b.freeze(), b.L) == distance_rows(m, b.L)
         L, n = b.L, b.n
         length = data.draw(st.sampled_from([n, n, n, n + 1] + ([n - 1] if n else [])))
         if data.draw(st.booleans()) and length == n:
             # an admissible row, often on the interval's edge
             row = []
             for _ in range(n):
-                lo, hi = admissible_interval(b.d, row, L)
+                lo, hi = admissible_interval(b.rows, row, L)
                 row.append(data.draw(st.sampled_from([lo, hi]) | st.integers(lo, hi)))
         else:
             row = data.draw(st.lists(st.integers(-1, L + 1), min_size=length,
@@ -313,7 +317,7 @@ def test_builder_agrees_with_validate(prefix, grid, data):
                 b.add(row, note)
             continue
         full = from_distance_matrix(
-            [[m.d(i, j) for j in range(n)] + [F(row[i], L)] for i in range(n)]
+            [[m.value("d", (i, j)) for j in range(n)] + [F(row[i], L)] for i in range(n)]
             + [[F(v, L) for v in row] + [F(0)]]
         )
         expected = validate(full)
@@ -325,6 +329,7 @@ def test_builder_agrees_with_validate(prefix, grid, data):
         b.add(row, note)
         record = {"point": n, "note": note}
         m = PresentedStructure(m.sig, n + 1, full.tables, m.provenance_log + (record,))
+    assert b.rows == distance_rows(b.freeze(), b.L) == distance_rows(m, b.L)
     frozen = b.freeze()
     assert frozen == m
     assert frozen.provenance_log == m.provenance_log

@@ -30,6 +30,7 @@ from references import (
     config_error,
     ec_witness_check,
     extend_with_distances,
+    fraction_rows,
     katetov_extension,
     max_of,
     restrict,
@@ -192,7 +193,7 @@ def reference_witness(m, theta, pts, eps, delta, config_grid, grid, rng):
     if m.n == 0:
         return ()
     targets = [theta.r[a][k] for a in range(k)]
-    cap = ONE - grid
+    cap, rows = ONE - grid, fraction_rows(m)
 
     def anchor_candidates(t):
         cands = [
@@ -205,15 +206,13 @@ def reference_witness(m, theta, pts, eps, delta, config_grid, grid, rng):
         rng.shuffle(cands)
         return cands
 
-    def anchor_d(a, b):
-        return m.d(pts[a], pts[b])
-
+    anchors = [[rows[p][q] for q in pts] for p in pts]
     for combo in product(*(anchor_candidates(t) for t in targets)):
-        if not admissible(anchor_d, combo):
+        if not admissible(anchors, combo):
             continue
         s = []
         for x in range(m.n):
-            v = min([cap] + [combo[a] + m.d(x, pts[a]) for a in range(k)])
+            v = min([cap] + [combo[a] + rows[x][pts[a]] for a in range(k)])
             while v > ZERO and not reference_off_task_grid(v, config_grid, delta):
                 v -= grid
             s.append(v)
@@ -223,9 +222,9 @@ def reference_witness(m, theta, pts, eps, delta, config_grid, grid, rng):
             continue
         if any(abs(s[pts[a]] - targets[a]) > eps for a in range(k)):
             continue
-        if admissible(m.d, s):
+        if admissible(rows, s):
             return tuple(s)
-    return tuple(katetov_row(m.n, m.d, pts, targets, 3 * delta / 2, ONE))
+    return tuple(katetov_row(rows, pts, targets, 3 * delta / 2, ONE))
 
 
 def reference_ec_close_metric(seed, config_sizes, config_grid, eps, grid, budget, rng_seed):

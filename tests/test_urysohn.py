@@ -108,28 +108,24 @@ def test_config_error_matches_formula_evaluation():
 # ------------------------------------------------------- Katetov intervals
 
 
-def lookup(theta):
-    return lambda i, j: theta.r[i][j]
-
-
 def test_polytope_all_ones_always_admissible():
     theta = config([[0, "1/2", 1], ["1/2", 0, "3/4"], [1, "3/4", 0]])
-    assert admissible(lookup(theta), [F(1)] * 3)
+    assert admissible(theta.r, [F(1)] * 3)
 
 
 def test_admissible_bounds_first_coordinate():
     theta = config([[0, "1/2"], ["1/2", 0]])
-    assert admissible_interval(lookup(theta), []) == (F(0), F(1))
+    assert admissible_interval(theta.r, []) == (F(0), F(1))
 
 
 def test_admissible_bounds_forced():
     theta = config([[0, 1], [1, 0]])
-    assert admissible_interval(lookup(theta), [F(0)]) == (F(1), F(1))
+    assert admissible_interval(theta.r, [F(0)]) == (F(1), F(1))
 
 
 def test_admissible_bounds_quarter():
     theta = config([[0, "1/2"], ["1/2", 0]])
-    assert admissible_interval(lookup(theta), [F(1, 4)]) == (F(1, 4), F(3, 4))
+    assert admissible_interval(theta.r, [F(1, 4)]) == (F(1, 4), F(3, 4))
 
 
 @st.composite
@@ -162,7 +158,7 @@ def grid_configs(draw, max_n=4, denom=4):
 @given(grid_configs())
 @settings(max_examples=200)
 def test_sequential_bounds_never_empty(theta):
-    d = lookup(theta)
+    d = theta.r
     partial = []
     for _ in range(theta.n):
         lo, hi = admissible_interval(d, partial)
@@ -195,7 +191,7 @@ def katetov_point(m, theta, pts, delta):
     pts, with slack 3 delta / 2, and that point's distances to m."""
     k = theta.n - 1
     ext = katetov_extension(m, [theta.r[a][k] for a in range(k)], pts, 3 * delta / 2)
-    return ext, tuple(ext.d(x, m.n) for x in range(m.n))
+    return ext, tuple(ext.value("d", (x, m.n)) for x in range(m.n))
 
 
 def test_katetov_exact_match():
@@ -257,7 +253,7 @@ def test_katetov_soundness(inst):
         slack, config_error(restrict(theta), m, pts)
     )
     for a in range(k):
-        assert abs(ext.d(pts[a], m.n) - theta.r[a][k]) <= slack
+        assert abs(ext.value("d", (pts[a], m.n)) - theta.r[a][k]) <= slack
 
 
 # ------------------------------------------------------------ axiom schema
@@ -334,22 +330,28 @@ def test_report_json_shape():
 
 @st.composite
 def obligation_instances(draw):
-    """A grid metric space, configurations of sizes 1-3 on the same grid
-    (so that restrictions often match), and a tolerance."""
+    """A grid space, configurations of sizes 1-3 on the same grid (so that
+    restrictions often match), and a tolerance.  The space is metric, or,
+    half the time, has entries off the diagonal redrawn one side of a pair
+    at a time, so that its asymmetric table tells d(i, j) from d(j, i)."""
     denom = draw(st.sampled_from([2, 4]))
-    m = from_distance_matrix(draw(grid_configs(max_n=5, denom=denom)).r)
+    rows = [list(row) for row in draw(grid_configs(max_n=5, denom=denom)).r]
+    if draw(st.booleans()):
+        for i, j in product(range(len(rows)), repeat=2):
+            if i != j and draw(st.booleans()):
+                rows[i][j] = F(draw(st.integers(0, denom)), denom)
+    m = from_distance_matrix(rows)
     configs = draw(st.lists(grid_configs(max_n=3, denom=denom), max_size=6))
     eps = draw(st.sampled_from([F(1, 8), F(1, 4), F(1, 2)]))
     return m, configs, eps
 
 
 def scan_over(m, configs, eps):
-    """An ObligationScan over m's denominator, and m as the integer space
-    (n, dist) it reads: m's distances over the scan's L."""
-    table = m.tables["d"]
-    scan = ObligationScan(configs, eps, lattice(table.values()))
-    d = {ij: v * scan.L for ij, v in table.items()}
-    return scan, (m.n, lambda i, j: int(d[i, j]))
+    """An ObligationScan over m's denominator, and m as the integer rows it
+    reads: rows[i][j] is d(i, j) over the scan's L."""
+    scan = ObligationScan(configs, eps, lattice(m.tables["d"].values()))
+    rows = [[int(m.value("d", (i, j)) * scan.L) for j in range(m.n)] for i in range(m.n)]
+    return scan, rows
 
 
 def brute_force_obligations(m, configs, eps, first_new):
@@ -370,12 +372,12 @@ def test_obligations_match_brute_force_scan(inst):
     m, configs, eps = inst
     scan, space = scan_over(m, configs, eps)
     for first_new in range(m.n + 1):
-        assert list(scan.obligations(*space, first_new)) == (
+        assert list(scan.obligations(space, first_new)) == (
             brute_force_obligations(m, configs, eps, first_new)
         )
     for t_idx, theta in enumerate(configs):
         for pts in product(range(m.n), repeat=theta.n - 1):
-            assert scan.realized(t_idx, pts, *space) == any(
+            assert scan.realized(t_idx, pts, space) == any(
                 config_error(theta, m, pts + (y,)) <= eps for y in range(m.n)
             )
 
@@ -515,12 +517,12 @@ def test_integer_scan_matches_fraction_reference(inst):
     m, configs, eps = inst
     scan, space = scan_over(m, configs, eps)
     for first_new in range(m.n + 1):
-        assert list(scan.obligations(*space, first_new)) == (
+        assert list(scan.obligations(space, first_new)) == (
             brute_force_obligations(m, configs, eps, first_new)
         )
     for t_idx, theta in enumerate(configs):
         for pts in product(range(m.n), repeat=theta.n - 1):
-            assert scan.realized(t_idx, pts, *space) == any(
+            assert scan.realized(t_idx, pts, space) == any(
                 config_error(theta, m, pts + (y,)) <= eps for y in range(m.n)
             )
     report = extension_property_report(m, eps, configs)
@@ -560,9 +562,9 @@ def test_integer_scan_agrees_with_axiom_formula(inst):
         assert holds
     if holds:
         scan, space = scan_over(m, [theta], eps)
-        for _, pts in scan.obligations(*space):
+        for _, pts in scan.obligations(space):
             if config_error(restrict(theta), m, pts) < delta:
-                assert scan.realized(0, pts, *space)
+                assert scan.realized(0, pts, space)
 
 
 # ------------------------------------------ the scan's two integer readers
@@ -594,7 +596,7 @@ def builder_instances(draw):
     for _ in range(draw(st.integers(0, 5))):
         row = []
         for _ in range(b.n):
-            lo, hi = admissible_interval(b.d, row, b.L)
+            lo, hi = admissible_interval(b.rows, row, b.L)
             (g,) = scaled([draw(st.sampled_from(grids))], b.L)
             lo_idx, hi_idx = -(-lo // g), hi // g
             row.append(lo if lo_idx > hi_idx else draw(st.integers(lo_idx, hi_idx)) * g)
@@ -613,23 +615,21 @@ def test_builder_and_table_readers_agree(inst):
     tripled = ObligationScan(configs, eps, 3 * scan.L)
     assert tripled.L == 3 * scan.L
 
-    def dist3(i, j):
-        return 3 * b.dist(i, j)
-
+    rows3 = [[3 * x for x in row] for row in b.rows]
     for first_new in range(b.n + 1):
-        got = list(scan.obligations(b.n, b.dist, first_new))
-        assert got == list(table_scan.obligations(*table, first_new))
-        assert got == list(tripled.obligations(b.n, dist3, first_new))
+        got = list(scan.obligations(b.rows, first_new))
+        assert got == list(table_scan.obligations(table, first_new))
+        assert got == list(tripled.obligations(rows3, first_new))
     for t_idx, theta in enumerate(configs):
         for pts in product(range(b.n), repeat=theta.n - 1):
-            got = scan.realized(t_idx, pts, b.n, b.dist)
-            assert got == table_scan.realized(t_idx, pts, *table)
-            assert got == tripled.realized(t_idx, pts, b.n, dist3)
-    obligations = list(scan.obligations(b.n, b.dist))
+            got = scan.realized(t_idx, pts, b.rows)
+            assert got == table_scan.realized(t_idx, pts, table)
+            assert got == tripled.realized(t_idx, pts, rows3)
+    obligations = list(scan.obligations(b.rows))
     failures = [
         (t_idx, pts)
         for t_idx, pts in obligations
-        if not scan.realized(t_idx, pts, b.n, b.dist)
+        if not scan.realized(t_idx, pts, b.rows)
     ]
     report = extension_property_report(m, eps, configs)
     assert report.total == len(obligations)
