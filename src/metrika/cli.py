@@ -19,7 +19,7 @@ from . import polish, sampling, structures, synth, urysohn
 from .errors import MetrikaError, SchemaMismatchError
 from .evaluation import check_condition, evaluate
 from .logic import parse_condition, parse_formula
-from .rationals import format_rational, parse_rational
+from .rationals import parse_rational
 
 REPORT_VERSION = "metrika-report-1"
 
@@ -270,7 +270,7 @@ def _eval(args) -> int:
             raise SystemExit2(f"--assign names {name}, not a free variable of the formula")
         if not 0 <= point < m.n:
             raise SystemExit2(f"{name}={point} is not a point of {structures.point_range(m.n)}")
-    print(format_rational(evaluate(f, m, asg)))
+    print(evaluate(f, m, asg))
     return 0
 
 

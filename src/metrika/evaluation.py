@@ -8,7 +8,8 @@ presentation extends the prefix.  That interval is read off the formula's
 prenex class and its value v on the prefix: [v, v] for a quantifier-free
 formula, [0, min(1, v)] for one inf block (an inf over the prefix only
 upper-bounds the true inf), [max(0, v), 1] for one sup block, and [0, 1]
-under an alternation, where the inner block's bound is lost.
+under an alternation, where the inner block's bound is lost.  On a
+nonempty prefix the class is read with every vacuous quantifier dropped.
 
 Each formula is compiled once to an integer kernel.  A formula f gets one
 denominator D, read off it bottom-up by ``denominator``: at an atom it is
@@ -20,8 +21,8 @@ integers over D to integers over D: ``not`` is D - x, ``-.`` is
 max(0, x - y), ``+.`` is min(D, x + y), ``absdiff`` is |x - y|, and a scale
 by p/q is x * p // q.  That division is exact: the operand's value is an
 integer over its own denominator D', and q * D' divides D, so q divides x.
-``evaluate`` fetches the kernel, scales the tables to D once per call and
-returns x / D.
+``evaluate`` fetches the kernel, scales the tables to D with ``scaled``
+once per call and returns x / D.
 
 A quantifier stops scanning points once its value reaches the lattice
 bound: 0 for an inf, D for a sup.  That is exact only when no value can
@@ -57,10 +58,11 @@ from .logic import (
     ScaleQ,
     Sup,
     TruncPlus,
+    drop_vacuous,
     quantifier_class,
 )
 from .rationals import ONE, ZERO
-from .structures import PresentedStructure, lattice, nested, point_range
+from .structures import PresentedStructure, lattice, nested, point_range, scaled
 
 
 @dataclass(frozen=True)
@@ -92,11 +94,7 @@ def evaluate(f: Formula, m: PresentedStructure, asg=None) -> Fraction:
         L = lattice(chain.from_iterable(t.values() for t in m.tables.values()))
         D = denominator(f, L)
         kernel = compile_formula(f, D, m.unit_valued(), tuple(asg))
-
-        def scale(v):
-            return v.numerator * (D // v.denominator)
-
-        tables = {r.name: nested(m.tables[r.name], r.arity, m.n, scale)
+        tables = {r.name: nested(m.tables[r.name], r.arity, m.n, lambda vs: scaled(vs, D))
                   for r in m.sig.relations}
         return Fraction(kernel(tables, asg.values()), D)
 
@@ -150,7 +148,7 @@ def _node(f, D, unit_valued, scope, slot):
     """The closure (tables, env) -> value * D of f, where scope maps the
     names in reach to their env positions and slot is the next free one."""
     if isinstance(f, Const):
-        c = f.value.numerator * (D // f.value.denominator)
+        (c,) = scaled([f.value], D)
         return lambda T, e: c
     if isinstance(f, Atom):
         rel, at = f.relation, [scope.get(v) for v in f.args]
@@ -259,8 +257,12 @@ def _quantifier(f, D, unit_valued, scope, slot):
 
 def evaluate_prefix_bounds(f: Formula, m: PresentedStructure, asg=None) -> ValueInterval:
     """Interval containing f's value in every valid extension of m's prefix,
-    read off f's prenex class and its value v on the prefix."""
-    cls = quantifier_class(f)
+    read off f's prenex class and its value v on the prefix.  On a
+    nonempty prefix, whose extensions are all nonempty, the class is read
+    with every vacuous quantifier dropped: one whose variable is not free
+    in its body is that body there."""
+    with depth_guard():
+        cls = quantifier_class(drop_vacuous(f) if m.n else f)
     if cls.kind == "NotPrenex":
         raise NotPrenexUnsupportedError(f"prefix bounds need a prenex formula: {f}")
     v = evaluate(f, m, asg)

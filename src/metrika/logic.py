@@ -12,7 +12,7 @@ the metric symbol ``d`` (arity 2) is always present as relation index 0.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from .errors import (
@@ -22,7 +22,7 @@ from .errors import (
     FreeVariableInConditionError,
     UnknownRelationError,
 )
-from .rationals import ONE, ZERO, format_rational, require_unit
+from .rationals import ONE, ZERO, require_unit
 
 
 # ------------------------------------------------------------- signature
@@ -205,16 +205,27 @@ def is_quantifier_free(f: Formula) -> bool:
     return not isinstance(f, _QUANT) and all(map(is_quantifier_free, _children(f)))
 
 
+def drop_vacuous(f: Formula) -> Formula:
+    """f without every quantifier whose variable is not free in its body:
+    on any nonempty structure Q x. phi is phi when x is not free in phi,
+    so the result has f's value there."""
+    if isinstance(f, _QUANT) and f.var not in f.body.free_variables():
+        return drop_vacuous(f.body)
+    subformulas = {fd.name: drop_vacuous(getattr(f, fd.name))
+                   for fd in fields(f) if isinstance(getattr(f, fd.name), Formula)}
+    return replace(f, **subformulas)
+
+
 # --------------------------------------------------------------- pretty
 
 
 def _pretty(f: Formula) -> str:
     if isinstance(f, Const):
-        return format_rational(f.value)
+        return str(f.value)
     if isinstance(f, Atom):
         return f"{f.relation}({', '.join(f.args)})"
     if isinstance(f, ScaleQ):
-        return f"{format_rational(f.factor)} * ({_pretty(f.operand)})"
+        return f"{f.factor} * ({_pretty(f.operand)})"
     text = _SPELLING.get(type(f))
     if text is None:
         raise TypeError(f"not a formula node: {f!r}")
@@ -259,7 +270,7 @@ class Condition:
             )
 
     def pretty(self) -> str:
-        return f"{_pretty(self.formula)} {self.relation} {format_rational(self.bound)}"
+        return f"{_pretty(self.formula)} {self.relation} {self.bound}"
 
     def __str__(self) -> str:
         return self.pretty()

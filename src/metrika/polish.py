@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from .errors import IndexOutOfPrefixError
 from .logic import Signature
-from .rationals import format_rational
 from .structures import PresentedStructure, tuples_naming
 
 INDEX_ORDER_VERSION = "maxpoint-lex-1"
@@ -55,7 +54,7 @@ class Code:
     def to_json(self) -> dict:
         return {
             "index_order": self.version,
-            "values": [format_rational(v) for v in self.values],
+            "values": [*map(str, self.values)],
         }
 
 

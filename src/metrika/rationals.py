@@ -1,7 +1,8 @@
-"""Exact rational helpers: parsing, formatting, range checks.
+"""Exact rational helpers: parsing and range checks.
 
 All values handled by the package are `fractions.Fraction` instances; they
-stay canonical (reduced, positive denominator) by construction.
+stay canonical (reduced, positive denominator) by construction, so ``str``
+writes each as its one literal: "p" when the denominator is 1, else "p/q".
 """
 
 from __future__ import annotations
@@ -32,9 +33,3 @@ def require_unit(q: Fraction) -> Fraction:
     if not ZERO <= q <= ONE:
         raise ConstantOutOfRangeError(f"rational {q} outside [0,1]")
     return q
-
-
-def format_rational(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"

@@ -6,13 +6,14 @@ exchangeable); ``rejection`` draws whole distance matrices uniformly and
 keeps the metric ones (exchangeable by construction, exponential cost).
 Distances live on a fine rational grid so every draw is exact.  Each law
 is coded once, in ``_grow``, which grows a ``MetricBuilder`` (square
-integer rows over the lcm of the grid's and the prefix's denominators) by
-k points; ``sample_space`` freezes it to Fractions once, at the end, while
-the invariance audit and the genericity curve score each sample on the
-rows of the builder it was grown on.  A rejection proposal is
-drawn on the stream ``randint`` would consume and checked flat, beside
-the prefix's distances, triple by triple; only an accepted one is added,
-row by row, through the builder's ``try_add``.
+integer rows over a lattice L the grid's denominator divides) by k
+points, drawing the same rationals whatever L is.  ``sample_space``
+freezes it to Fractions once, at the end; the invariance audit and the
+genericity curve grow each sample over the lattice they score on (the
+kernel's D, the scan's L), so the builder's rows are what they read.  A
+rejection proposal is drawn on the stream ``randint`` would consume and
+checked flat, beside the prefix's distances, triple by triple; only an
+accepted one is added, row by row, through the builder's ``try_add``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import RejectionBudgetExceededError
 from .evaluation import compile_formula, denominator, depth_guard
 from .logic import Formula, metric_signature
 from .rationals import ONE, ZERO
-from .structures import MetricBuilder, PresentedStructure, admissible_interval, scaled
+from .structures import MetricBuilder, PresentedStructure, admissible_interval, lattice, scaled
 from .urysohn import DistanceConfiguration, ObligationScan
 
 DEFAULT_GRID = Fraction(1, 2**16)
@@ -84,7 +85,7 @@ def _grow(b: MetricBuilder, k: int, spec: MeasureSpec, rng) -> MetricBuilder:
             b.add(_sequential_row(b, g, rng), note={"sampler": "sequential"})
         return b
     base, end = b.n, b.n + k
-    steps = int(ONE / spec.grid)
+    steps = b.L // g
     bits = (steps + 1).bit_length()
     # flat[slot[i, j]] is d(i, j) over L, i < j: the prefix's pairs, then
     # the draw's, in the order they are drawn
@@ -121,13 +122,6 @@ def _grow(b: MetricBuilder, k: int, spec: MeasureSpec, rng) -> MetricBuilder:
     )
 
 
-def _sample(n: int, spec: MeasureSpec, rng) -> MetricBuilder:
-    """A random n-point space on a builder over the grid's denominator."""
-    if n < 1:
-        raise ValueError("need at least one point")
-    return _grow(MetricBuilder(_POINT, spec.grid), n - 1, spec, rng)
-
-
 def sample_space(n: int, spec: MeasureSpec, rng: random.Random | None = None):
     """A random n-point metric space of diameter <= 1.
 
@@ -135,8 +129,10 @@ def sample_space(n: int, spec: MeasureSpec, rng: random.Random | None = None):
     over metric matrices, hence exchangeable) and keeps no provenance; the
     sequential sampler builds the space one point at a time.
     """
-    rng = rng if rng is not None else random.Random(spec.seed)
-    return _sample(n, spec, rng).freeze(provenance=spec.kind == "sequential")
+    if n < 1:
+        raise ValueError("need at least one point")
+    b = _grow(MetricBuilder(_POINT, spec.grid), n - 1, spec, rng or random.Random(spec.seed))
+    return b.freeze(provenance=spec.kind == "sequential")
 
 
 def trial_rng(master_seed, *labels) -> random.Random:
@@ -178,9 +174,10 @@ def invariance_audit(
     Under an exchangeable sampler the frequencies agree up to noise; the
     flag trips when the largest pairwise gap exceeds `sigma` binomial
     standard deviations of the pooled estimate.  phi is compiled once, over
-    the D its denominator rule gives the grid's lattice, and each sample is
-    scored on the builder it was grown on: phi(a) < eps is
-    v * eps.denominator < eps.numerator * D for the kernel's value v.
+    the lcm D of eps's denominator and the D its denominator rule gives
+    the grid's lattice.  Each sample is grown on a builder over D, whose
+    rows are then the kernel's table, and phi(a) < eps is v < eps * D for
+    the kernel's value v.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -191,19 +188,20 @@ def invariance_audit(
     k = len(free)
     if k > n:
         raise ValueError("formula arity exceeds point count")
+    if n < 1:
+        raise ValueError("need at least one point")
     tuples = list(permutations(range(n), k))
     counts = {t: 0 for t in tuples}
-    # every sample's builder is over L, its distances all in 0..L (unit valued)
-    L = spec.grid.denominator
     with depth_guard():
-        D = denominator(phi, L)
+        D = lattice([eps, spec.grid], denominator(phi, spec.grid.denominator))
+        # every sample's distances are in 0..D (unit valued)
         kernel = compile_formula(phi, D, True, free)
-        cut, scale = eps.numerator * D, D // L
+        (cut,) = scaled([eps], D)
         for t_idx in range(trials):
-            b = _sample(n, spec, trial_rng(spec.seed, "audit", n, t_idx))
-            tables = {"d": [[x * scale for x in row] for row in b.rows]}
+            rng = trial_rng(spec.seed, "audit", n, t_idx)
+            tables = {"d": _grow(MetricBuilder(_POINT, Fraction(1, D)), n - 1, spec, rng).rows}
             for t in tuples:
-                if kernel(tables, t) * eps.denominator < cut:
+                if kernel(tables, t) < cut:
                     counts[t] += 1
     freqs = {t: c / trials for t, c in counts.items()}
     values = list(freqs.values())

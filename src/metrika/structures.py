@@ -19,7 +19,7 @@ from operator import sub
 
 from .errors import ExtensionViolatesAxiomsError
 from .logic import Relation, Signature
-from .rationals import ONE, ZERO, format_rational, parse_rational
+from .rationals import ONE, ZERO, parse_rational
 
 Tables = dict[str, dict[tuple[int, ...], Fraction]]
 
@@ -109,10 +109,10 @@ def validate(m: PresentedStructure) -> ValidationReport:
 
 def distance_rows(m: PresentedStructure, L: int) -> list[list[int]]:
     """m's distances as square integer rows, rows[i][j] = d(i, j) * L: the
-    one integer form of a metric.  L must be a multiple of every
-    distance's denominator (``scaled`` floors otherwise)."""
-    d, n = m.tables["d"], m.n
-    return [scaled([d[(i, j)] for j in range(n)], L) for i in range(n)]
+    one integer form of a metric, ``nested`` with each row ``scaled``.  L
+    must be a multiple of every distance's denominator (``scaled`` floors
+    otherwise)."""
+    return nested(m.tables["d"], 2, m.n, lambda r: scaled(r, L))
 
 
 def tuples_naming(n: int, arity: int, first_new: int) -> list[tuple[int, ...]]:
@@ -329,19 +329,22 @@ class MetricBuilder:
 # --------------------------------------------------------------- file I/O
 
 
-def nested(table, arity, n, leaf, prefix=()):
-    """table as lists nested arity deep, with n entries at each level and
-    leaf(value) at the bottom: nested(...)[i][j] is leaf(table[(i, j)])."""
-    if arity == 0:
-        return leaf(table[prefix])
-    return [nested(table, arity - 1, n, leaf, prefix + (i,)) for i in range(n)]
+def nested(table, arity, n, row, prefix=()):
+    """table as lists nested arity >= 1 deep, n entries at each level: at
+    arity 2, nested(...)[i] is row([table[(i, j)] for j in range(n)])."""
+    if arity == 1:
+        return row([table[prefix + (i,)] for i in range(n)])
+    return [nested(table, arity - 1, n, row, prefix + (i,)) for i in range(n)]
 
 
 def _unnest(nested, arity, n, prefix, out):
     if arity == 0:
-        v = parse_rational(nested)
+        try:
+            v = parse_rational(nested)
+        except ValueError as exc:
+            raise ValueError(f"entry {prefix}: {exc}") from None
         if not 0 <= v.numerator <= v.denominator:
-            raise ValueError(f"entry {prefix} = {format_rational(v)} is outside [0, 1]")
+            raise ValueError(f"entry {prefix} = {v} is outside [0, 1]")
         out[prefix] = v
         return
     if not isinstance(nested, list) or len(nested) != n:
@@ -358,14 +361,14 @@ def to_json(m: PresentedStructure, include_provenance=False) -> dict:
                 {
                     "name": r.name,
                     "arity": r.arity,
-                    "lipschitz": format_rational(r.lipschitz),
+                    "lipschitz": str(r.lipschitz),
                 }
                 for r in m.sig.relations
             ]
         },
         "points": m.n,
         "tables": {
-            r.name: nested(m.tables[r.name], r.arity, m.n, format_rational)
+            r.name: nested(m.tables[r.name], r.arity, m.n, lambda vs: [*map(str, vs)])
             for r in m.sig.relations
         },
     }
@@ -376,7 +379,7 @@ def to_json(m: PresentedStructure, include_provenance=False) -> dict:
 
 def _jsonable(value):
     if isinstance(value, Fraction):
-        return format_rational(value)
+        return str(value)
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

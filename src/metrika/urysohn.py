@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import chain, combinations, product
 
 from .errors import SizeMismatchError
-from .rationals import ONE, ZERO, format_rational, parse_rational
+from .rationals import ONE, ZERO, parse_rational
 from .structures import (
     PresentedStructure,
     admissible,
@@ -63,7 +63,7 @@ class DistanceConfiguration:
         return len(self.r)
 
     def to_json(self):
-        return [[format_rational(v) for v in row] for row in self.r]
+        return [[*map(str, row)] for row in self.r]
 
     @staticmethod
     def from_json(rows, parse=parse_rational) -> "DistanceConfiguration":
@@ -258,4 +258,10 @@ def load_configurations(path):
         memo[text] = value
         return value
 
-    return [DistanceConfiguration.from_json(rows, parse) for rows in data]
+    configs = []
+    for k, rows in enumerate(data):
+        try:
+            configs.append(DistanceConfiguration.from_json(rows, parse))
+        except (ValueError, TypeError) as exc:
+            raise type(exc)(f"configuration {k}: {exc}") from None
+    return configs

@@ -58,7 +58,7 @@ def from_distance_matrix(rows) -> PresentedStructure:
 def fraction_rows(m) -> list[list[Fraction]]:
     """m's distances as square rows of Fractions, rows[i][j] = d(i, j): the
     form the Katetov tests read, on the rational scale."""
-    return nested(m.tables["d"], 2, m.n, Fraction)
+    return nested(m.tables["d"], 2, m.n, list)
 
 
 def extend_with_distances(m, dists, note=None) -> PresentedStructure:

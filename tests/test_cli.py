@@ -580,6 +580,23 @@ class TestConfigurationFiles:
         assert str(path) in err
         if corrupt == "numeric-name":
             assert "relation name 5" in err
+        if corrupt == "numeric-entry":
+            assert err.rstrip().endswith(
+                "table d: entry (0, 1): not a rational literal: 0.5 is not a string")
+
+    def test_bad_configuration_names_its_index(self, two_point, tmp_path, capsys):
+        path = tmp_path / "configs.json"
+        cli.main(["configs", "--size", "3", "--grid", "1/8", "--out", str(path)])
+        data = json.loads(path.read_text())
+        assert len(data) == 344
+        data[200] = BAD_TRIANGLE
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        code = cli.main(
+            ["report", "--structure", two_point, "--configs", str(path), "--eps", "1/8"])
+        assert code == 3
+        err = assert_one_line_error(capsys, "file/format error:")
+        assert err.rstrip().endswith("configuration 200: triangle violated by point 2")
 
     @pytest.mark.parametrize("entry", ["3/2", "-1/4", "abc"])
     @pytest.mark.parametrize("verb", ["validate", "eval"])

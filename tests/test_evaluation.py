@@ -114,6 +114,22 @@ class TestPrefixBounds:
         iv = evaluate_prefix_bounds(f, tri_space, {"y": 0})
         assert (iv.lo, iv.hi) == (F(1, 2), 1)
 
+    def test_vacuous_quantifiers_are_dropped(self, tri_space):
+        # each is its body on every nonempty extension
+        f = parse_formula("sup y. inf z. 1/2", SIG)
+        iv = evaluate_prefix_bounds(f, tri_space)
+        assert (iv.lo, iv.hi) == (F(1, 2), F(1, 2))
+        c = parse_condition("sup y. inf z. 1/2 <= 1/2", SIG)
+        assert check_condition(c, tri_space, mode="prefix").status == "holds"
+        # the outer sup is vacuous, the inner inf is not: one inf block
+        f = parse_formula("sup x. inf x. d(x,x)", SIG)
+        iv = evaluate_prefix_bounds(f, tri_space)
+        assert (iv.lo, iv.hi) == (0, 0)
+        # over no points sup is 0 and inf 1: the empty prefix keeps them
+        f = parse_formula("sup y. inf z. 1/2", SIG)
+        iv = evaluate_prefix_bounds(f, from_distance_matrix([]))
+        assert (iv.lo, iv.hi) == (0, 1)
+
     def test_not_prenex_rejected(self, tri_space):
         f = parse_formula("min(inf x. d(x,y), sup z. d(z,y))", SIG)
         with pytest.raises(NotPrenexUnsupportedError):
@@ -283,7 +299,10 @@ def _full_scan_eval(f, m, asg):
 
 def _full_scan_bounds(f, m, asg):
     """evaluate_prefix_bounds of a prenex f with every quantifier scanning
-    every point, as (lo, hi)."""
+    every point, as (lo, hi); on a nonempty m a vacuous quantifier is its
+    body."""
+    if isinstance(f, (Inf, Sup)) and m.n and f.var not in f.body.free_variables():
+        return _full_scan_bounds(f.body, m, asg)
     if isinstance(f, (Inf, Sup)):
         below = [_full_scan_bounds(f.body, m, {**asg, f.var: p}) for p in range(m.n)]
         if isinstance(f, Inf):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from metrika.errors import ExtensionViolatesAxiomsError
 from metrika.logic import Relation, Signature, graph_signature, parse_formula
+from metrika.rationals import parse_rational
 from metrika.synth import ec_close, graph_seed, graph_spec
 from metrika.urysohn import DistanceConfiguration
 from metrika.evaluation import evaluate
@@ -157,6 +158,20 @@ class TestJson:
         m = from_distance_matrix([[0, F(1, 3)], [F(1, 3), 0]])
         obj = to_json(m)
         assert obj["tables"]["d"][0][1] == "1/3"
+
+
+def _literal(q):
+    """The literal rule every written rational follows, the oracle that
+    pins ``str``: "p" when the denominator is 1, else "p/q"."""
+    if q.denominator == 1:
+        return str(q.numerator)
+    return f"{q.numerator}/{q.denominator}"
+
+
+@given(st.fractions())
+def test_str_writes_each_fraction_by_the_literal_rule(q):
+    assert str(q) == _literal(q)
+    assert parse_rational(str(q)) == q
 
 
 # ------------------------------------------------------ admissibility kernel

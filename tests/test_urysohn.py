@@ -485,13 +485,13 @@ def reference_all_configurations(n, denominator, include_zero):
 
 @pytest.mark.parametrize("include_zero", [False, True])
 def test_all_configurations_match_fraction_reference(include_zero):
-    for n in (1, 2, 3):
-        for denominator in range(1, 9):
-            got = all_configurations(n, denominator, include_zero)
-            assert [c.r for c in got] == (
-                reference_all_configurations(n, denominator, include_zero)
-            )
-            assert all(type(v) is F for c in got for row in c.r for v in row)
+    # at n = 4 the row-major pair order first differs from the point-by-point
+    # order, (0, 3) before (1, 2), so the enumeration order is pinned there
+    cases = [(n, q) for n in (1, 2, 3) for q in range(1, 9)] + [(4, q) for q in (1, 2, 3)]
+    for n, denominator in cases:
+        got = all_configurations(n, denominator, include_zero)
+        assert [c.r for c in got] == reference_all_configurations(n, denominator, include_zero)
+        assert all(type(v) is F for c in got for row in c.r for v in row)
 
 
 @st.composite
