@@ -5,11 +5,14 @@ admissible interval (fast, full support on the grid, not obviously
 exchangeable); ``rejection`` draws whole distance matrices uniformly and
 keeps the metric ones (exchangeable by construction, exponential cost).
 Distances live on a fine rational grid so every draw is exact.  Each law
-is coded once, in ``_grow``, which grows a ``MetricBuilder`` (square
-integer rows over a lattice L the grid's denominator divides) by k
-points, drawing the same rationals whatever L is.  ``sample_space``
-freezes it to Fractions once, at the end; the invariance audit and the
-genericity curve grow each sample over the lattice they score on (the
+is coded once, in ``_law``, which fixes once per campaign what does not
+depend on the trial (the starting ``MetricBuilder``, square integer rows
+over a lattice L the grid's denominator divides, and the rejection law's
+slot layout) and returns the per-trial grow: it only draws, checks and
+adds k points on a copy of that builder, drawing the same rationals
+whatever L is.  ``sample_space`` freezes a sample to Fractions once, at
+the end; the invariance audit builds its law once per audit and the
+genericity curve once per n, each over the lattice it scores on (the
 kernel's D, the scan's L), so the builder's rows are what they read.  A
 rejection proposal is drawn on the stream ``randint`` would consume and
 checked flat, beside the prefix's distances, triple by triple; only an
@@ -47,6 +50,8 @@ class MeasureSpec:
             raise ValueError(f"unknown sampler kind: {self.kind}")
         if not ZERO < self.grid <= ONE:
             raise ValueError(f"grid step must be in (0,1], got {self.grid}")
+        if self.max_tries < 1:
+            raise ValueError(f"max_tries must be >= 1, got {self.max_tries}")
 
 
 def _grid_uniform(lo: int, hi: int, g: int, rng) -> int:
@@ -68,58 +73,79 @@ def _sequential_row(b: MetricBuilder, g: int, rng) -> list[int]:
     return s
 
 
-def _grow(b: MetricBuilder, k: int, spec: MeasureSpec, rng) -> MetricBuilder:
-    """Add k points to b by spec's law, the one place each law is coded.
+def _law(prefix: PresentedStructure, k: int, spec: MeasureSpec, *grids: Fraction):
+    """spec's law for adding k points to prefix, the one place each law is
+    coded, as grow(rng): a function that draws one sample and returns it
+    on a ``MetricBuilder`` over the lattice of prefix, spec.grid and grids.
+
+    What depends only on the law, the prefix, k and the lattice is fixed
+    here, once per campaign: the starting builder, the grid step and the
+    rejection law's slot layout.  A call of grow only draws, checks and
+    adds, on a copy of the starting builder, so each sample owns its rows.
 
     The sequential law adds k rows of ``_sequential_row``.  The rejection
     law draws every new distance at once, for the pairs (i, j) with
-    j >= b.n in row-major order, on the stream ``rng.randint(0, steps)``
-    would consume, into a flat list beside the prefix's distances.  It
-    checks the triangle inequality there on each triple naming a new
-    point; only an accepted draw is split into rows, each still added by
-    ``try_add``.  A draw's integers scale with b.L, so a larger L draws
-    the same rationals."""
-    (g,) = scaled([spec.grid], b.L)
+    j >= prefix.n in row-major order, on the stream ``rng.randint(0,
+    steps)`` would consume, into a flat list beside the prefix's
+    distances.  It checks the triangle inequality there on each triple
+    naming a new point; only an accepted draw is split into rows, each
+    still added by ``try_add``.  A draw's integers scale with the
+    lattice, so a larger one draws the same rationals."""
+    start = MetricBuilder(prefix, spec.grid, *grids)
+    (g,) = scaled([spec.grid], start.L)
     if spec.kind == "sequential":
-        for _ in range(k):
-            b.add(_sequential_row(b, g, rng), note={"sampler": "sequential"})
-        return b
-    base, end = b.n, b.n + k
-    steps = b.L // g
+
+        def grow(rng) -> MetricBuilder:
+            b = start.copy()
+            for _ in range(k):
+                b.add(_sequential_row(b, g, rng), note={"sampler": "sequential"})
+            return b
+
+        return grow
+    base, end = start.n, start.n + k
+    steps = start.L // g
     bits = (steps + 1).bit_length()
     # flat[slot[i, j]] is d(i, j) over L, i < j: the prefix's pairs, then
     # the draw's, in the order they are drawn
     pairs = [(i, j) for j in range(base) for i in range(j)]
-    start = len(pairs)
+    known = len(pairs)
     pairs += [(i, j) for i in range(end) for j in range(max(i + 1, base), end)]
     slot = {p: x for x, p in enumerate(pairs)}
-    flat = [b.rows[i][j] for i, j in pairs[:start]] + [0] * (len(pairs) - start)
-    drawn = range(start, len(pairs))
+    blank = [start.rows[i][j] for i, j in pairs[:known]] + [0] * (len(pairs) - known)
+    drawn = range(known, len(pairs))
     # |d(i, j) - d(h, j)| <= d(i, h) <= d(i, j) + d(h, j) for i < h < j, j new
     triples = [(slot[i, j], slot[h, j], slot[i, h])
                for j in range(base, end) for h in range(j) for i in range(h)]
-    note = {"sampler": "rejection"}
-    getrandbits = rng.getrandbits
-    for _ in range(spec.max_tries):
-        # randint(0, steps) is getrandbits(bits), redrawn while above steps
-        for x in drawn:
-            r = getrandbits(bits)
-            while r > steps:
+    # the slots of each new row j's distances d(i, j), i < j
+    new_rows = [[slot[i, j] for i in range(j)] for j in range(base, end)]
+
+    def grow(rng) -> MetricBuilder:
+        flat = blank[:]
+        getrandbits = rng.getrandbits
+        for _ in range(spec.max_tries):
+            # randint(0, steps) is getrandbits(bits), redrawn while above steps
+            for x in drawn:
                 r = getrandbits(bits)
-            flat[x] = r * g
-        for a, c, e in triples:
-            a, c, e = flat[a], flat[c], flat[e]
-            if e > a + c or abs(a - c) > e:
-                break
-        else:
-            for j in range(base, end):
-                if not b.try_add([flat[slot[i, j]] for i in range(j)], note):
-                    raise RuntimeError(f"try_add refused row {j} of a checked draw")
-            return b
-    raise RejectionBudgetExceededError(
-        f"rejection sampler: no {end}-point metric space accepted "
-        f"within {spec.max_tries} proposals"
-    )
+                while r > steps:
+                    r = getrandbits(bits)
+                flat[x] = r * g
+            for a, c, e in triples:
+                a, c, e = flat[a], flat[c], flat[e]
+                if e > a + c or abs(a - c) > e:
+                    break
+            else:
+                b = start.copy()
+                note = {"sampler": "rejection"}
+                for j, row in enumerate(new_rows, base):
+                    if not b.try_add([flat[x] for x in row], note):
+                        raise RuntimeError(f"try_add refused row {j} of a checked draw")
+                return b
+        raise RejectionBudgetExceededError(
+            f"rejection sampler: no {end}-point metric space accepted "
+            f"within {spec.max_tries} proposals"
+        )
+
+    return grow
 
 
 def sample_space(n: int, spec: MeasureSpec, rng: random.Random | None = None):
@@ -131,7 +157,7 @@ def sample_space(n: int, spec: MeasureSpec, rng: random.Random | None = None):
     """
     if n < 1:
         raise ValueError("need at least one point")
-    b = _grow(MetricBuilder(_POINT, spec.grid), n - 1, spec, rng or random.Random(spec.seed))
+    b = _law(_POINT, n - 1, spec)(rng or random.Random(spec.seed))
     return b.freeze(provenance=spec.kind == "sequential")
 
 
@@ -184,12 +210,12 @@ def invariance_audit(
     # eps of the basic open [phi(a) < eps] whose measure this estimates
     if not ZERO < eps <= ONE:
         raise ValueError(f"eps must be in (0,1], got {eps}")
+    if n < 1:
+        raise ValueError("need at least one point")
     free = phi.free_variables()
     k = len(free)
     if k > n:
         raise ValueError("formula arity exceeds point count")
-    if n < 1:
-        raise ValueError("need at least one point")
     tuples = list(permutations(range(n), k))
     counts = {t: 0 for t in tuples}
     with depth_guard():
@@ -197,9 +223,9 @@ def invariance_audit(
         # every sample's distances are in 0..D (unit valued)
         kernel = compile_formula(phi, D, True, free)
         (cut,) = scaled([eps], D)
+        grow = _law(_POINT, n - 1, spec, Fraction(1, D))
         for t_idx in range(trials):
-            rng = trial_rng(spec.seed, "audit", n, t_idx)
-            tables = {"d": _grow(MetricBuilder(_POINT, Fraction(1, D)), n - 1, spec, rng).rows}
+            tables = {"d": grow(trial_rng(spec.seed, "audit", n, t_idx)).rows}
             for t in tuples:
                 if kernel(tables, t) < cut:
                     counts[t] += 1
@@ -232,10 +258,10 @@ def genericity_frequency(
         if theta.n > n:
             raise ValueError(f"theta needs {theta.n} points, n = {n}")
         good = 0
+        # scored on the builder it was grown on, whose L is scan.L
+        grow = _law(_POINT, n - 1, spec, unit)
         for t_idx in range(trials):
-            rng = trial_rng(spec.seed, "genericity", n, t_idx)
-            # scored on the builder it was grown on, whose L is scan.L
-            b = _grow(MetricBuilder(_POINT, spec.grid, unit), n - 1, spec, rng)
+            b = grow(trial_rng(spec.seed, "genericity", n, t_idx))
             good += all(scan.realized(0, pts, b.rows) for _, pts in scan.obligations(b.rows))
         curve.append((n, good / trials))
     return curve

@@ -280,6 +280,14 @@ class MetricBuilder:
     def n(self) -> int:
         return len(self.rows)
 
+    def copy(self) -> MetricBuilder:
+        """A builder at this one's state that grows on rows of its own."""
+        b = object.__new__(MetricBuilder)
+        b.sig, b.L, b._base, b._log = self.sig, self.L, self._base, self._log
+        b.rows = [r[:] for r in self.rows]
+        b._notes = self._notes[:]
+        return b
+
     def try_add(self, row, note=None) -> bool:
         """Add a point with row[i] = d(i, new) over L, if that keeps the
         structure valid; False, and nothing added, if not."""

@@ -33,7 +33,7 @@ from metrika.logic import (
     metric_signature,
 )
 from metrika.rationals import ONE, ZERO
-from metrika.sampling import _grow
+from metrika.sampling import _law
 from metrika.structures import MetricBuilder, PresentedStructure, Tables, nested, scaled
 from metrika.synth import is_prefix
 from metrika.urysohn import DistanceConfiguration, katetov_row
@@ -53,6 +53,16 @@ def from_distance_matrix(rows) -> PresentedStructure:
         (i, j): Fraction(rows[i][j]) for i in range(n) for j in range(n)
     }
     return PresentedStructure(metric_signature(), n, {"d": table})
+
+
+def paley_metric(q) -> PresentedStructure:
+    """The Paley graph P(q) as a {1/2, 1} metric: d(x, y) = 1/2 when x - y
+    is a nonzero square mod q (an edge), else 1 off the diagonal."""
+    squares = {x * x % q for x in range(1, q)}
+    return from_distance_matrix(
+        [[ZERO if x == y else Fraction(1, 2) if (x - y) % q in squares else ONE
+          for y in range(q)] for x in range(q)]
+    )
 
 
 def fraction_rows(m) -> list[list[Fraction]]:
@@ -81,8 +91,8 @@ def katetov_extension(m, s, pts, slack) -> PresentedStructure:
 
 
 def sample_one_point(m, spec, rng) -> PresentedStructure:
-    """m plus one point drawn by spec's law, on the samplers' ``_grow``."""
-    return _grow(MetricBuilder(m, spec.grid), 1, spec, rng).freeze()
+    """m plus one point drawn by spec's law, on the samplers' ``_law``."""
+    return _law(m, 1, spec)(rng).freeze()
 
 
 def metric_quotient(m: PresentedStructure) -> PresentedStructure:

@@ -16,6 +16,7 @@ from metrika import (
     sample_space,
     validate,
 )
+from metrika import sampling
 from metrika.logic import metric_signature
 from metrika.sampling import InvarianceReport, trial_rng
 from metrika.structures import (
@@ -52,6 +53,11 @@ class TestMeasureSpec:
         with pytest.raises(ValueError):
             MeasureSpec(kind="sequential", grid=F(3, 2))
 
+    @pytest.mark.parametrize("max_tries", [0, -3])
+    def test_nonpositive_max_tries_rejected(self, max_tries):
+        with pytest.raises(ValueError, match=f"max_tries must be >= 1, got {max_tries}"):
+            MeasureSpec(kind="rejection", max_tries=max_tries)
+
 
 class TestSampleOnePoint:
     @pytest.mark.parametrize("spec", [SEQ, REJ], ids=["sequential", "rejection"])
@@ -83,9 +89,13 @@ class TestSampleOnePoint:
                 assert s1 == ONE
 
     def test_rejection_budget_exceeded(self):
-        spec = MeasureSpec(kind="rejection", grid=F(1, 8), seed=0, max_tries=0)
-        base = from_distance_matrix([[ZERO]])
-        with pytest.raises(RejectionBudgetExceededError):
+        # twelve points pairwise at distance 1: a proposal is kept only if
+        # no two of its twelve distances sum below 1, and this one is not
+        spec = MeasureSpec(kind="rejection", grid=F(1, 8), seed=0, max_tries=1)
+        base = from_distance_matrix([[ZERO if i == j else ONE for j in range(12)]
+                                     for i in range(12)])
+        with pytest.raises(RejectionBudgetExceededError,
+                           match="no 13-point metric space accepted within 1 proposals"):
             sample_one_point(base, spec, random.Random(0))
 
 
@@ -115,9 +125,11 @@ class TestSampleSpace:
             assert not validate(m).violations
 
     def test_rejection_budget_exceeded(self):
-        spec = MeasureSpec(kind="rejection", grid=F(1, 4), seed=0, max_tries=0)
-        with pytest.raises(RejectionBudgetExceededError):
-            sample_space(3, spec)
+        # one proposal of 66 distances, whose 220 triangles do not all hold
+        spec = MeasureSpec(kind="rejection", grid=F(1, 4), seed=0, max_tries=1)
+        with pytest.raises(RejectionBudgetExceededError,
+                           match="no 12-point metric space accepted within 1 proposals"):
+            sample_space(12, spec)
 
     def test_checked_draw_refused_by_the_builder_is_an_error(self, monkeypatch):
         # a draw the flat check accepted is added, never redrawn behind
@@ -164,6 +176,12 @@ class TestInvarianceAudit:
         phi = parse_formula("d(x,y)", metric_signature())
         with pytest.raises(ValueError, match="trials must be >= 1"):
             invariance_audit(SEQ, n=3, trials=0, phi=phi, eps=F(1, 2))
+
+    def test_no_points_rejected(self):
+        # checked before the formula's arity
+        phi = parse_formula("d(x,y)", metric_signature())
+        with pytest.raises(ValueError, match="need at least one point"):
+            invariance_audit(SEQ, n=0, trials=10, phi=phi, eps=F(1, 2))
 
     @pytest.mark.parametrize("eps", [F(-1, 2), ZERO, F(3)])
     def test_eps_outside_unit_interval_rejected(self, eps):
@@ -406,3 +424,60 @@ def test_genericity_frequency_matches_rational_reference(kind, grid, theta, eps,
     n_values = [n for n in range(2, 6) if n >= theta.n]
     args = (spec, theta, eps, n_values, 4)
     assert _curve(genericity_frequency, *args) == _curve(_ref_genericity_frequency, *args)
+
+
+# ------------------------------------------ one law per campaign, one set of rows per trial
+
+
+def test_campaigns_share_no_state_between_calls():
+    # each campaign builds its law once and every trial grows on rows of its
+    # own: an audit repeated after other campaigns in the same process, on
+    # other kinds, sizes, grids and lattices, gives the same report, and
+    # every call matches its rational reference, random stream included
+    phi = parse_formula("min(d(x,y), absdiff(d(y,z), d(x,z)))", metric_signature())
+    audit = MeasureSpec(kind="rejection", grid=F(1, 4), seed=5)
+    first = invariance_audit(audit, 4, 60, phi, F(1, 2))
+    assert first == _ref_invariance_audit(audit, 4, 60, phi, F(1, 2), 3.0)
+    theta = DistanceConfiguration(((ZERO, F(1, 2)), (F(1, 2), ZERO)))
+    for kind, grid, n in [("sequential", F(1, 16), 6), ("rejection", F(2, 5), 5),
+                          ("rejection", F(3, 7), 3), ("sequential", F(1, 4), 4)]:
+        spec = MeasureSpec(kind=kind, grid=grid, seed=n, max_tries=2000)
+        for t in range(3):
+            got = _outcome(sample_space, n, spec, rng=trial_rng(1, kind, t))
+            assert got == _outcome(_ref_sample_space, n, spec, rng=trial_rng(1, kind, t))
+        args = (spec, theta, F(1, 4), [2, n], 6)
+        assert genericity_frequency(*args) == _ref_genericity_frequency(*args)
+    assert invariance_audit(audit, 4, 60, phi, F(1, 2)) == first
+    # two prefixes of one size, at different distances, grown one after
+    # the other
+    for rows in ([[0, F(1, 3)], [F(1, 3), 0]], [[0, 1], [1, 0]]):
+        prefix = from_distance_matrix(rows)
+        for spec in (SEQ, REJ):
+            got = _outcome(sample_one_point, prefix, spec, rng=random.Random(9))
+            assert got == _outcome(_ref_sample_one_point, prefix, spec, rng=random.Random(9))
+
+
+def test_law_is_built_once_per_campaign(monkeypatch):
+    # the starting builder and the rejection law's layout are fixed once
+    # per audit and once per n of a genericity curve, not once per trial
+    built, builders = [], []
+    law, init = sampling._law, MetricBuilder.__init__
+
+    def counting_law(prefix, k, *args):
+        built.append(k)
+        return law(prefix, k, *args)
+
+    def counting_init(self, *args):
+        builders.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(sampling, "_law", counting_law)
+    monkeypatch.setattr(MetricBuilder, "__init__", counting_init)
+    phi = parse_formula("d(x,y)", metric_signature())
+    invariance_audit(REJ, 4, 200, phi, F(1, 2))
+    assert built == [3] and len(builders) == 1
+    built.clear()
+    builders.clear()
+    theta = DistanceConfiguration(((ZERO, F(1, 2)), (F(1, 2), ZERO)))
+    genericity_frequency(SEQ, theta, F(1, 4), [3, 5, 8], 30)
+    assert built == [2, 4, 7] and len(builders) == 3

@@ -29,6 +29,7 @@ from references import (
     config_formula,
     from_distance_matrix,
     katetov_extension,
+    paley_metric,
     restrict,
 )
 
@@ -318,6 +319,21 @@ def test_report_satisfied_after_witness():
     ext, _ = katetov_point(m, theta, (0, 1), F(0))
     rep = extension_property_report(ext, F(1, 8), [theta])
     assert rep.ok and rep.total == rep.satisfied > 0
+
+
+# A graph is a {1/2, 1} metric, so on the 1/2 grid a size-(k+1)
+# configuration is a k-point extension axiom: P(29) is 3-e.c. and P(13) is
+# 2-e.c. but not 3-e.c.
+@pytest.mark.parametrize("q, size, satisfied, total", [
+    (29, 3, 3_248, 3_248),
+    (29, 4, 175_392, 175_392),
+    (13, 4, 12_480, 13_728),
+], ids=["P29-size3", "P29-size4", "P13-size4-control"])
+def test_paley_reports_on_the_half_grid(q, size, satisfied, total):
+    rep = extension_property_report(paley_metric(q), F(1, 8), all_configurations(size, 2))
+    assert rep.total > 0
+    assert (rep.satisfied, rep.total) == (satisfied, total)
+    assert rep.ok == (satisfied == total)
 
 
 def test_report_json_shape():
