@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -468,8 +469,12 @@ HANDLERS = {
 }
 
 
+# main's parser, built on the first call and kept for the process
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return HANDLERS[args.verb](args)
     except SystemExit2 as exc:

@@ -207,6 +207,11 @@ def back_and_forth(
         found = search()
     except _Budget:
         return BackAndForthResult("budget-exhausted", None, nodes, best_stuck)
+    finally:
+        # search reaches itself through its closure cell: clear the cell so
+        # the function, its tables and the mask memo are freed on return,
+        # not at the next full collection
+        del search
     if not found:
         return BackAndForthResult("failure", None, nodes, best_stuck)
     pairs = tuple(zip(left, right))

@@ -29,6 +29,29 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational literal: {text!r}") from None
 
 
+def literal_parser(check=None):
+    """A ``parse_rational`` for the literals of one file, which parses each
+    distinct string once.  A new value is first passed to ``check``, if
+    given, which raises ValueError to reject it; only a value that passes
+    is remembered, so every occurrence of a rejected literal fails alike.
+    A non-string is never remembered, and gets parse_rational's error.
+    Each call returns a parser with a memo of its own."""
+    memo: dict[str, Fraction] = {}
+
+    def parse(text):
+        if not isinstance(text, str):
+            return parse_rational(text)
+        value = memo.get(text)
+        if value is None:
+            value = parse_rational(text)
+            if check is not None:
+                check(value)
+            memo[text] = value
+        return value
+
+    return parse
+
+
 def require_unit(q: Fraction) -> Fraction:
     if not ZERO <= q <= ONE:
         raise ConstantOutOfRangeError(f"rational {q} outside [0,1]")

@@ -19,7 +19,7 @@ from operator import sub
 
 from .errors import ExtensionViolatesAxiomsError
 from .logic import Relation, Signature
-from .rationals import ONE, ZERO, parse_rational
+from .rationals import ONE, ZERO, literal_parser, parse_rational
 
 Tables = dict[str, dict[tuple[int, ...], Fraction]]
 
@@ -345,20 +345,25 @@ def nested(table, arity, n, row, prefix=()):
     return [nested(table, arity - 1, n, row, prefix + (i,)) for i in range(n)]
 
 
-def _unnest(nested, arity, n, prefix, out):
-    if arity == 0:
-        try:
-            v = parse_rational(nested)
-        except ValueError as exc:
-            raise ValueError(f"entry {prefix}: {exc}") from None
-        if not 0 <= v.numerator <= v.denominator:
-            raise ValueError(f"entry {prefix} = {v} is outside [0, 1]")
-        out[prefix] = v
-        return
+def _unnest(nested, arity, n, prefix, out, parse):
+    """Read the entries under `prefix` into out, each leaf through parse,
+    in lex order, so an error names the first bad entry."""
     if not isinstance(nested, list) or len(nested) != n:
         raise ValueError(f"entries at {prefix} are not a list of {n}")
-    for i, sub in enumerate(nested):
-        _unnest(sub, arity - 1, n, prefix + (i,), out)
+    if arity > 1:
+        for i, sub in enumerate(nested):
+            _unnest(sub, arity - 1, n, prefix + (i,), out, parse)
+        return
+    for i, leaf in enumerate(nested):
+        try:
+            out[prefix + (i,)] = parse(leaf)
+        except ValueError as exc:
+            raise ValueError(f"entry {prefix + (i,)}: {exc}") from None
+
+
+def _unit_entry(v: Fraction) -> None:
+    if not 0 <= v.numerator <= v.denominator:
+        raise ValueError(f"{v} is outside [0, 1]")
 
 
 def to_json(m: PresentedStructure, include_provenance=False) -> dict:
@@ -418,15 +423,17 @@ def from_json(obj: dict) -> PresentedStructure:
     if extra:
         raise ValueError(f"tables for relations not in the signature: {extra}")
     tables: Tables = {}
+    # each distinct literal is parsed, and range-checked, once per file
+    parse = literal_parser(_unit_entry)
     for rel in rels:
         out: dict[tuple[int, ...], Fraction] = {}
         try:
-            _unnest(obj["tables"][rel.name], rel.arity, n, (), out)
+            _unnest(obj["tables"][rel.name], rel.arity, n, (), out, parse)
         except ValueError as exc:
             raise ValueError(f"table {rel.name}: {exc}") from None
         tables[rel.name] = out
     m = PresentedStructure(sig, n, tables)
-    # _unnest checked that every entry is in [0, 1]; the other axioms are
+    # _unit_entry checked that every entry is in [0, 1]; the other axioms are
     # left to the caller's validate
     m._unit = True
     return m

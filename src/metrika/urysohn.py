@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import chain, combinations, product
 
 from .errors import SizeMismatchError
-from .rationals import ONE, ZERO, parse_rational
+from .rationals import ONE, ZERO, literal_parser, parse_rational
 from .structures import (
     PresentedStructure,
     admissible,
@@ -248,16 +248,7 @@ def load_configurations(path):
         data = json.load(fh)
     if not isinstance(data, list) or not data:
         raise ValueError("a configuration file is a nonempty list of configurations")
-    memo: dict[str, Fraction] = {}
-
-    def parse(text):
-        # each distinct entry string is parsed once
-        if isinstance(text, str) and text in memo:
-            return memo[text]
-        value = parse_rational(text)
-        memo[text] = value
-        return value
-
+    parse = literal_parser()
     configs = []
     for k, rows in enumerate(data):
         try:

@@ -35,7 +35,7 @@ from metrika.logic import (
 from metrika.rationals import ONE, ZERO
 from metrika.sampling import _law
 from metrika.structures import MetricBuilder, PresentedStructure, Tables, nested, scaled
-from metrika.synth import is_prefix
+from metrika.synth import _graph_structure, graph_signature, is_prefix
 from metrika.urysohn import DistanceConfiguration, katetov_row
 
 
@@ -55,10 +55,25 @@ def from_distance_matrix(rows) -> PresentedStructure:
     return PresentedStructure(metric_signature(), n, {"d": table})
 
 
+def nonzero_squares(q) -> set[int]:
+    """The nonzero squares mod q: x and y are joined in the Paley graph
+    P(q) when x - y is one of them."""
+    return {x * x % q for x in range(1, q)}
+
+
+def paley_seed(q) -> PresentedStructure:
+    """The Paley graph P(q) on 0..q-1 as a graph-signature structure, for a
+    prime q = 1 mod 4.  P(29) satisfies every (A, B) extension axiom with
+    |A| + |B| <= 3, and P(13) does not."""
+    squares = nonzero_squares(q)
+    adj = [sum(1 << y for y in range(q) if (x - y) % q in squares) for x in range(q)]
+    return _graph_structure(graph_signature(), adj, ())
+
+
 def paley_metric(q) -> PresentedStructure:
     """The Paley graph P(q) as a {1/2, 1} metric: d(x, y) = 1/2 when x - y
     is a nonzero square mod q (an edge), else 1 off the diagonal."""
-    squares = {x * x % q for x in range(1, q)}
+    squares = nonzero_squares(q)
     return from_distance_matrix(
         [[ZERO if x == y else Fraction(1, 2) if (x - y) % q in squares else ONE
           for y in range(q)] for x in range(q)]

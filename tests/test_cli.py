@@ -451,6 +451,40 @@ class TestUsageErrors:
         assert not (tmp_path / "out.csv").exists()
 
 
+class TestRepeatedCalls:
+    """main builds its argument parser once per process; no call, failed or
+    not, changes what a later one prints or returns."""
+
+    def test_errors_leave_later_calls_byte_identical(self, two_point, tmp_path, capsys):
+        data = json.loads(Path(two_point).read_text())
+        data["tables"]["d"][0][1] = "abc"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        calls = [
+            ["validate", "--structure", two_point],
+            ["eval", "--structure", two_point, "--formula", "d(x,y)", "--assign", "x=a"],
+            ["validate"],  # argparse's own usage error
+            ["validate", "--structure", str(bad)],
+            ["synth", "--help"],
+            ["eval", "--structure", two_point, "--formula", "d(x,y)", "--assign", "x=0,y=1"],
+        ]
+
+        def outcome(argv):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        first = [outcome(argv) for argv in calls]
+        assert [code for code, _, _ in first] == [0, 2, ("exit", 2), 3, ("exit", 0), 0]
+        assert first[-1][1] == "1/2\n"
+        assert [outcome(argv) for argv in calls] == first
+        assert [outcome(argv) for argv in reversed(calls)] == first[::-1]
+        assert cli._parser.cache_info().misses == 1
+
+
 class TestConfigurationFiles:
     def test_theta_breaking_triangle_is_format_error(self, tmp_path, capsys):
         theta_path = tmp_path / "theta.json"

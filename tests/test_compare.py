@@ -1,5 +1,6 @@
 """Tests for distortion and the approximate back-and-forth search."""
 
+import gc
 from fractions import Fraction as F
 from itertools import product
 
@@ -278,3 +279,30 @@ def test_graph_closures_match_reference_at_workload_size():
     assert got.status == "budget-exhausted"
     assert got.nodes_explored == 10_001
     assert got == _reference_back_and_forth(a, b, HALF, 12, 10_000)
+
+
+# ------------------------------------------------------ no cyclic garbage
+
+UNIFORM = space([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+SEARCHES = {
+    "success": lambda: back_and_forth(THREE, THREE, eps=ZERO, depth=3),
+    "failure": lambda: back_and_forth(THREE, UNIFORM, eps=ZERO, depth=3),
+    "budget-exhausted": lambda: back_and_forth(THREE, UNIFORM, eps=ZERO, depth=3,
+                                               node_budget=2),
+}
+
+
+@pytest.mark.parametrize("status", SEARCHES)
+def test_search_leaves_no_cyclic_garbage(status):
+    # with the collector off, a cycle the call leaves behind is still there
+    # for the second collect to find
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        result = SEARCHES[status]()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert result.status == status

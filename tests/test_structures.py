@@ -1,3 +1,5 @@
+import json
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 from math import ceil, floor
@@ -5,9 +7,10 @@ from math import ceil, floor
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from metrika import cli, rationals
 from metrika.errors import ExtensionViolatesAxiomsError
 from metrika.logic import Relation, Signature, graph_signature, parse_formula
-from metrika.rationals import parse_rational
+from metrika.rationals import literal_parser, parse_rational
 from metrika.synth import ec_close, graph_seed, graph_spec
 from metrika.urysohn import DistanceConfiguration
 from metrika.evaluation import evaluate
@@ -20,6 +23,8 @@ from metrika.structures import (
     admissible_interval,
     distance_rows,
     from_json,
+    load,
+    save,
     to_json,
     validate,
 )
@@ -158,6 +163,104 @@ class TestJson:
         m = from_distance_matrix([[0, F(1, 3)], [F(1, 3), 0]])
         obj = to_json(m)
         assert obj["tables"]["d"][0][1] == "1/3"
+
+    def test_load_parses_each_distinct_literal_once(self, tmp_path, monkeypatch):
+        # a graph-pipeline a.json: 39 vertices, 2 * 39**2 literals, 2 distinct
+        m = ec_close(graph_seed(1), graph_spec(3), 3000, rng_seed=0)
+        assert m.n == 39
+        path = tmp_path / "a.json"
+        save(m, path)
+        parsed = Counter()
+
+        def counting(text):
+            parsed[text] += 1
+            return parse_rational(text)
+
+        monkeypatch.setattr(rationals, "parse_rational", counting)
+        assert load(path) == m
+        assert parsed == Counter({"0": 1, "1": 1})
+
+    def test_repeated_out_of_range_literal_names_its_first_entry(self, tmp_path, capsys):
+        m = _graph(3, [(0, 1)])
+        obj = to_json(m)
+        for i, j in ((1, 2), (2, 0), (0, 2)):
+            obj["tables"]["R"][i][j] = "3/2"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        assert cli.main(["validate", "--structure", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.rstrip().endswith("table R: entry (0, 2): 3/2 is outside [0, 1]")
+
+    @pytest.mark.parametrize("leaf, shown", [(0.5, "0.5"), (["1/2"], "['1/2']")])
+    def test_non_string_leaf_is_never_remembered(self, leaf, shown):
+        # after "1/2" has been read as a string; a memo keyed on the leaf
+        # would fail to hash the list
+        obj = to_json(from_distance_matrix([[0, F(1, 2)], [F(1, 2), 0]]))
+        obj["tables"]["d"][1][0] = leaf
+        with pytest.raises(ValueError) as exc:
+            from_json(obj)
+        assert str(exc.value) == (
+            f"table d: entry (1, 0): not a rational literal: {shown} is not a string")
+
+    def test_literal_parser_remembers_only_checked_values(self):
+        checked = []
+
+        def unit(v):
+            checked.append(v)
+            if v > 1:
+                raise ValueError(f"{v} is outside [0, 1]")
+
+        parse = literal_parser(unit)
+        assert [parse(t) for t in ("1/2", "1/2", "2/4", "1/2")] == [F(1, 2)] * 4
+        for _ in range(2):
+            with pytest.raises(ValueError, match="3/2 is outside"):
+                parse("3/2")
+        assert checked == [F(1, 2), F(1, 2), F(3, 2), F(3, 2)]
+        with pytest.raises(ValueError, match="is not a string"):
+            parse(1)
+
+
+def _spellings(q):
+    """Literals of q that parse_rational reads: its own, p*k/q*k, and
+    either padded with spaces."""
+    k = 1 + q.numerator % 3
+    return st.sampled_from([str(q), f"{q.numerator * k}/{q.denominator * k}",
+                            f" {q} ", f"{q.numerator * k}/{q.denominator * k} "])
+
+
+def _reference_tables(obj):
+    """Each table of a structure file with every entry parsed on its own."""
+    out = {}
+    for rel in obj["signature"]["relations"]:
+        table = {}
+        for idx in product(range(obj["points"]), repeat=rel["arity"]):
+            leaf = obj["tables"][rel["name"]]
+            for i in idx:
+                leaf = leaf[i]
+            table[idx] = parse_rational(leaf)
+        out[rel["name"]] = table
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_json_round_trip_matches_parsing_every_entry(data):
+    m = data.draw(_lipschitz_structures())
+    if not m.unit_valued():
+        m = PresentedStructure(m.sig, m.n, {
+            name: {t: min(abs(v), F(1)) for t, v in table.items()}
+            for name, table in m.tables.items()})
+    obj = to_json(m)
+
+    def respell(nested):
+        if isinstance(nested, str):
+            return data.draw(_spellings(parse_rational(nested)))
+        return [respell(sub) for sub in nested]
+
+    obj["tables"] = {name: respell(t) for name, t in obj["tables"].items()}
+    got = from_json(obj)
+    assert got.tables == _reference_tables(obj) == m.tables
+    assert got == m
 
 
 def _literal(q):

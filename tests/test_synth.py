@@ -4,6 +4,7 @@ import random
 from collections import deque
 from fractions import Fraction as F
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -33,6 +34,7 @@ from references import (
     fraction_rows,
     katetov_extension,
     max_of,
+    paley_seed,
     restrict,
 )
 
@@ -282,6 +284,17 @@ def graph_axiom_holds(g, a, b):
     return False
 
 
+def unmet_axioms(g, max_size):
+    """Every (A, B) with |A| + |B| <= max_size that no vertex of g meets."""
+    for size in range(1, max_size + 1):
+        for sub in combinations(range(g.n), size):
+            for split in range(1 << size):
+                a = tuple(v for k, v in enumerate(sub) if split >> k & 1)
+                b = tuple(v for k, v in enumerate(sub) if not split >> k & 1)
+                if not graph_axiom_holds(g, a, b):
+                    yield a, b
+
+
 @pytest.fixture(scope="module")
 def closed():
     return ec_close(graph_seed(1), graph_spec(max_size=3), budget=2_000_000,
@@ -291,12 +304,7 @@ def closed():
 class TestEcCloseGraph:
 
     def test_all_extension_axioms_hold(self, closed):
-        for size in range(1, 4):
-            for sub in combinations(range(closed.n), size):
-                for split in range(1 << size):
-                    a = tuple(v for k, v in enumerate(sub) if split >> k & 1)
-                    b = tuple(v for k, v in enumerate(sub) if not split >> k & 1)
-                    assert graph_axiom_holds(closed, a, b), (a, b)
+        assert next(unmet_axioms(closed, 3), None) is None
 
     def test_prefix_and_tables_wellformed(self, closed):
         assert is_prefix(graph_seed(1), closed)
@@ -327,6 +335,35 @@ class TestEcCloseGraph:
         bad = PresentedStructure(seed.sig, 1, tables)
         with pytest.raises(SeedViolatesTheoryError):
             ec_close(bad, graph_spec(), budget=10)
+
+
+# every (A, B) task of one pass over P(29) at max_size 3
+P29_PASS = sum(comb(29, k) << k for k in range(1, 4))
+
+
+class TestPaleySeed:
+    def test_axioms_separate_p29_from_p13(self):
+        assert P29_PASS == 30_914
+        assert next(unmet_axioms(paley_seed(29), 3), None) is None
+        assert next(unmet_axioms(paley_seed(13), 2), None) is None
+        assert next(unmet_axioms(paley_seed(13), 3), None) is not None
+
+    @pytest.mark.parametrize("budget", [P29_PASS, 200_000])
+    def test_p29_is_a_fixpoint_of_the_closure(self, budget):
+        p29 = paley_seed(29)
+        out = ec_close(p29, graph_spec(3), budget, rng_seed=0)
+        assert out == p29 and out.provenance_log == ()
+
+    def test_p13_grows(self):
+        p13 = paley_seed(13)
+        out = ec_close(p13, graph_spec(3), 3000, rng_seed=0)
+        assert out.n > 13 and is_prefix(p13, out)
+        assert out == reference_ec_close_graph(p13, 3, 3000, 0)
+
+    def test_edges_are_the_nonzero_squares(self):
+        r = paley_seed(13).tables["R"]
+        # the nonzero squares mod 13
+        assert {j for j in range(13) if r[(0, j)] == 0} == {1, 3, 4, 9, 10, 12}
 
 
 def reference_ec_close_graph(seed, max_size, budget, rng_seed):
