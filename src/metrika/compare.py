@@ -4,10 +4,10 @@ A partial correspondence is a finite injective pairing of points; its
 distortion is the sup-norm gap of relation values over matched tuples, so
 distortion <= eps bounds every quantifier-free atom's value difference.
 
-The search compares integers: both structures' tables are scaled by the
-lcm L of all their denominators, and a gap |A - B| exceeds eps exactly
-when the scaled gap exceeds floor(eps * L).  Only ``distortion`` and the
-reported result use rationals.  The search holds the matched points once,
+The search compares integers: both structures' rows are read over the
+lcm L of their lattices, and a gap |A - B| exceeds eps exactly when the
+integer gap exceeds floor(eps * L).  ``distortion`` too takes its max on
+integers, and makes one Fraction.  The search holds the matched points once,
 as two position-aligned lists that it appends to and pops from.
 
 A new pair can raise the distortion only through the tuples naming it.
@@ -27,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
-from .rationals import ZERO
-from .structures import PresentedStructure, scaled, scaled_tables, tuples_naming
+from .structures import PresentedStructure, entry, scaled, tuples_naming
 
 
 @dataclass(frozen=True)
@@ -51,14 +51,15 @@ def distortion(pairs, m: PresentedStructure, n: PresentedStructure) -> Fraction:
     right = [p[1] for p in pairs]
     if len(set(left)) != len(left) or len(set(right)) != len(right):
         raise ValueError("pairs must be injective both ways")
-    worst = ZERO
+    L = lcm(m.L, n.L)
+    ours, theirs = m.rows_over(L), n.rows_over(L)
+    worst = 0
     for rel in m.sig.relations:
-        arity = rel.arity
-        for idx in product(range(len(pairs)), repeat=arity):
-            a = tuple(left[i] for i in idx)
-            b = tuple(right[i] for i in idx)
-            worst = max(worst, abs(m.value(rel.name, a) - n.value(rel.name, b)))
-    return worst
+        a, b = ours[rel.name], theirs[rel.name]
+        for idx in product(range(len(pairs)), repeat=rel.arity):
+            gap = abs(entry(a, [left[i] for i in idx]) - entry(b, [right[i] for i in idx]))
+            worst = max(worst, gap)
+    return Fraction(worst, L)
 
 
 @dataclass(frozen=True)
@@ -118,8 +119,9 @@ def back_and_forth(
         raise ValueError(f"node_budget must be >= 1, got {node_budget}")
     if depth > min(m.n, n.n):
         return BackAndForthResult("failure", None, 0)
-    scale, tables = scaled_tables(m, n)
-    (threshold,) = scaled([eps], scale)
+    L = lcm(m.L, n.L)
+    (threshold,) = scaled([eps], L)
+    tables = (m.rows_over(L), n.rows_over(L))
     # newest[k]: the tuples through the last of k matched points; over
     # every k <= depth there are depth**arity of them, no more than a table
     rels = [
@@ -136,13 +138,12 @@ def back_and_forth(
 
     def scan(table, size, pattern, v):
         # the points c with |table[pattern, c in its open positions] - v| <= eps
-        holes = [i for i, p in enumerate(pattern) if p < 0]
-        filled = list(pattern)
         bits = 0
         for c in range(size):
-            for i in holes:
-                filled[i] = c
-            if abs(table[tuple(filled)] - v) <= threshold:
+            x = table
+            for p in pattern:
+                x = x[c if p < 0 else p]
+            if abs(x - v) <= threshold:
                 bits |= 1 << c
         return bits
 
@@ -154,7 +155,9 @@ def back_and_forth(
             table = tabs[side]
             for idx in newest[k + 1]:
                 pattern = tuple(map(dst.__getitem__, idx))
-                v = table[tuple(map(src.__getitem__, idx))]
+                v = table
+                for i in idx:
+                    v = v[src[i]]
                 key = (other, name, pattern, v)
                 bits = masks.get(key)
                 if bits is None:

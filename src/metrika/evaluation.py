@@ -13,16 +13,16 @@ nonempty prefix the class is read with every vacuous quantifier dropped.
 
 Each formula is compiled once to an integer kernel.  A formula f gets one
 denominator D, read off it bottom-up by ``denominator``: at an atom it is
-the table lattice L (the lcm of the tables' denominators), at a constant
-the constant's denominator, at a binary connective the lcm of both
-sides' and under a scale by p/q the operand's D times q.  Every value of
-every subformula is then an integer over D, and each connective maps
-integers over D to integers over D: ``not`` is D - x, ``-.`` is
-max(0, x - y), ``+.`` is min(D, x + y), ``absdiff`` is |x - y|, and a scale
-by p/q is x * p // q.  That division is exact: the operand's value is an
-integer over its own denominator D', and q * D' divides D, so q divides x.
-``evaluate`` fetches the kernel, scales the tables to D with ``scaled``
-once per call and returns x / D.
+the structure's lattice L, at a constant the constant's denominator, at a
+binary connective the lcm of both sides' and under a scale by p/q the
+operand's D times q.  Every value of every subformula is then an integer
+over D, and each connective maps integers over D to integers over D:
+``not`` is D - x, ``-.`` is max(0, x - y), ``+.`` is min(D, x + y),
+``absdiff`` is |x - y|, and a scale by p/q is x * p // q.  That division
+is exact: the operand's value is an integer over its own denominator D',
+and q * D' divides D, so q divides x.
+``evaluate`` fetches the kernel, runs it on the structure's rows over D
+(its own rows when D == L) and returns x / D.
 
 A quantifier stops scanning points once its value reaches the lattice
 bound: 0 for an inf, D for a sup.  That is exact only when no value can
@@ -40,7 +40,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from math import lcm
 
 from .errors import FormulaSyntaxError, NotPrenexUnsupportedError, UnboundVariableError
@@ -62,7 +61,7 @@ from .logic import (
     quantifier_class,
 )
 from .rationals import ONE, ZERO
-from .structures import PresentedStructure, lattice, nested, point_range, scaled
+from .structures import PresentedStructure, point_range, scaled
 
 
 @dataclass(frozen=True)
@@ -91,12 +90,9 @@ def evaluate(f: Formula, m: PresentedStructure, asg=None) -> Fraction:
         if not 0 <= point < m.n:
             raise ValueError(f"{name}={point} is not a point of {point_range(m.n)}")
     with depth_guard():
-        L = lattice(chain.from_iterable(t.values() for t in m.tables.values()))
-        D = denominator(f, L)
+        D = denominator(f, m.L)
         kernel = compile_formula(f, D, m.unit_valued(), tuple(asg))
-        tables = {r.name: nested(m.tables[r.name], r.arity, m.n, lambda vs: scaled(vs, D))
-                  for r in m.sig.relations}
-        return Fraction(kernel(tables, asg.values()), D)
+        return Fraction(kernel(m.rows_over(D), asg.values()), D)
 
 
 @contextmanager

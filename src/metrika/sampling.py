@@ -10,8 +10,8 @@ depend on the trial (the starting ``MetricBuilder``, square integer rows
 over a lattice L the grid's denominator divides, and the rejection law's
 slot layout) and returns the per-trial grow: it only draws, checks and
 adds k points on a copy of that builder, drawing the same rationals
-whatever L is.  ``sample_space`` freezes a sample to Fractions once, at
-the end; the invariance audit builds its law once per audit and the
+whatever L is.  ``sample_space`` freezes a sample once, at the end;
+the invariance audit builds its law once per audit and the
 genericity curve once per n, each over the lattice it scores on (the
 kernel's D, the scan's L), so the builder's rows are what they read.  A
 rejection proposal is drawn on the stream ``randint`` would consume and
@@ -35,7 +35,7 @@ from .urysohn import DistanceConfiguration, ObligationScan
 
 DEFAULT_GRID = Fraction(1, 2**16)
 
-_POINT = PresentedStructure(metric_signature(), 1, {"d": {(0, 0): ZERO}})
+_POINT = PresentedStructure(metric_signature(), 1, 1, {"d": [[0]]})
 
 
 @dataclass(frozen=True)

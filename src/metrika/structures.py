@@ -1,11 +1,10 @@
-"""Finite pre-structures with exact rational interpretation tables.
-
-A ``PresentedStructure`` is the finite prefix 0..n-1 of a countable dense
-presentation, checked by ``validate``; a metric-only one grows point by
-point on a ``MetricBuilder``, which keeps the prefix bit-for-bit.  On
-integers a metric has one form, the square rows ``distance_rows`` builds:
-``rows[i][j]`` is d(i, j) * L.  The builder, ``validate``, the Katetov
-tests here and the scans in ``urysohn`` all read it.
+"""Finite pre-structures, each table held as integer lists over one lattice
+L, nested arity deep: ``m.rows["d"][i][j]`` is d(i, j) * L.  Every verb
+reads them, through ``rows_over`` for a multiple of L.  Fractions appear
+only at the edges: ``from_tables`` and ``from_json`` share one conversion
+to integers, and ``value``, the ``tables`` view, ``to_json`` and reported
+violations make one Fraction per distinct integer.  A metric-only
+structure grows point by point on a ``MetricBuilder``.
 """
 
 from __future__ import annotations
@@ -13,9 +12,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain, product
-from math import lcm
+from math import gcd, lcm
 from operator import sub
+from types import MappingProxyType
 
 from .errors import ExtensionViolatesAxiomsError
 from .logic import Relation, Signature
@@ -42,51 +43,107 @@ class ValidationReport:
 
 
 class PresentedStructure:
-    """n named points with total interpretation tables for every relation."""
+    """n named points with a total table for every relation, each held as
+    integer lists over the least lattice L, nested arity deep."""
 
-    __slots__ = ("sig", "n", "tables", "provenance_log", "_unit")
+    __slots__ = ("sig", "n", "L", "rows", "provenance_log", "_fraction", "_tables")
 
-    def __init__(self, sig: Signature, n: int, tables: Tables, provenance_log=()):
-        self.sig = sig
-        self.n = n
-        self.tables = tables
+    def __init__(self, sig: Signature, n: int, L: int, rows: dict, provenance_log=()):
+        """rows: each relation's table over L, as the edges that build it check it."""
+        self.sig, self.n, self.L, self.rows = sig, n, L, rows
         self.provenance_log = tuple(provenance_log)
-        self._unit = None
-        for rel in sig.relations:
-            table = tables.get(rel.name)
-            if table is None or len(table) != n**rel.arity:
-                raise ValueError(f"table for {rel.name} is not total on {n} points")
+        # x -> x / L, made once per distinct integer
+        self._fraction = cache(lambda x: Fraction(x, L))
+        self._tables = None
 
     def value(self, relation: str, idx: tuple[int, ...]) -> Fraction:
-        return self.tables[relation][idx]
+        return self._fraction(entry(self.rows[relation], idx))
+
+    @property
+    def tables(self) -> Tables:
+        """Each table as a read-only map tuple -> Fraction, built on first read."""
+        if self._tables is None:
+            self._tables = MappingProxyType({r.name: MappingProxyType(dict(zip(
+                self.tuples(r.arity), map(self._fraction, self._entries(r)))))
+                for r in self.sig.relations})
+        return self._tables
+
+    def rows_over(self, D: int) -> dict:
+        """The tables over D, a multiple of L; ``rows`` itself (read only) if D == L."""
+        return self.rows if D == self.L else self._remap((D // self.L).__mul__)
+
+    def _remap(self, f) -> dict:
+        """Each table with f applied to every entry."""
+        return {r.name: _shape([*map(f, self._entries(r))], r.arity, self.n)
+                for r in self.sig.relations}
+
+    def _entries(self, rel: Relation):
+        """rel's entries in lex order of their tuples."""
+        entries = self.rows[rel.name]
+        for _ in range(rel.arity - 1):
+            entries = chain.from_iterable(entries)
+        return entries
 
     def tuples(self, arity: int):
         return product(range(self.n), repeat=arity)
 
     def unit_valued(self) -> bool:
-        """Whether every table value lies in [0, 1]; scanned once, on the
-        first call (a structure read by ``from_json`` is known to be)."""
-        if self._unit is None:
-            self._unit = all(
-                0 <= v.numerator <= v.denominator
-                for table in self.tables.values()
-                for v in table.values()
-            )
-        return self._unit
+        """Whether every table value lies in [0, 1]."""
+        return all(0 <= x <= self.L for r in self.sig.relations for x in self._entries(r))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PresentedStructure)
-            and self.sig == other.sig
-            and self.n == other.n
-            and self.tables == other.tables
-        )
+        if not (isinstance(other, PresentedStructure) and self.sig == other.sig):
+            return False
+        L = lcm(self.L, other.L)
+        return self.n == other.n and self.rows_over(L) == other.rows_over(L)
 
     def __hash__(self):
         return hash((self.sig, self.n))
 
     def __repr__(self):
         return f"PresentedStructure(n={self.n}, sig={[r.name for r in self.sig.relations]})"
+
+
+def entry(nested, idx):
+    """The entry of nested lists at the tuple idx: nested[i][j] at (i, j)."""
+    for i in idx:
+        nested = nested[i]
+    return nested
+
+
+def _shape(flat: list, arity: int, n: int) -> list:
+    """flat, entries in lex order of their tuples, as lists nested arity deep."""
+    for _ in range(arity - 1):
+        flat = [flat[i:i + n] for i in range(0, len(flat), n or 1)]
+    return flat
+
+
+def _integers(sig: Signature, n: int, tables, read, value) -> tuple[int, dict]:
+    """The one conversion from rational tables: their least lattice L and each
+    table as nested integers over L.  read(rel, tables) lists rel's entries in
+    lex order, or raises ValueError; value gives each distinct entry's rational."""
+    extra = sorted(set(tables) - {rel.name for rel in sig.relations})
+    if extra:
+        raise ValueError(f"tables for relations not in the signature: {extra}")
+    flat = {rel: read(rel, tables) for rel in sig.relations}
+    distinct = {x: value(x) for entries in flat.values() for x in set(entries)}
+    L = lcm(*{q.denominator for q in distinct.values()})
+    over = dict(zip(distinct, scaled(distinct.values(), L)))
+    return L, {r.name: _shape([*map(over.__getitem__, entries)], r.arity, n)
+               for r, entries in flat.items()}
+
+
+def from_tables(sig: Signature, n: int, tables: Tables, log=()) -> PresentedStructure:
+    """A structure from rational tables, maps tuple -> value, as seeds and
+    tests write them; a table not keyed by exactly 0..n-1's tuples raises."""
+
+    def read(rel, tables):
+        table, keys = tables.get(rel.name, {}), list(product(range(n), repeat=rel.arity))
+        if table.keys() != set(keys):
+            raise ValueError(f"table for {rel.name} is not total on {n} points")
+        return [table[t] for t in keys]
+
+    return PresentedStructure(sig, n, *_integers(sig, n, tables, read, Fraction), log)
 
 
 def point_range(n: int) -> str:
@@ -100,19 +157,10 @@ def point_range(n: int) -> str:
 
 def validate(m: PresentedStructure) -> ValidationReport:
     """Exhaustively check the pre-structure axioms; never raises."""
-    L, (ints,) = scaled_tables(m)
-    rows = distance_rows(m, L)
-    violations = tuple(_violations(m, L, ints, rows))
+    violations = tuple(_violations(m))
+    rows = m.rows["d"]
     is_metric = all(x > 0 for i, row in enumerate(rows) for j, x in enumerate(row) if i != j)
     return ValidationReport(not violations, violations, is_metric)
-
-
-def distance_rows(m: PresentedStructure, L: int) -> list[list[int]]:
-    """m's distances as square integer rows, rows[i][j] = d(i, j) * L: the
-    one integer form of a metric, ``nested`` with each row ``scaled``.  L
-    must be a multiple of every distance's denominator (``scaled`` floors
-    otherwise)."""
-    return nested(m.tables["d"], 2, m.n, lambda r: scaled(r, L))
 
 
 def tuples_naming(n: int, arity: int, first_new: int) -> list[tuple[int, ...]]:
@@ -139,25 +187,10 @@ def scaled(values, L: int) -> list[int]:
     return [q.numerator * L // q.denominator for q in values]
 
 
-def scaled_tables(*ms: PresentedStructure) -> tuple[int, list[dict]]:
-    """Every table of every structure in ms as integers over one shared
-    denominator L, the lcm of all their denominators.  Returns L and, per
-    structure, relation name -> {tuple: value * L}."""
-    tables = [m.tables for m in ms]
-    L = lattice(v for t in tables for table in t.values() for v in table.values())
-    return L, [
-        {
-            name: dict(zip(table, scaled(table.values(), L)))
-            for name, table in t.items()
-        }
-        for t in tables
-    ]
-
-
-def _violations(m: PresentedStructure, L: int, ints: dict, rows: list[list[int]]):
-    """Every axiom violation of m, in validate's order, found on m's tables
-    scaled to integers over L (``ints``; ``rows[i][j]`` is d(i, j) * L).
-    The Fractions are read only to build a reported violation.
+def _violations(m: PresentedStructure):
+    """Every axiom violation of m, in validate's order, found on its rows
+    over L (``rows[i][j]`` is d(i, j) * L).  A Fraction is made only for
+    a reported violation.
 
     Triangle: d(i, k) > d(i, j) + d(j, k) is rows[i][k] - rows[j][k] >
     rows[i][j], so one C-level max over the row pair screens each (i, j),
@@ -171,27 +204,26 @@ def _violations(m: PresentedStructure, L: int, ints: dict, rows: list[list[int]]
     pair and is skipped whole; any other is tested pair by pair.  On a
     graph (the discrete metric, values in {0, 1}, constant 1) every
     relation is skipped."""
-    n = m.n
+    n, L, frac = m.n, m.L, m._fraction
     for rel in m.sig.relations:
-        table, a = m.tables[rel.name], ints[rel.name]
-        for tup in m.tuples(rel.arity):
-            if not 0 <= a[tup] <= L:
-                yield Violation("range", (rel.name,) + tup, table[tup], ONE)
-    d = m.tables["d"]
+        for tup, x in zip(m.tuples(rel.arity), m._entries(rel)):
+            if not 0 <= x <= L:
+                yield Violation("range", (rel.name,) + tup, frac(x), ONE)
+    rows = m.rows["d"]
     for i in range(n):
         if rows[i][i] != 0:
-            yield Violation("reflexivity", (i,), d[(i, i)], ZERO)
+            yield Violation("reflexivity", (i,), frac(rows[i][i]), ZERO)
     for i in range(n):
         for j in range(i + 1, n):
             if rows[i][j] != rows[j][i]:
-                yield Violation("symmetry", (i, j), d[(i, j)], d[(j, i)])
+                yield Violation("symmetry", (i, j), frac(rows[i][j]), frac(rows[j][i]))
     for i, ri in enumerate(rows):
         for j, rj in enumerate(rows):
             dij = ri[j]
             if max(map(sub, ri, rj)) > dij:
                 for k in range(n):
                     if ri[k] - rj[k] > dij:
-                        yield Violation("triangle", (i, j, k), d[(i, k)], d[(i, j)] + d[(j, k)])
+                        yield Violation("triangle", (i, j, k), frac(ri[k]), frac(dij + rj[k]))
     # The metric's own continuity is exactly symmetry + triangle (a
     # 1-Lipschitz-in-max bound would wrongly reject valid metric spaces),
     # so d is skipped here.  With one point or none there is no pair.
@@ -200,20 +232,19 @@ def _violations(m: PresentedStructure, L: int, ints: dict, rows: list[list[int]]
         return
     delta = min(x for i, row in enumerate(rows) for j, x in enumerate(row) if i != j)
     for rel in rels:
-        table, a = m.tables[rel.name], ints[rel.name]
+        a = list(m._entries(rel))
         p, q = rel.lipschitz.numerator, rel.lipschitz.denominator
-        if (max(a.values()) - min(a.values())) * q <= p * delta:
+        if (max(a) - min(a)) * q <= p * delta:
             continue
         every = list(m.tuples(rel.arity))
         for iu, u in enumerate(every):
-            au = a[u]
-            for v in every[iu + 1:]:
-                if abs(au - a[v]) * q > p * max(rows[x][y] for x, y in zip(u, v)):
+            au = a[iu]
+            for av, v in zip(a[iu + 1:], every[iu + 1:]):
+                gap = max(rows[x][y] for x, y in zip(u, v))
+                if abs(au - av) * q > p * gap:
                     yield Violation(
-                        "lipschitz",
-                        (rel.name, u, v),
-                        abs(table[u] - table[v]),
-                        rel.lipschitz * max(map(d.__getitem__, zip(u, v))),
+                        "lipschitz", (rel.name, u, v), frac(abs(au - av)),
+                        rel.lipschitz * frac(gap),
                     )
 
 
@@ -256,12 +287,12 @@ class MetricBuilder:
     """The one-point extension: a metric-only structure grown over integers.
 
     Every distance is held as an integer over one denominator L, the lcm
-    of the `grids`' denominators and the prefix's, in the square rows of
-    ``distance_rows``: ``rows[i][j]`` is d(i, j) * L.  The prefix is
-    assumed valid, so a new row is checked only where it can break an
-    axiom: every entry in 0..L, then the Katetov row test, at O(n^2)
-    cost; only a row that passes is added, as one new column and one new
-    row.  ``freeze`` builds the ``PresentedStructure`` once, at the end.
+    of the `grids`' denominators and the prefix's lattice, in square rows
+    of the prefix's ``rows["d"]`` shape: ``rows[i][j]`` is d(i, j) * L.
+    The prefix is assumed valid, so a new row is checked only where it
+    can break an axiom: every entry in 0..L, then the Katetov row test, at
+    O(n^2) cost; only a row that passes is added, as one new column and
+    one new row.  ``freeze`` hands a copy of the rows to a structure.
     """
 
     __slots__ = ("sig", "L", "rows", "_base", "_log", "_notes")
@@ -270,8 +301,8 @@ class MetricBuilder:
         if len(prefix.sig.relations) != 1:
             raise ValueError("MetricBuilder grows metric-only structures")
         self.sig = prefix.sig
-        self.L = lattice(chain(grids, prefix.tables["d"].values()))
-        self.rows = distance_rows(prefix, self.L)
+        self.L = lattice(grids, prefix.L)
+        self.rows = [row[:] for row in prefix.rows_over(self.L)["d"]]
         self._base = prefix.n
         self._log = prefix.provenance_log
         self._notes: list = []
@@ -307,47 +338,30 @@ class MetricBuilder:
         """``try_add``; on a bad row, raise ExtensionViolatesAxiomsError
         carrying the ``validate`` report of the structure it would give."""
         if not self.try_add(row, note):
-            n = len(row)
-            table = self.freeze().tables["d"]
-            table[(n, n)] = ZERO
-            for i, v in enumerate(row):
-                table[(i, n)] = table[(n, i)] = Fraction(v, self.L)
-            raise ExtensionViolatesAxiomsError(
-                validate(PresentedStructure(self.sig, n + 1, {"d": table}))
-            )
+            rows = [r + [v] for r, v in zip(self.rows, row)] + [[*row, 0]]
+            m = PresentedStructure(self.sig, len(rows), self.L, {"d": rows})
+            raise ExtensionViolatesAxiomsError(validate(m))
 
     def freeze(self, provenance=True) -> PresentedStructure:
-        """The structure built so far, with one Fraction per distinct
-        distance.  Each added point leaves the record {"point": index,
-        "note": note}; provenance=False keeps only the prefix's records."""
-        rows, L = self.rows, self.L
-        values = set(chain.from_iterable(rows))
-        frac = {v: Fraction(v, L) for v in values}
-        table = {(i, j): frac[v] for i, row in enumerate(rows) for j, v in enumerate(row)}
+        """The structure built so far, on a copy of the rows reduced to
+        their least lattice.  Each added point leaves the record {"point":
+        index, "note": note}; provenance=False keeps only the prefix's."""
         log = self._log
         if provenance:
             log += tuple(
                 {"point": self._base + k, "note": note} for k, note in enumerate(self._notes)
             )
-        m = PresentedStructure(self.sig, len(rows), {"d": table}, log)
-        m._unit = all(0 <= v <= L for v in values)
-        return m
+        g = gcd(self.L, *set(chain.from_iterable(self.rows)))
+        rows = [[x // g for x in r] for r in self.rows]
+        return PresentedStructure(self.sig, len(rows), self.L // g, {"d": rows}, log)
 
 
 # --------------------------------------------------------------- file I/O
 
 
-def nested(table, arity, n, row, prefix=()):
-    """table as lists nested arity >= 1 deep, n entries at each level: at
-    arity 2, nested(...)[i] is row([table[(i, j)] for j in range(n)])."""
-    if arity == 1:
-        return row([table[prefix + (i,)] for i in range(n)])
-    return [nested(table, arity - 1, n, row, prefix + (i,)) for i in range(n)]
-
-
 def _unnest(nested, arity, n, prefix, out, parse):
-    """Read the entries under `prefix` into out, each leaf through parse,
-    in lex order, so an error names the first bad entry."""
+    """Append the leaves under `prefix` to out, in lex order, each checked
+    by parse, so an error names the first bad entry."""
     if not isinstance(nested, list) or len(nested) != n:
         raise ValueError(f"entries at {prefix} are not a list of {n}")
     if arity > 1:
@@ -356,9 +370,10 @@ def _unnest(nested, arity, n, prefix, out, parse):
         return
     for i, leaf in enumerate(nested):
         try:
-            out[prefix + (i,)] = parse(leaf)
+            parse(leaf)
         except ValueError as exc:
             raise ValueError(f"entry {prefix + (i,)}: {exc}") from None
+    out += nested
 
 
 def _unit_entry(v: Fraction) -> None:
@@ -367,6 +382,8 @@ def _unit_entry(v: Fraction) -> None:
 
 
 def to_json(m: PresentedStructure, include_provenance=False) -> dict:
+    # each distinct integer's literal is written once
+    literal = cache(lambda x: str(m._fraction(x)))
     obj = {
         "version": FILE_VERSION,
         "signature": {
@@ -380,10 +397,7 @@ def to_json(m: PresentedStructure, include_provenance=False) -> dict:
             ]
         },
         "points": m.n,
-        "tables": {
-            r.name: nested(m.tables[r.name], r.arity, m.n, lambda vs: [*map(str, vs)])
-            for r in m.sig.relations
-        },
+        "tables": m._remap(literal),
     }
     if include_provenance:
         obj["provenance"] = [_jsonable(rec) for rec in m.provenance_log]
@@ -419,24 +433,19 @@ def from_json(obj: dict) -> PresentedStructure:
     n = obj["points"]
     if type(n) is not int or n < 0:
         raise ValueError(f"points must be an integer >= 0, got {n!r}")
-    extra = sorted(set(obj["tables"]) - {rel.name for rel in rels})
-    if extra:
-        raise ValueError(f"tables for relations not in the signature: {extra}")
-    tables: Tables = {}
     # each distinct literal is parsed, and range-checked, once per file
     parse = literal_parser(_unit_entry)
-    for rel in rels:
-        out: dict[tuple[int, ...], Fraction] = {}
+
+    def read(rel, tables):
+        out = []
         try:
-            _unnest(obj["tables"][rel.name], rel.arity, n, (), out, parse)
+            _unnest(tables[rel.name], rel.arity, n, (), out, parse)
         except ValueError as exc:
             raise ValueError(f"table {rel.name}: {exc}") from None
-        tables[rel.name] = out
-    m = PresentedStructure(sig, n, tables)
-    # _unit_entry checked that every entry is in [0, 1]; the other axioms are
-    # left to the caller's validate
-    m._unit = True
-    return m
+        return out
+
+    # every entry is in [0, 1]; the other axioms are left to the caller's validate
+    return PresentedStructure(sig, n, *_integers(sig, n, obj["tables"], read, parse))
 
 
 def save(m: PresentedStructure, path, include_provenance=False) -> None:

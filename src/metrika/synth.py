@@ -13,14 +13,16 @@ FIFO queue that only gains the tuples through each new point.  The
 witness steers each new row, from the repaired Katetov row
 (`urysohn.katetov_row`, also the fallback) off the task grid by
 `urysohn.delta_for`'s delta, and hands it to the builder, which gives
-every added point one range and Katetov check.  The structure is frozen
-once, at the end.  For graphs the obligations are the classical (A, B)
-extension axioms over the discrete metric encoding: a vertex adjacent to
-all of A and to none of B.  The closure decides each in one loop over its
-subset's positions on adjacency bitmasks, read off the seed once and
-written back once over `metric_seed`'s discrete metric, rescanning every
-subset pass by pass until a pass adds no vertex or the budget is spent.
-Seeds are preserved as bit-identical prefixes.  A seed must share its theory's signature.
+every added point one range and Katetov check.  The builder hands its
+rows to the structure once, at the end.  For graphs the obligations are
+the classical (A, B) extension axioms over the discrete metric encoding:
+a vertex adjacent to all of A and to none of B.  The closure decides each
+in one loop over its subset's positions on adjacency bitmasks, read off
+the seed's integer rows once and written back once as integer rows over
+the lattice 1, rescanning every subset pass by pass until a pass adds no
+vertex or the budget is spent.  Seeds are preserved as bit-identical
+prefixes, which ``is_prefix`` checks on integers.  A seed must share its
+theory's signature.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, product
+from math import lcm
 
 from .errors import SeedViolatesTheoryError
 from .evaluation import check_condition
@@ -43,7 +46,8 @@ from .logic import (
     parse_condition,
 )
 from .rationals import ONE, ZERO
-from .structures import MetricBuilder, PresentedStructure, admissible, scaled
+from .structures import MetricBuilder, PresentedStructure, admissible, entry
+from .structures import from_tables, scaled
 from .urysohn import ObligationScan, all_configurations, delta_for, katetov_row
 
 _METRIC_CONDITIONS = (
@@ -110,13 +114,8 @@ def graph_spec(max_size=3) -> TheorySpec:
 
 def metric_seed(n_points: int = 1) -> PresentedStructure:
     """n isolated points at mutual distance 1 (diameter-1 default seed)."""
-    sig = metric_signature()
-    table = {
-        (i, j): (ZERO if i == j else ONE)
-        for i in range(n_points)
-        for j in range(n_points)
-    }
-    return PresentedStructure(sig, n_points, {"d": table})
+    table = {(i, j): ZERO if i == j else ONE for i in range(n_points) for j in range(n_points)}
+    return from_tables(metric_signature(), n_points, {"d": table})
 
 
 def graph_seed(n_vertices: int = 1) -> PresentedStructure:
@@ -237,10 +236,9 @@ def _add_metric_witness(b, targets, pts, grid, config_grid, eps, delta, rng, not
 def _ec_close_graph(seed, budget, rng_seed, *, max_size):
     rng = random.Random(rng_seed)
     n = seed.n
-    r = seed.tables["R"]
     # adjacency bitmasks; R value 0 means "edge present", and the seed has
     # no loop (ec_close checked R(x, x) = 1)
-    adj = [sum(1 << j for j in range(n) if r[(i, j)] == 0) for i in range(n)]
+    adj = [sum(1 << j for j, x in enumerate(row) if x == 0) for row in seed.rows["R"]]
     provenance = list(seed.provenance_log)
     dequeued = 0
     changed = True
@@ -275,22 +273,21 @@ def _ec_close_graph(seed, budget, rng_seed, *, max_size):
 
 def _graph_structure(sig, adj, provenance) -> PresentedStructure:
     """The graph of the adjacency bitmasks adj on metric_seed's discrete
-    metric; no mask has its own bit, so R(x, x) = 1."""
+    metric, over the lattice 1; no mask has its own bit, so R(x, x) = 1."""
     n = len(adj)
-    r = {(i, j): ZERO if adj[i] >> j & 1 else ONE for i in range(n) for j in range(n)}
-    return PresentedStructure(sig, n, {"d": metric_seed(n).tables["d"], "R": r}, provenance)
+    d = [[int(i != j) for j in range(n)] for i in range(n)]
+    r = [[0 if a >> j & 1 else 1 for j in range(n)] for a in adj]
+    return PresentedStructure(sig, n, 1, {"d": d, "R": r}, provenance)
 
 
 # ---------------------------------------------------------------- prefix
 
 
 def is_prefix(m: PresentedStructure, n_ext: PresentedStructure) -> bool:
+    """Whether m is n_ext on its first m.n points, on integers."""
     if m.sig != n_ext.sig or m.n > n_ext.n:
         return False
-    for rel in m.sig.relations:
-        small = m.tables[rel.name]
-        big = n_ext.tables[rel.name]
-        for tup, v in small.items():
-            if big[tup] != v:
-                return False
-    return True
+    L = lcm(m.L, n_ext.L)
+    small, big = m.rows_over(L), n_ext.rows_over(L)
+    return all(entry(small[r.name], t) == entry(big[r.name], t)
+               for r in m.sig.relations for t in m.tuples(r.arity))

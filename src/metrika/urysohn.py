@@ -7,7 +7,7 @@ A distance configuration of size n is the formula
 max_{i<j} |d(x_i, x_j) - r_ij| for a rational distance matrix r; realizing
 it within eps places n points at the prescribed mutual distances up to eps.
 Both sides run on integers, on a space's square rows (``rows[i][j]`` is
-d(i, j) * L, as ``structures.distance_rows`` builds them):
+d(i, j) * L, a structure's ``rows["d"]`` or a builder's rows):
 ``ObligationScan`` scores configurations, and ``katetov_row`` builds the
 witness row that ``MetricBuilder.try_add`` checks.
 """
@@ -21,14 +21,7 @@ from itertools import chain, combinations, product
 
 from .errors import SizeMismatchError
 from .rationals import ONE, ZERO, literal_parser, parse_rational
-from .structures import (
-    PresentedStructure,
-    admissible,
-    distance_rows,
-    lattice,
-    scaled,
-    tuples_naming,
-)
+from .structures import PresentedStructure, admissible, lattice, scaled, tuples_naming
 
 
 @dataclass(frozen=True)
@@ -82,7 +75,7 @@ class ObligationScan:
     ``self.L`` is the lcm of L and the configurations' denominators, and
     eps, delta and every configuration row (``rows``) are scaled to it
     once, here.  A space is its square rows ``d``, ``d[i][j]`` the integer
-    d(i, j) over ``self.L``, as ``distance_rows(m, self.L)`` gives them or
+    d(i, j) over ``self.L``, as ``m.rows_over(self.L)["d"]`` gives them or
     a ``MetricBuilder`` whose grids include the configurations' keeps
     them.  Each distance error is then an integer over ``self.L``, and it
     is within eps (or delta) exactly when it is at most floor(eps * L).
@@ -204,8 +197,8 @@ def extension_property_report(
     """For every configuration and every prefix tuple realizing its
     restriction within delta_for(eps): is some prefix point within eps of
     completing the configuration?"""
-    scan = ObligationScan(configs, eps, lattice(m.tables["d"].values()))
-    rows = distance_rows(m, scan.L)
+    scan = ObligationScan(configs, eps, m.L)
+    rows = m.rows_over(scan.L)["d"]
     total = 0
     failures: list[ExtensionFailure] = []
     for t_idx, pts in scan.obligations(rows):

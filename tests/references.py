@@ -34,7 +34,7 @@ from metrika.logic import (
 )
 from metrika.rationals import ONE, ZERO
 from metrika.sampling import _law
-from metrika.structures import MetricBuilder, PresentedStructure, Tables, nested, scaled
+from metrika.structures import MetricBuilder, PresentedStructure, Tables, from_tables, scaled
 from metrika.synth import _graph_structure, graph_signature, is_prefix
 from metrika.urysohn import DistanceConfiguration, katetov_row
 
@@ -43,7 +43,7 @@ from metrika.urysohn import DistanceConfiguration, katetov_row
 
 
 def empty_structure(sig) -> PresentedStructure:
-    return PresentedStructure(sig, 0, {r.name: {} for r in sig.relations})
+    return from_tables(sig, 0, {r.name: {} for r in sig.relations})
 
 
 def from_distance_matrix(rows) -> PresentedStructure:
@@ -52,7 +52,7 @@ def from_distance_matrix(rows) -> PresentedStructure:
     table = {
         (i, j): Fraction(rows[i][j]) for i in range(n) for j in range(n)
     }
-    return PresentedStructure(metric_signature(), n, {"d": table})
+    return from_tables(metric_signature(), n, {"d": table})
 
 
 def nonzero_squares(q) -> set[int]:
@@ -70,20 +70,25 @@ def paley_seed(q) -> PresentedStructure:
     return _graph_structure(graph_signature(), adj, ())
 
 
-def paley_metric(q) -> PresentedStructure:
-    """The Paley graph P(q) as a {1/2, 1} metric: d(x, y) = 1/2 when x - y
-    is a nonzero square mod q (an edge), else 1 off the diagonal."""
-    squares = nonzero_squares(q)
+def graph_metric(g) -> PresentedStructure:
+    """The graph g as a {1/2, 1} metric: d(x, y) = 1/2 where x and y are
+    joined (R(x, y) = 0), else 1 off the diagonal.  Every triangle with
+    sides in {1/2, 1} holds, so this is a metric for every graph."""
     return from_distance_matrix(
-        [[ZERO if x == y else Fraction(1, 2) if (x - y) % q in squares else ONE
-          for y in range(q)] for x in range(q)]
+        [[ZERO if x == y else Fraction(1, 2) if g.value("R", (x, y)) == 0 else ONE
+          for y in range(g.n)] for x in range(g.n)]
     )
+
+
+def paley_metric(q) -> PresentedStructure:
+    """The Paley graph P(q) as a {1/2, 1} metric."""
+    return graph_metric(paley_seed(q))
 
 
 def fraction_rows(m) -> list[list[Fraction]]:
     """m's distances as square rows of Fractions, rows[i][j] = d(i, j): the
     form the Katetov tests read, on the rational scale."""
-    return nested(m.tables["d"], 2, m.n, list)
+    return [[m.value("d", (i, j)) for j in range(m.n)] for i in range(m.n)]
 
 
 def extend_with_distances(m, dists, note=None) -> PresentedStructure:
@@ -135,7 +140,7 @@ def metric_quotient(m: PresentedStructure) -> PresentedStructure:
                 new_table[tuple(index[i] for i in tup)] = table[tup]
         tables[rel.name] = new_table
     record = {"quotient": {orig: index[rep[orig]] for orig in range(m.n)}}
-    return PresentedStructure(m.sig, len(reps), tables, m.provenance_log + (record,))
+    return from_tables(m.sig, len(reps), tables, m.provenance_log + (record,))
 
 
 # -------------------------------------------------- the Fraction oracle

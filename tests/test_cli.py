@@ -18,7 +18,7 @@ import metrika
 from metrika import all_configurations, cli, graph_seed
 from metrika.logic import Relation, Signature
 from metrika.rationals import ZERO, ONE
-from metrika.structures import PresentedStructure, save
+from metrika.structures import from_tables, save
 
 from references import from_distance_matrix
 
@@ -45,7 +45,7 @@ def two_point_p(tmp_path):
     path = tmp_path / "two_p.json"
     d = from_distance_matrix([[ZERO, F(1, 2)], [F(1, 2), ZERO]]).tables["d"]
     sig = Signature((Relation("d", 2, ONE), Relation("P", 1, ONE)))
-    save(PresentedStructure(sig, 2, {"d": d, "P": {(0,): ZERO, (1,): F(1, 2)}}), path)
+    save(from_tables(sig, 2, {"d": d, "P": {(0,): ZERO, (1,): F(1, 2)}}), path)
     return str(path)
 
 

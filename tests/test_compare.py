@@ -15,7 +15,7 @@ from metrika import (
 )
 from metrika.compare import BackAndForthResult, PartialCorrespondence, _Budget
 from metrika.sampling import trial_rng
-from metrika.structures import PresentedStructure
+from metrika.structures import from_tables
 from metrika.logic import Relation, Signature, metric_signature
 
 from references import from_distance_matrix
@@ -86,7 +86,7 @@ class TestBackAndForth:
         m = space([[0, 1], [1, 0]])
         sig = metric_signature()
         d = {(i, j): ZERO for i in range(2) for j in range(2)}
-        n = PresentedStructure(sig, 2, {"d": d})  # pseudometric, d(0,1) = 0
+        n = from_tables(sig, 2, {"d": d})  # pseudometric, d(0,1) = 0
         res = back_and_forth(m, n, eps=HALF, depth=2)
         assert res.status == "failure"
         assert res.correspondence is None
@@ -155,7 +155,7 @@ class TestBackAndForth:
         m = space([[0, 1], [1, 0]])
         sig = metric_signature()
         d = {(i, j): ZERO for i in range(2) for j in range(2)}
-        n = PresentedStructure(sig, 2, {"d": d})
+        n = from_tables(sig, 2, {"d": d})
         bad = back_and_forth(m, n, eps=HALF, depth=2).to_json()
         assert bad["status"] == "failure" and "stuck_pairs" in bad
 
@@ -248,7 +248,7 @@ def _structure_pairs(draw):
             }
             for rel in sig.relations
         }
-        return PresentedStructure(sig, size, tables)
+        return from_tables(sig, size, tables)
 
     return structure(), structure()
 

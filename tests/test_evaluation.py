@@ -36,10 +36,7 @@ from metrika.logic import (
     parse_formula,
 )
 from metrika.sampling import MeasureSpec, invariance_audit, sample_space, trial_rng
-from metrika.structures import (
-    PresentedStructure,
-    admissible,
-)
+from metrika.structures import admissible, from_tables
 
 from references import (
     extend_with_distances,
@@ -461,7 +458,7 @@ def _structures(draw):
     tables = {"d": from_distance_matrix(rows).tables["d"]}
     for rel in SIG13.relations[1:]:
         tables[rel.name] = {t: draw(values) for t in product(range(n), repeat=rel.arity)}
-    return PresentedStructure(SIG13, n, tables)
+    return from_tables(SIG13, n, tables)
 
 
 _atoms = st.one_of(
@@ -512,12 +509,12 @@ def test_denominator_rule():
 @settings(max_examples=400)
 @given(_structures(), _kernel_formulas, st.lists(st.integers(-1, 2), min_size=3, max_size=3))
 @example(
-    PresentedStructure(SIG13, 0, {"d": {}, "P": {}, "T": {}}),
+    from_tables(SIG13, 0, {"d": {}, "P": {}, "T": {}}),
     Sup("x", Atom("d", ("x", "w"))),
     [0, 0, 0],
 )
 @example(
-    PresentedStructure(
+    from_tables(
         SIG13,
         2,
         {

@@ -2,16 +2,16 @@ import json
 from collections import Counter
 from fractions import Fraction as F
 from itertools import product
-from math import ceil, floor
+from math import ceil, floor, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from metrika import cli, rationals
 from metrika.errors import ExtensionViolatesAxiomsError
-from metrika.logic import Relation, Signature, graph_signature, parse_formula
+from metrika.logic import Relation, Signature, graph_signature, metric_signature, parse_formula
 from metrika.rationals import literal_parser, parse_rational
-from metrika.synth import ec_close, graph_seed, graph_spec
+from metrika.synth import ec_close, graph_seed, graph_spec, is_prefix
 from metrika.urysohn import DistanceConfiguration
 from metrika.evaluation import evaluate
 from metrika.structures import (
@@ -21,8 +21,9 @@ from metrika.structures import (
     Violation,
     admissible,
     admissible_interval,
-    distance_rows,
+    entry,
     from_json,
+    from_tables,
     load,
     save,
     to_json,
@@ -44,7 +45,7 @@ def _graph(n, edges):
     r = {(i, j): F(1) for i in range(n) for j in range(n)}
     for a, b in edges:
         r[(a, b)] = r[(b, a)] = F(0)
-    return PresentedStructure(sig, n, {"d": d, "R": r})
+    return from_tables(sig, n, {"d": d, "R": r})
 
 
 class TestValidate:
@@ -133,7 +134,7 @@ class TestQuotient:
         # zero-distance pair with different R values: Lipschitz already broken
         d = {(i, j): F(0) for i in range(2) for j in range(2)}
         r = {(0, 0): F(0), (0, 1): F(0), (1, 0): F(1), (1, 1): F(1)}
-        m = PresentedStructure(sig, 2, {"d": d, "R": r})
+        m = from_tables(sig, 2, {"d": d, "R": r})
         with pytest.raises(ValueError, match=r"R\(1, 0\) = 1 but R\(0, 0\) = 0"):
             metric_quotient(m)
 
@@ -242,14 +243,35 @@ def _reference_tables(obj):
     return out
 
 
+def _assert_holds_its_fractions(m, tables):
+    """m, built from the rational tables, holds each value as an integer
+    over their least lattice, and every edge gives the Fractions back."""
+    values = [v for table in tables.values() for v in table.values()]
+    assert m.L == lcm(*(v.denominator for v in values))
+    for rel in m.sig.relations:
+        for t, v in tables[rel.name].items():
+            assert entry(m.rows[rel.name], t) == v * m.L
+            assert entry(m.rows_over(3 * m.L)[rel.name], t) == 3 * v * m.L
+            assert m.value(rel.name, t) == v
+    assert m.tables == tables
+    assert m.unit_valued() == all(0 <= v <= 1 for v in values)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_json_round_trip_matches_parsing_every_entry(data):
-    m = data.draw(_lipschitz_structures())
+    """Mixed denominators, values off [0, 1] (which a file refuses), 0 to 6
+    points and arities 1-3, through the integer form and back."""
+    sig, n, tables = data.draw(_lipschitz_tables())
+    m = from_tables(sig, n, tables)
+    _assert_holds_its_fractions(m, tables)
     if not m.unit_valued():
-        m = PresentedStructure(m.sig, m.n, {
-            name: {t: min(abs(v), F(1)) for t, v in table.items()}
-            for name, table in m.tables.items()})
+        with pytest.raises(ValueError, match=r"is outside \[0, 1\]"):
+            from_json(to_json(m))
+        tables = {name: {t: min(abs(v), F(1)) for t, v in table.items()}
+                  for name, table in tables.items()}
+        m = from_tables(sig, n, tables)
+        _assert_holds_its_fractions(m, tables)
     obj = to_json(m)
 
     def respell(nested):
@@ -259,8 +281,9 @@ def test_json_round_trip_matches_parsing_every_entry(data):
 
     obj["tables"] = {name: respell(t) for name, t in obj["tables"].items()}
     got = from_json(obj)
+    _assert_holds_its_fractions(got, tables)
     assert got.tables == _reference_tables(obj) == m.tables
-    assert got == m
+    assert got == m and to_json(got) == to_json(m)
 
 
 def _literal(q):
@@ -417,7 +440,7 @@ def test_builder_agrees_with_validate(prefix, grid, data):
     b = MetricBuilder(prefix, grid)
     m = prefix
     for _ in range(data.draw(st.integers(1, 4))):
-        assert b.rows == distance_rows(b.freeze(), b.L) == distance_rows(m, b.L)
+        assert b.rows == b.freeze().rows_over(b.L)["d"] == m.rows_over(b.L)["d"]
         L, n = b.L, b.n
         length = data.draw(st.sampled_from([n, n, n, n + 1] + ([n - 1] if n else [])))
         if data.draw(st.booleans()) and length == n:
@@ -446,8 +469,8 @@ def test_builder_agrees_with_validate(prefix, grid, data):
             continue
         b.add(row, note)
         record = {"point": n, "note": note}
-        m = PresentedStructure(m.sig, n + 1, full.tables, m.provenance_log + (record,))
-    assert b.rows == distance_rows(b.freeze(), b.L) == distance_rows(m, b.L)
+        m = from_tables(m.sig, n + 1, full.tables, m.provenance_log + (record,))
+    assert b.rows == b.freeze().rows_over(b.L)["d"] == m.rows_over(b.L)["d"]
     frozen = b.freeze()
     assert frozen == m
     assert frozen.provenance_log == m.provenance_log
@@ -500,9 +523,9 @@ BITS = [F(0), F(1)]
 
 
 @st.composite
-def _lipschitz_structures(draw):
-    """d and up to two relations of arity 1-3, each with Lipschitz constant
-    1/5, 2/3, 1 or 3/2, on 0-6 points.  Either a graph table (the discrete
+def _lipschitz_tables(draw):
+    """(sig, n, tables) with d and up to two relations of arity 1-3, each
+    with Lipschitz constant 1/5, 2/3, 1 or 3/2, on 0-6 points.  Either a graph table (the discrete
     metric, relations valued in {0, 1}), on which validate skips a relation
     of constant 1 or 3/2 whole and scans one of 1/5 or 2/3 pair by pair, or
     d drawn from mixed denominators, often not a metric: asymmetric, with a
@@ -531,7 +554,11 @@ def _lipschitz_structures(draw):
     tables = {"d": d}
     for rel in rels:
         tables[rel.name] = {t: draw(values) for t in product(range(n), repeat=rel.arity)}
-    return PresentedStructure(sig, n, tables)
+    return sig, n, tables
+
+
+def _lipschitz_structures():
+    return _lipschitz_tables().map(lambda args: from_tables(*args))
 
 
 @settings(max_examples=400, deadline=None)
@@ -549,11 +576,54 @@ def test_graph_closure_with_planted_defects_matches_reference():
     m = ec_close(graph_seed(1), graph_spec(3), 60, rng_seed=2)
     assert m.n == 18
     assert validate(m) == _reference_validate(m) == ValidationReport(True, (), True)
-    d, r = m.tables["d"], m.tables["R"]
+    d, r = dict(m.tables["d"]), dict(m.tables["R"])
     assert r[(3, 7)] == r[(11, 7)] == 0
     d[(3, 11)] = d[(11, 3)] = d[(11, 12)] = d[(12, 11)] = F(1, 4)
     r[(3, 7)] = F(1, 2)
+    m = from_tables(m.sig, m.n, {"d": d, "R": r})
     expected = _reference_validate(m)
     assert {v.axiom for v in expected.violations} == {"triangle", "lipschitz"}
     assert Violation("lipschitz", ("R", (3, 7), (11, 7)), F(1, 2), F(1, 4)) in expected.violations
     assert validate(m) == expected
+
+
+# ------------------------------------------ the integer form and its edges
+
+
+class TestConstructor:
+    def test_table_off_the_points_is_refused(self):
+        # a table of the right size keyed off 0..n-1 would leave validate,
+        # which never raises, to raise KeyError (0, 0)
+        with pytest.raises(ValueError, match="table for d is not total on 1 points"):
+            from_tables(metric_signature(), 1, {"d": {(5, 5): F(0)}})
+        with pytest.raises(ValueError, match="not total"):
+            from_tables(metric_signature(), 2, {"d": {(0, 0): F(0), (1, 1): F(0)}})
+
+    def test_table_outside_the_signature_is_refused(self):
+        # kept, it would make == false between structures equal on the
+        # signature
+        d = {(0, 0): F(0)}
+        with pytest.raises(ValueError, match=r"relations not in the signature: \['R'\]"):
+            from_tables(metric_signature(), 1, {"d": d, "R": d})
+        obj = to_json(from_tables(metric_signature(), 1, {"d": d}))
+        obj["tables"]["R"] = [["0"]]
+        with pytest.raises(ValueError, match=r"relations not in the signature: \['R'\]"):
+            from_json(obj)
+
+
+def test_structures_equal_over_different_lattices_are_equal():
+    # a builder over 1/16 whose distances all lie on 1/2
+    b = MetricBuilder(from_distance_matrix([[0]]), F(1, 16))
+    b.add([8])
+    b.add([8, 16])
+    frozen = b.freeze(provenance=False)
+    want = from_distance_matrix(
+        [[0, F(1, 2), F(1, 2)], [F(1, 2), 0, 1], [F(1, 2), 1, 0]])
+    assert (b.L, frozen.L, want.L) == (16, 2, 2)
+    assert frozen == want and frozen.rows == want.rows == {"d": [[0, 1, 1], [1, 0, 2], [1, 2, 0]]}
+    # the builder keeps its own rows, and == reads integers over both lattices
+    assert b.rows == [[0, 8, 8], [8, 0, 16], [8, 16, 0]]
+    assert PresentedStructure(want.sig, 3, 16, {"d": b.rows}) == want
+    assert from_json(to_json(frozen)) == want
+    assert is_prefix(from_distance_matrix([[0, F(1, 2)], [F(1, 2), 0]]), frozen)
+    assert not is_prefix(from_distance_matrix([[0, F(1, 4)], [F(1, 4), 0]]), frozen)

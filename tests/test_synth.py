@@ -7,6 +7,7 @@ from itertools import combinations, product
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metrika import (
     SeedViolatesTheoryError,
@@ -16,6 +17,7 @@ from metrika import (
     encode,
     extension_property_report,
     graph_seed,
+    graph_signature,
     graph_spec,
     is_prefix,
     metric_seed,
@@ -24,7 +26,8 @@ from metrika import (
     validate,
 )
 from metrika.logic import AbsDiff, Atom, Const
-from metrika.structures import PresentedStructure, admissible
+from metrika.structures import admissible, from_tables
+from metrika.synth import _graph_structure
 from metrika.urysohn import all_configurations, delta_for, katetov_row
 
 from references import (
@@ -32,6 +35,7 @@ from references import (
     ec_witness_check,
     extend_with_distances,
     fraction_rows,
+    graph_metric,
     katetov_extension,
     max_of,
     paley_seed,
@@ -101,7 +105,7 @@ class TestEcCloseMetric:
             (1, 2): F(1, 8), (2, 1): F(1, 8),
             (0, 2): ONE, (2, 0): ONE,
         }
-        bad = PresentedStructure(sig, 3, {"d": d})
+        bad = from_tables(sig, 3, {"d": d})
         with pytest.raises(SeedViolatesTheoryError):
             ec_close(bad, empty_metric_spec(), budget=10)
 
@@ -111,7 +115,7 @@ class TestEcCloseMetric:
             (0, 0): ZERO, (1, 1): ZERO,
             (0, 1): F(1, 2), (1, 0): F(1, 2),
         }
-        seed = PresentedStructure(sig, 2, {"d": d})
+        seed = from_tables(sig, 2, {"d": d})
         out = ec_close(seed, empty_metric_spec(), budget=50_000, rng_seed=0)
         validate(out)
         assert is_prefix(seed, out)
@@ -257,7 +261,7 @@ def reference_ec_close_metric(seed, config_sizes, config_grid, eps, grid, budget
 @pytest.mark.parametrize("eps", [F(1, 5), F(1, 8), F(1, 16)])
 def test_integer_closure_matches_fraction_reference(config_grid, grid, eps):
     spec = empty_metric_spec(config_grid=config_grid, eps=eps, grid=grid)
-    seed = PresentedStructure(
+    seed = from_tables(
         metric_signature(), 2, {"d": {(0, 0): ZERO, (1, 1): ZERO,
                                       (0, 1): F(1, 2), (1, 0): F(1, 2)}},
         ({"seed": "two points"},),
@@ -332,7 +336,7 @@ class TestEcCloseGraph:
         seed = graph_seed(1)
         tables = {k: dict(v) for k, v in seed.tables.items()}
         tables["R"][(0, 0)] = ZERO
-        bad = PresentedStructure(seed.sig, 1, tables)
+        bad = from_tables(seed.sig, 1, tables)
         with pytest.raises(SeedViolatesTheoryError):
             ec_close(bad, graph_spec(), budget=10)
 
@@ -366,6 +370,48 @@ class TestPaleySeed:
         assert {j for j in range(13) if r[(0, j)] == 0} == {1, 3, 4, 9, 10, 12}
 
 
+# ------------------------------------ a graph is a {1/2, 1} metric
+
+# on the 1/2 grid, with every off-diagonal entry 1/2 or 1, a configuration
+# of size k + 1 is a k-point (A, B) extension axiom
+HALF_GRID = {k: all_configurations(k + 1, 2) for k in (1, 2, 3)}
+
+
+def reports_match_axioms(g):
+    """For k = 1..3, whether the metric report of g at size k + 1 (eps
+    1/8) passes exactly when every (A, B) axiom with |A| + |B| = k holds;
+    returns the reports' instance counts."""
+    m = graph_metric(g)
+    totals = []
+    for k, configs in HALF_GRID.items():
+        rep = extension_property_report(m, F(1, 8), configs)
+        axioms = all(len(a) + len(b) != k for a, b in unmet_axioms(g, k))
+        assert rep.ok == axioms, (k, rep.to_json())
+        totals.append(rep.total)
+    return totals
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                         max_size=n * (n - 1) // 2))))
+def test_half_grid_report_is_the_graph_axioms_on_random_graphs(case):
+    n, joined = case
+    adj = [0] * n
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    for (x, y), edge in zip(pairs, joined):
+        if edge:
+            adj[x] |= 1 << y
+            adj[y] |= 1 << x
+    reports_match_axioms(_graph_structure(graph_signature(), adj, ()))
+
+
+def test_half_grid_report_is_the_graph_axioms_on_a_closure():
+    g = ec_close(graph_seed(1), graph_spec(2), 100_000, rng_seed=0)
+    assert next(unmet_axioms(g, 2), None) is None
+    assert min(reports_match_axioms(g)) > 0
+
+
 def reference_ec_close_graph(seed, max_size, budget, rng_seed):
     """The graph closure grown on neighbour sets: pass after pass over
     every (A, B) split of every subset of the vertices present when the
@@ -380,7 +426,7 @@ def reference_ec_close_graph(seed, max_size, budget, rng_seed):
         n = len(nbrs)
         d = {(i, j): ZERO if i == j else ONE for i in range(n) for j in range(n)}
         rr = {(i, j): ZERO if j in nbrs[i] else ONE for i in range(n) for j in range(n)}
-        return PresentedStructure(seed.sig, n, {"d": d, "R": rr}, log)
+        return from_tables(seed.sig, n, {"d": d, "R": rr}, log)
 
     checks, changed = 0, True
     while changed:
@@ -422,7 +468,7 @@ def test_graph_closure_matches_set_reference(max_size, rng_seed):
     one_edge = graph_seed(3)
     tables = {k: dict(v) for k, v in one_edge.tables.items()}
     tables["R"][(0, 1)] = tables["R"][(1, 0)] = ZERO
-    one_edge = PresentedStructure(one_edge.sig, 3, tables)
+    one_edge = from_tables(one_edge.sig, 3, tables)
     for seed in (graph_seed(1), one_edge):
         for budget in [*range(301), 1000, 3000]:
             got = ec_close(seed, graph_spec(max_size), budget, rng_seed=rng_seed)
@@ -447,7 +493,7 @@ class TestEcWitnessCheck:
         sig = m.sig
         d = {(0, 0): ZERO, (1, 1): ZERO, (0, 1): ONE, (1, 0): ONE}
         r = {(0, 0): ONE, (1, 1): ONE, (0, 1): ZERO, (1, 0): ZERO}
-        n_ext = PresentedStructure(sig, 2, {"d": d, "R": r})
+        n_ext = from_tables(sig, 2, {"d": d, "R": r})
         phi = parse_formula("R(x,b)", sig)
         res = ec_witness_check(m, n_ext, phi, (0,), tol=ZERO)
         assert not res.passes
@@ -494,5 +540,5 @@ class TestIsPrefix:
     def test_changed_entry_not_prefix(self):
         sig = metric_signature()
         d = {(0, 0): ZERO, (1, 1): ZERO, (0, 1): F(1, 2), (1, 0): F(1, 2)}
-        m = PresentedStructure(sig, 2, {"d": d})
+        m = from_tables(sig, 2, {"d": d})
         assert not is_prefix(metric_seed(2), m)
