@@ -19,7 +19,7 @@ from . import compare as compare_mod
 from . import polish, sampling, structures, synth, urysohn
 from .errors import MetrikaError, SchemaMismatchError
 from .evaluation import check_condition, evaluate
-from .logic import parse_condition, parse_formula
+from .logic import metric_signature, parse_condition, parse_formula
 from .rationals import parse_rational
 
 REPORT_VERSION = "metrika-report-1"
@@ -346,7 +346,7 @@ def _audit(args) -> int:
         raise SystemExit2(f"--sigma must be a finite number >= 0, got {args.sigma}")
     spec = _measure_spec(args)
     # formula free variables range over sampled metric-only structures
-    phi = parse_formula(args.formula, synth.metric_seed(1).sig)
+    phi = parse_formula(args.formula, metric_signature())
     least = max(1, len(phi.free_variables()))
     if args.n < least:
         raise SystemExit2(f"--n must be at least {least} for {args.formula!r}, got {args.n}")

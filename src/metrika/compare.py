@@ -40,6 +40,8 @@ class PartialCorrespondence:
 
 def distortion(pairs, m: PresentedStructure, n: PresentedStructure) -> Fraction:
     """Exact max deviation over all matched tuples and relations."""
+    if m.sig != n.sig:
+        raise ValueError("structures must share a signature")
     pairs = list(pairs)
     for i, j in pairs:
         if not (0 <= i < m.n and 0 <= j < n.n):

@@ -57,6 +57,7 @@ from .logic import (
     ScaleQ,
     Sup,
     TruncPlus,
+    _children,
     drop_vacuous,
     quantifier_class,
 )
@@ -108,22 +109,14 @@ def depth_guard():
 
 def denominator(f: Formula, L: int) -> int:
     """The D over which every subformula of f is an integer on tables
-    over L: L at an atom, a constant's denominator, the lcm of both sides
-    at a binary connective, and the operand's D times q under a scale by
-    p/q."""
+    over L: L at an atom, a constant's denominator, else the lcm of its
+    children's, times q under a scale by p/q."""
     if isinstance(f, Atom):
         return L
     if isinstance(f, Const):
         return f.value.denominator
-    if isinstance(f, ScaleQ):
-        return denominator(f.operand, L) * f.factor.denominator
-    if isinstance(f, Neg):
-        return denominator(f.operand, L)
-    if isinstance(f, (Inf, Sup)):
-        return denominator(f.body, L)
-    if isinstance(f, (Min, Max, DotMinus, TruncPlus, AbsDiff)):
-        return lcm(denominator(f.left, L), denominator(f.right, L))
-    raise TypeError(f"not a formula node: {f!r}")
+    D = lcm(*(denominator(g, L) for g in _children(f)))
+    return D * f.factor.denominator if isinstance(f, ScaleQ) else D
 
 
 @lru_cache(maxsize=256)

@@ -60,17 +60,12 @@ class Code:
 
 def encode(m: PresentedStructure, count: int) -> Code:
     """The first `count` coordinates of the encoded structure."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    # the enumeration is prefix-stable, so past the sum of n^arity
-    # coordinates inside the prefix the next one is the first outside it
+    # the enumeration is prefix-stable: its first sum of n^arity coordinates
+    # name only prefix points, and the next one is the first outside it
     inside = sum(m.n**rel.arity for rel in m.sig.relations)
     entries = index_enumeration(m.sig, min(count, inside + 1))
-    values = []
-    for e in entries:
-        if any(p >= m.n for p in e.tup):
-            where = (f" outside prefix 0..{m.n - 1}" if m.n
-                     else ", but the structure has no points")
-            raise IndexOutOfPrefixError(f"coordinate {e.relation}{e.tup} names a point{where}")
-        values.append(m.value(e.relation, e.tup))
-    return Code(entries, tuple(values))
+    if len(entries) > inside:
+        e = entries[inside]
+        where = f" outside prefix 0..{m.n - 1}" if m.n else ", but the structure has no points"
+        raise IndexOutOfPrefixError(f"coordinate {e.relation}{e.tup} names a point{where}")
+    return Code(entries, tuple(m.value(e.relation, e.tup) for e in entries))

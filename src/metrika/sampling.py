@@ -16,7 +16,8 @@ genericity curve once per n, each over the lattice it scores on (the
 kernel's D, the scan's L), so the builder's rows are what they read.  A
 rejection proposal is drawn on the stream ``randint`` would consume and
 checked flat, beside the prefix's distances, triple by triple; only an
-accepted one is added, row by row, through the builder's ``try_add``.
+accepted one is added, row by row, through the builder's ``add``, as the
+sequential law adds its rows.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def _law(prefix: PresentedStructure, k: int, spec: MeasureSpec, *grids: Fraction
     steps)`` would consume, into a flat list beside the prefix's
     distances.  It checks the triangle inequality there on each triple
     naming a new point; only an accepted draw is split into rows, each
-    still added by ``try_add``.  A draw's integers scale with the
+    still added by ``add``.  A draw's integers scale with the
     lattice, so a larger one draws the same rationals."""
     start = MetricBuilder(prefix, spec.grid, *grids)
     (g,) = scaled([spec.grid], start.L)
@@ -135,10 +136,8 @@ def _law(prefix: PresentedStructure, k: int, spec: MeasureSpec, *grids: Fraction
                     break
             else:
                 b = start.copy()
-                note = {"sampler": "rejection"}
-                for j, row in enumerate(new_rows, base):
-                    if not b.try_add([flat[x] for x in row], note):
-                        raise RuntimeError(f"try_add refused row {j} of a checked draw")
+                for row in new_rows:
+                    b.add([flat[x] for x in row], note={"sampler": "rejection"})
                 return b
         raise RejectionBudgetExceededError(
             f"rejection sampler: no {end}-point metric space accepted "

@@ -165,7 +165,10 @@ def validate(m: PresentedStructure) -> ValidationReport:
 
 def tuples_naming(n: int, arity: int, first_new: int) -> list[tuple[int, ...]]:
     """Tuples of `arity` points of 0..n-1 naming a point >= first_new, in
-    lex order, built directly rather than by filtering every tuple."""
+    lex order, built directly rather than by filtering every tuple: all of
+    them, the empty tuple at arity 0, when first_new <= 0."""
+    if first_new <= 0:
+        return list(product(range(n), repeat=arity))
     if arity == 0:
         return []
     tail = tuples_naming(n, arity - 1, first_new)
@@ -400,18 +403,9 @@ def to_json(m: PresentedStructure, include_provenance=False) -> dict:
         "tables": m._remap(literal),
     }
     if include_provenance:
-        obj["provenance"] = [_jsonable(rec) for rec in m.provenance_log]
+        # records are JSON values; json writes their tuples as lists
+        obj["provenance"] = list(m.provenance_log)
     return obj
-
-
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 def _arity(rel: dict) -> int:

@@ -172,10 +172,9 @@ def _ec_close_metric(seed, budget, rng_seed, *, config_sizes, config_grid, eps, 
             continue
         r, k = scan.rows[t_idx], len(pts)
         targets = [r[a][k] for a in range(k)]
-        old_n = b.n
         note = {"task": t_idx, "tuple": pts}
         _add_metric_witness(b, targets, pts, grid_l, config_grid_l, eps_l, delta_l, rng, note)
-        queue.extend(scan.obligations(b.rows, first_new=old_n))
+        queue.extend(scan.obligations(b.rows, first_new=b.n - 1))
     return b.freeze()
 
 
@@ -197,9 +196,11 @@ def _add_metric_witness(b, targets, pts, grid, config_grid, eps, delta, rng, not
     All distances are steered onto half-grid levels that sit more than
     delta away from the task grid: tuples through the new point then
     never re-trigger obligations, so the worklist provably drains and the
-    closure is a finite fixpoint.  If no steered row is admissible (off
-    the default grids) the repaired Katetov row is added instead, with
-    slack 3 delta/2 = eps.
+    closure is a finite fixpoint.  Each candidate is within eps of its
+    target, and ``admissible`` makes a repeated anchor's candidates
+    equal, so every steered row is within eps.  If no steered row is
+    admissible (off the default grids) the repaired Katetov row is added
+    instead, with slack 3 delta/2 = eps.
     """
     rows, cap = b.rows, b.L - grid
 
@@ -225,8 +226,6 @@ def _add_metric_witness(b, targets, pts, grid, config_grid, eps, delta, rng, not
         for p, c in zip(pts, combo):
             s[p] = c
         if any(v <= 0 for v in s):
-            continue
-        if any(abs(s[p] - t) > eps for p, t in zip(pts, targets)):
             continue
         if b.try_add(s, note):
             return

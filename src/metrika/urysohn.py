@@ -104,17 +104,14 @@ class ObligationScan:
     def obligations(self, d, first_new: int = 0):
         """Every (theta_index, pts) whose anchor tuple pts realizes theta's
         restriction within delta, configuration-major with tuples in
-        product order.  With first_new > 0, only the tuples naming a point
-        >= first_new (so never the empty tuple)."""
+        lex order: those naming a point >= first_new, so the empty tuple
+        only when first_new is 0."""
         delta, n = self._delta, len(d)
         anchors = {}
         for k, keys in self._groups.items():
             pairs = list(combinations(range(k), 2))
-            if first_new:
-                tuples = tuples_naming(n, k, first_new)
-            else:
-                tuples = product(range(n), repeat=k)
-            scored = [(pts, [d[pts[i]][pts[j]] for i, j in pairs]) for pts in tuples]
+            scored = [(pts, [d[pts[i]][pts[j]] for i, j in pairs])
+                      for pts in tuples_naming(n, k, first_new)]
             for key in keys:
                 anchors[k, key] = [
                     pts

@@ -56,6 +56,7 @@ from references import (
     config_formula,
     extend_with_distances,
     katetov_extension,
+    paley_seed,
     restrict,
     sample_one_point,
 )
@@ -199,29 +200,34 @@ def test_c04_urysohn_approximant_fully_saturated():
                 ), (theta.r, pts)
 
 
+def unmet_axiom(g, max_size):
+    """The first (A, B) with |A| + |B| <= max_size that no vertex of g
+    outside A and B extends (joined to all of A, to none of B), or None
+    when g meets every such axiom; written out longhand."""
+    r = g.tables["R"]
+    adj = [{j for j in range(g.n) if j != i and r[(i, j)] == ZERO} for i in range(g.n)]
+    for size in range(1, max_size + 1):
+        for sub in combinations(range(g.n), size):
+            for split in range(1 << size):
+                a = {v for k, v in enumerate(sub) if split >> k & 1}
+                b = set(sub) - a
+                if not any(a <= adj[z] and not (b & adj[z]) for z in range(g.n) if z not in sub):
+                    return a, b
+    return None
+
+
 def test_c05_random_graph_special_case():
     with criterion("C5 random-graph axioms + depth-6 back-and-forth"):
+        # the axiom check's controls: P(29) is 3-e.c., P(13) is not
+        assert unmet_axiom(paley_seed(29), 3) is None
+        assert unmet_axiom(paley_seed(13), 3) is not None
         outs = [
             ec_close(graph_seed(1), graph_spec(max_size=3), budget=2_000_000,
                      rng_seed=s)
             for s in (0, 1)
         ]
         for g in outs:
-            r = g.tables["R"]
-            adj = [
-                {j for j in range(g.n) if j != i and r[(i, j)] == ZERO}
-                for i in range(g.n)
-            ]
-            for size in range(1, 4):
-                for sub in combinations(range(g.n), size):
-                    for split in range(1 << size):
-                        a = {v for k, v in enumerate(sub) if split >> k & 1}
-                        b = set(sub) - a
-                        assert any(
-                            a <= adj[z] and not (b & adj[z])
-                            for z in range(g.n)
-                            if z not in sub
-                        ), (a, b)
+            assert unmet_axiom(g, 3) is None
         res = back_and_forth(outs[0], outs[1], eps=F(1, 2), depth=6)
         assert res.status == "success"
         assert res.correspondence.distortion < ONE

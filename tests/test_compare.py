@@ -57,6 +57,15 @@ class TestDistortion:
         with pytest.raises(ValueError):
             distortion([(0, 0), (0, 1)], THREE, THREE)
 
+    def test_signature_mismatch_rejected_both_ways(self):
+        # a graph against a metric-only space: one order looked up R in the
+        # space (KeyError), the other silently compared d alone
+        from metrika import graph_seed, metric_seed
+
+        for m, n in ((graph_seed(1), metric_seed(1)), (metric_seed(1), graph_seed(1))):
+            with pytest.raises(ValueError, match="structures must share a signature"):
+                distortion([(0, 0)], m, n)
+
     def test_matches_brute_force_on_random_spaces(self):
         spec = MeasureSpec(kind="sequential", grid=F(1, 8), seed=0)
         for t in range(50):

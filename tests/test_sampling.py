@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from metrika import (
+    ExtensionViolatesAxiomsError,
     MeasureSpec,
     RejectionBudgetExceededError,
     genericity_frequency,
@@ -133,10 +134,12 @@ class TestSampleSpace:
 
     def test_checked_draw_refused_by_the_builder_is_an_error(self, monkeypatch):
         # a draw the flat check accepted is added, never redrawn behind
-        # try_add's back
+        # the builder's back: its refusal raises, carrying the report of a
+        # valid structure
         monkeypatch.setattr(MetricBuilder, "try_add", lambda self, row, note: False)
-        with pytest.raises(RuntimeError, match="try_add refused row 1"):
+        with pytest.raises(ExtensionViolatesAxiomsError) as got:
             sample_space(3, REJ)
+        assert got.value.report.ok
 
     def test_full_support_on_coarse_grid(self):
         # every 1/2-grid value of d(0,1) shows up among 2-point samples

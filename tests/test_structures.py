@@ -27,6 +27,7 @@ from metrika.structures import (
     load,
     save,
     to_json,
+    tuples_naming,
     validate,
 )
 
@@ -627,3 +628,24 @@ def test_structures_equal_over_different_lattices_are_equal():
     assert from_json(to_json(frozen)) == want
     assert is_prefix(from_distance_matrix([[0, F(1, 2)], [F(1, 2), 0]]), frozen)
     assert not is_prefix(from_distance_matrix([[0, F(1, 4)], [F(1, 4), 0]]), frozen)
+
+
+# ------------------------------------------------------------ tuples_naming
+
+
+def test_tuples_naming_at_arity_0_is_the_empty_tuple_only_when_every_tuple_counts():
+    for n in range(3):
+        for first_new in (-1, 0):
+            assert tuples_naming(n, 0, first_new) == [()]
+        for first_new in range(1, n + 2):
+            assert tuples_naming(n, 0, first_new) == []
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_tuples_naming_is_the_filtered_product(n):
+    for arity in range(4):
+        for first_new in range(-1, n + 2):
+            every = product(range(n), repeat=arity)
+            assert tuples_naming(n, arity, first_new) == [
+                t for t in every if first_new <= 0 or any(p >= first_new for p in t)
+            ]

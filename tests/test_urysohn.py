@@ -382,6 +382,19 @@ def brute_force_obligations(m, configs, eps, first_new):
     return out
 
 
+def test_size_one_configuration_anchors_the_empty_tuple_only_at_first_new_0():
+    # a size-1 configuration's restriction has no points: its one anchor
+    # tuple is (), which names no point, so only a full scan yields it
+    point, pair = config([[0]]), config([[0, "1/2"], ["1/2", 0]])
+    m = space([[0, "1/2", 1], ["1/2", 0, "1/2"], [1, "1/2", 0]])
+    scan, rows = scan_over(m, [point, pair], F(1, 8))
+    assert list(scan.obligations(rows)) == [(0, ()), (1, (0,)), (1, (1,)), (1, (2,))]
+    for first_new in range(1, m.n + 1):
+        assert list(scan.obligations(rows, first_new)) == [
+            (1, (p,)) for p in range(first_new, m.n)
+        ]
+
+
 @given(obligation_instances())
 @settings(max_examples=300)
 def test_obligations_match_brute_force_scan(inst):
