@@ -6,10 +6,12 @@ coded once in `structures.admissible` and `structures.admissible_interval`.
 A distance configuration of size n is the formula
 max_{i<j} |d(x_i, x_j) - r_ij| for a rational distance matrix r; realizing
 it within eps places n points at the prescribed mutual distances up to eps.
-Both sides run on integers, on a space's square rows (``rows[i][j]`` is
-d(i, j) * L, a structure's ``rows["d"]`` or a builder's rows):
-``ObligationScan`` scores configurations, and ``katetov_row`` builds the
-witness row that ``MetricBuilder.try_add`` checks.
+A configuration holds r as integer rows over its least lattice, and the
+corpus ``all_configurations`` builds only valid ones.  Both sides run on
+integers, on a space's square rows (``rows[i][j]`` is d(i, j) * L, a
+structure's ``rows["d"]`` or a builder's rows): ``ObligationScan`` scores
+configurations, and ``katetov_row`` builds the witness row that
+``MetricBuilder.try_add`` checks.
 """
 
 from __future__ import annotations
@@ -17,27 +19,59 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, product
+from functools import cache
+from itertools import chain, combinations
+from math import gcd, lcm
 
 from .errors import SizeMismatchError
 from .rationals import ONE, ZERO, literal_parser, parse_rational
-from .structures import PresentedStructure, admissible, lattice, scaled, tuples_naming
+from .structures import (
+    PresentedStructure,
+    admissible,
+    admissible_interval,
+    lattice,
+    scaled,
+    tuples_naming,
+)
 
 
-@dataclass(frozen=True)
 class DistanceConfiguration:
-    """Symmetric rational distance matrix of diameter <= 1, zero diagonal."""
+    """Symmetric rational distance matrix of diameter <= 1, zero diagonal,
+    held as its least lattice L and integer rows over L, as a structure
+    holds its tables: ``rows[i][j]`` is r_ij * L.  Fractions appear only
+    at the edges: the constructor and ``from_json`` read rationals, and
+    ``r`` and ``to_json`` make one per distinct integer."""
 
-    r: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("L", "rows", "_r")
+
+    def __init__(self, r):
+        """r: the matrix as rows of rationals."""
+        L = lattice(chain.from_iterable(r))
+        self._hold(L, tuple(tuple(scaled(row, L)) for row in r))
+
+    @staticmethod
+    def over(L: int, rows) -> "DistanceConfiguration":
+        """The configuration whose rows, tuples of integers, are over L,
+        held over its least lattice."""
+        g = gcd(L, *chain.from_iterable(rows))
+        if g > 1:
+            L, rows = L // g, tuple(tuple(x // g for x in row) for row in rows)
+        theta = object.__new__(DistanceConfiguration)
+        theta._hold(L, rows)
+        return theta
+
+    def _hold(self, L: int, rows) -> None:
+        self.L, self.rows, self._r = L, rows, None
+        self.__post_init__()
 
     def __post_init__(self):
-        n = len(self.r)
-        for row in self.r:
+        """The checks, run once on every construction path, on the integers.
+        It keeps the dataclass hook's name, which perfbench's tracer wraps."""
+        L, s = self.L, self.rows
+        n = len(s)
+        for row in s:
             if len(row) != n:
                 raise ValueError("distance matrix must be square")
-        # the checks read the entries as integers over their lcm L
-        L = lattice(chain.from_iterable(self.r))
-        s = [scaled(row, L) for row in self.r]
         for i in range(n):
             if s[i][i] != 0:
                 raise ValueError(f"nonzero diagonal at {i}")
@@ -46,17 +80,43 @@ class DistanceConfiguration:
                     raise ValueError(f"entry ({i},{j}) outside [0,1]")
                 if s[i][j] != s[j][i]:
                     raise ValueError(f"asymmetric at ({i},{j})")
-        # the triangle inequality: each row is admissible over its prefix
-        for k in range(n):
+        # the triangle inequality: each row is admissible over its prefix,
+        # as any row over fewer than two points is
+        for k in range(2, n):
             if not admissible(s, s[k][:k]):
                 raise ValueError(f"triangle violated by point {k}")
 
     @property
     def n(self) -> int:
-        return len(self.r)
+        return len(self.rows)
 
-    def to_json(self):
-        return [[*map(str, row)] for row in self.r]
+    @property
+    def r(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The matrix as rows of Fractions, built on first read."""
+        if self._r is None:
+            L = self.L
+            value = {x: Fraction(x, L) for x in set(chain.from_iterable(self.rows))}
+            self._r = tuple(tuple(map(value.__getitem__, row)) for row in self.rows)
+        return self._r
+
+    def __eq__(self, other):
+        # the least lattice makes (L, rows) one value per matrix r
+        if not isinstance(other, DistanceConfiguration):
+            return NotImplemented
+        return self.L == other.L and self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.L, self.rows))
+
+    def __repr__(self):
+        return f"DistanceConfiguration(r={self.r!r})"
+
+    def to_json(self, literal=None):
+        """The rows as literals, each made once per distinct integer by
+        literal, a memo of ``_literal`` that configurations may share."""
+        literal = literal or cache(_literal)
+        L = self.L
+        return [[literal(x, L) for x in row] for row in self.rows]
 
     @staticmethod
     def from_json(rows, parse=parse_rational) -> "DistanceConfiguration":
@@ -64,7 +124,18 @@ class DistanceConfiguration:
             raise ValueError(f"a configuration is a list of rows, got {rows!r}")
         if not rows:
             raise ValueError("a configuration needs at least one point")
-        return DistanceConfiguration(tuple(tuple(parse(v) for v in row) for row in rows))
+        # parse raises on a non-string, so the keys are the distinct literals
+        value = {v: parse(v) for row in rows for v in row}
+        L = lattice(value.values())
+        integer = dict(zip(value, scaled(value.values(), L)))
+        return DistanceConfiguration.over(
+            L, tuple(tuple(map(integer.__getitem__, row)) for row in rows)
+        )
+
+
+def _literal(x: int, L: int) -> str:
+    """The literal of the rational x / L."""
+    return str(Fraction(x, L))
 
 
 class ObligationScan:
@@ -72,14 +143,16 @@ class ObligationScan:
     scored in integers over one denominator ``self.L``.
 
     The scan is built over the denominator L of the space it reads:
-    ``self.L`` is the lcm of L and the configurations' denominators, and
-    eps, delta and every configuration row (``rows``) are scaled to it
-    once, here.  A space is its square rows ``d``, ``d[i][j]`` the integer
-    d(i, j) over ``self.L``, as ``m.rows_over(self.L)["d"]`` gives them or
-    a ``MetricBuilder`` whose grids include the configurations' keeps
-    them.  Each distance error is then an integer over ``self.L``, and it
-    is within eps (or delta) exactly when it is at most floor(eps * L).
-    The configurations are grouped by restriction once, too.
+    ``self.L`` is the lcm of L and the configurations' lattices, eps and
+    delta are scaled to it, and each configuration's integer rows
+    (``rows``) are multiplied up to it, or taken as they are when its
+    lattice is ``self.L``, once, here.  A space is its square rows
+    ``d``, ``d[i][j]`` the integer d(i, j) over ``self.L``, as
+    ``m.rows_over(self.L)["d"]`` gives them or a ``MetricBuilder`` whose
+    grids include the configurations' keeps them.  Each distance error
+    is then an integer over ``self.L``, and it is within eps (or delta)
+    exactly when it is at most floor(eps * L).  The configurations are
+    grouped by restriction once, too.
     """
 
     def __init__(self, configs, eps, L: int):
@@ -88,9 +161,13 @@ class ObligationScan:
         delta = delta_for(eps)
         if any(theta.n < 1 for theta in configs):
             raise SizeMismatchError("an empty configuration has no restriction")
-        self.L = L = lattice((v for theta in configs for row in theta.r for v in row), L)
+        self.L = L = lcm(L, *(theta.L for theta in configs))
         self._eps, self._delta = scaled((eps, delta), L)
-        self.rows = [[scaled(row, L) for row in theta.r] for theta in configs]
+        self.rows = [
+            theta.rows if theta.L == L
+            else tuple(tuple(map((L // theta.L).__mul__, row)) for row in theta.rows)
+            for theta in configs
+        ]
         # per configuration its restriction (k, the k x k upper triangle);
         # per anchor count k the distinct restrictions, in first-seen order
         self._keys = []
@@ -210,27 +287,43 @@ def extension_property_report(
 
 def all_configurations(n: int, denominator: int, include_zero=False):
     """Every valid distance configuration of size n with entries on the
-    1/denominator grid (off-diagonal entries positive unless include_zero)."""
+    1/denominator grid (off-diagonal entries positive unless include_zero),
+    in lex order of the entries above the diagonal, row by row.
+
+    Only valid ones are built: the pairs are filled in that order, depth
+    first, and pair (i, j) is the last pair of every triangle (h, i, j)
+    with h < i, so its values that keep each of them a triangle are the
+    one interval ``admissible_interval`` gives for d(i, j) over the
+    distances d(h, j), h < i."""
     if n < 1:
         raise ValueError("configuration size must be >= 1")
-    start = 0 if include_zero else 1
-    grid = [Fraction(k, denominator) for k in range(start, denominator + 1)]
+    if denominator < 1:
+        raise ValueError(f"grid denominator must be >= 1, got {denominator}")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     out = []
-    for values in product(grid, repeat=len(pairs)):
-        rows = [[ZERO] * n for _ in range(n)]
-        for (i, j), v in zip(pairs, values):
-            rows[i][j] = rows[j][i] = v
-        try:
-            out.append(DistanceConfiguration(tuple(map(tuple, rows))))
-        except ValueError:  # breaks the triangle inequality
-            pass
+    _fill([[0] * n for _ in range(n)], pairs, 0, 0 if include_zero else 1, denominator, out)
     return out
+
+
+def _fill(d, pairs, p, start, q, out) -> None:
+    """Append to out every valid completion of the integer rows d over q
+    whose pairs before pairs[p] are set, each entry in start..q."""
+    if p == len(pairs):
+        out.append(DistanceConfiguration.over(q, tuple(map(tuple, d))))
+        return
+    i, j = pairs[p]
+    lo, hi = admissible_interval(d, d[j][:i], q)
+    row_i, row_j = d[i], d[j]
+    for v in range(max(lo, start), hi + 1):
+        row_i[j] = row_j[i] = v
+        _fill(d, pairs, p + 1, start, q, out)
 
 
 def save_configurations(configs, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump([c.to_json() for c in configs], fh, indent=2)
+        # one literal per distinct integer and lattice in the file
+        literal = cache(_literal)
+        json.dump([c.to_json(literal) for c in configs], fh, indent=2)
 
 
 def load_configurations(path):
