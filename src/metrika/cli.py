@@ -39,7 +39,7 @@ def _emit(verb, inputs, fields, out=None) -> None:
     obj = {"verb": verb, "version": REPORT_VERSION}
     if inputs:
         obj["inputs"] = {str(p): _hash_file(p) for p in inputs}
-    text = json.dumps({**obj, **fields}, indent=2)
+    text = structures.json_text({**obj, **fields})
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

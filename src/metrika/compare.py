@@ -16,10 +16,16 @@ the candidate side, a pattern of matched points with the new position
 left open; the candidates c keeping |T[pattern filled with c] - v| within
 eps form one bitmask, built by one scan of the candidate side the first
 time that (side, relation, pattern, v) comes up in a call.  The AND of a
-source's masks is its set of passing candidates, found once per source
-rather than once per candidate.  Nodes still count every candidate the
-one-by-one search would have tried: each visited candidate charges the
-run of unmatched points up to it, and a finished source the rest.
+source's masks is its set of passing candidates.  A side's sources come
+back two turns later with the same points before them, so on entering a
+turn the search computes every unmatched source's set once, as its set
+from that side's last turn ANDed with the masks of the tuples naming one
+of the two pairs added since; a source whose set is already empty costs no
+lookup.  Nodes still count every candidate the one-by-one search would
+have tried: each visited candidate charges the run of unmatched points up
+to it, a finished source the rest, and the sources with no passing
+candidate are charged in one batch before the next source that has one,
+or at the end of the turn.
 """
 
 from __future__ import annotations
@@ -103,12 +109,14 @@ def back_and_forth(
     therefore symmetric in m and n); "budget-exhausted" means it ran out
     of nodes first.
 
-    Each source's passing candidates are one AND of memoised bitmasks
-    (see the module docstring), but `nodes_explored` counts one node per
-    candidate tried, passing or not, as a one-by-one search would, and a
-    budget stop reports node_budget + 1 nodes.  Raises ValueError for
-    structures of different signatures, depth < 1, eps < 0 or
-    node_budget < 1.
+    Each source's passing candidates are its set from its side's last turn
+    ANDed with the memoised bitmasks of the tuples through the two pairs
+    added since (see the module docstring).  `nodes_explored` still counts
+    one node per candidate tried, passing or not, as a one-by-one search
+    would (the sources with none are charged in one batch, which stops at
+    the same count), and a budget stop reports node_budget + 1 nodes.
+    Raises ValueError for structures of different signatures, depth < 1,
+    eps < 0 or node_budget < 1.
     """
     if m.sig != n.sig:
         raise ValueError("structures must share a signature")
@@ -124,11 +132,14 @@ def back_and_forth(
     L = lcm(m.L, n.L)
     (threshold,) = scaled([eps], L)
     tables = (m.rows_over(L), n.rows_over(L))
-    # newest[k]: the tuples through the last of k matched points; over
-    # every k <= depth there are depth**arity of them, no more than a table
+    # fresh[k]: the tuples over positions 0..k naming k that turn k's source
+    # meets for the first time: all of them for k < 2, else those naming
+    # k - 1 or k - 2 too.  Each other one, read with k as k - 2, is a tuple
+    # its side's turn k - 2 met, over the same points.
     rels = [
         (r.name, [t[r.name] for t in tables],
-         [tuples_naming(k, r.arity, k - 1) for k in range(depth + 1)])
+         [[t for t in tuples_naming(k + 1, r.arity, k) if k < 2 or k - 1 in t or k - 2 in t]
+          for k in range(depth)])
         for r in m.sig.relations
     ]
     sizes = (m.n, n.n)
@@ -137,6 +148,9 @@ def back_and_forth(
     nodes = 0
     best_stuck = ()
     masks = {}  # (candidate side, relation, pattern, v) -> passing points
+    # levels[k][s]: the passing candidates of source s on turn k, set on
+    # each entry to turn k, so always those of the current path
+    levels = [None] * depth
 
     def scan(table, size, pattern, v):
         # the points c with |table[pattern, c in its open positions] - v| <= eps
@@ -149,13 +163,13 @@ def back_and_forth(
                 bits |= 1 << c
         return bits
 
-    def passing(k, side, src, dst, free):
-        # the points of `free` that extend the k matched pairs plus source
-        # src[k]; dst[k] is -1, the open position of every pattern
+    def narrow(k, side, src, dst, ok):
+        # the points of `ok` that pass the fresh tuples of turn k with
+        # source src[k]; dst[k] is -1, the open position of every pattern
         other = 1 - side
-        for name, tabs, newest in rels:
+        for name, tabs, fresh in rels:
             table = tabs[side]
-            for idx in newest[k + 1]:
+            for idx in fresh[k]:
                 pattern = tuple(map(dst.__getitem__, idx))
                 v = table
                 for i in idx:
@@ -164,10 +178,10 @@ def back_and_forth(
                 bits = masks.get(key)
                 if bits is None:
                     bits = masks[key] = scan(tabs[other], sizes[other], pattern, v)
-                free &= bits
-                if not free:
+                ok &= bits
+                if not ok:
                     return 0
-        return free
+        return ok
 
     def charge(count):
         nonlocal nodes
@@ -187,10 +201,25 @@ def back_and_forth(
         for j in dst:
             free ^= 1 << j
         sources = [i for i in range(sizes[side]) if i not in src]
+        src.append(-1)
+        dst.append(-1)
+        carried = levels[k - 2] if k >= 2 else [free] * sizes[side]
+        level = levels[k] = [0] * sizes[side]
         for s in sources:
-            src.append(s)
-            dst.append(-1)
-            ok = passing(k, side, src, dst, free)
+            ok = carried[s] & free
+            if ok:
+                src[k] = s
+                level[s] = narrow(k, side, src, dst, ok)
+        whole = free.bit_count()
+        idle = 0  # sources with no passing candidate, not yet charged
+        for s in sources:
+            ok = level[s]
+            if not ok:
+                idle += 1
+                continue
+            charge(idle * whole)
+            idle = 0
+            src[k] = s
             rest = free  # the candidates not yet charged
             while ok:
                 low = ok & -ok
@@ -202,8 +231,9 @@ def back_and_forth(
                     return True
                 ok ^= low
             charge(rest.bit_count())
-            dst.pop()
-            src.pop()
+        charge(idle * whole)
+        dst.pop()
+        src.pop()
         if k >= len(best_stuck):
             best_stuck = tuple(zip(left, right))
         return False

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain, product
+from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
 from operator import sub
 from types import MappingProxyType
@@ -442,9 +443,45 @@ def from_json(obj: dict) -> PresentedStructure:
     return PresentedStructure(sig, n, *_integers(sig, n, obj["tables"], read, parse))
 
 
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for a JSON value whose
+    dict keys are strings; tuples are written as lists.  The standard
+    library indents in pure Python, with closures that refer to each other,
+    so each call there leaves cyclic garbage; this writer leaves none."""
+    parts = []
+    _json_parts(obj, "\n", parts)
+    return "".join(parts)
+
+
+def _json_parts(obj, newline, parts) -> None:
+    if isinstance(obj, str):
+        parts.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = newline + "  "
+        if all(isinstance(x, str) for x in obj):  # a row of literals, in one join
+            parts.append("[" + inner + ("," + inner).join(map(encode_basestring_ascii, obj)))
+        else:
+            sep = "[" + inner
+            for x in obj:
+                parts.append(sep)
+                _json_parts(x, inner, parts)
+                sep = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(obj, dict) and obj:
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, x in obj.items():
+            parts.append(sep + encode_basestring_ascii(key) + ": ")
+            _json_parts(x, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    else:  # a number, true, false, null, [] or {}
+        parts.append(json.dumps(obj))
+
+
 def save(m: PresentedStructure, path, include_provenance=False) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json(m, include_provenance), fh, indent=2)
+        fh.write(json_text(to_json(m, include_provenance)))
 
 
 def load(path) -> PresentedStructure:

@@ -29,6 +29,7 @@ from .structures import (
     PresentedStructure,
     admissible,
     admissible_interval,
+    json_text,
     lattice,
     scaled,
     tuples_naming,
@@ -323,7 +324,7 @@ def save_configurations(configs, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         # one literal per distinct integer and lattice in the file
         literal = cache(_literal)
-        json.dump([c.to_json(literal) for c in configs], fh, indent=2)
+        fh.write(json_text([c.to_json(literal) for c in configs]))
 
 
 def load_configurations(path):

@@ -1,6 +1,7 @@
 """End-to-end tests for the metrika command line."""
 
 import argparse
+import gc
 import io
 import json
 import os
@@ -1057,3 +1058,23 @@ def test_argv_fuzz_exits_with_a_documented_code(fuzz_dir, argv):
     assert code in (0, 1, 2, 3, 4), (argv, code)
     assert code != 1 or argv[0] in ("check", "validate", "report", "compare"), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_emit_leaves_no_cyclic_garbage(tmp_path, capsys, to_file):
+    # with the collector off, a cycle the call leaves behind is still there
+    # for the second collect to find
+    out = str(tmp_path / "report.json") if to_file else None
+    fields = {"status": "success", "pairs": [[0, 1], [1, 0]], "distortion": "1/2"}
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        cli._emit("compare", [], fields, out)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    text = Path(out).read_text(encoding="utf-8") if to_file else capsys.readouterr().out
+    assert text == json.dumps({"verb": "compare", "version": cli.REPORT_VERSION, **fields},
+                              indent=2) + "\n"

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from metrika import (
     MeasureSpec,
@@ -262,14 +262,45 @@ def _structure_pairs(draw):
     return structure(), structure()
 
 
+def _unary_pair(a_d, a_p, b_d, b_p):
+    """Two structures over d and a unary P, each table given as its values
+    in lex order of the index tuples, one string of literals."""
+    sig = Signature((Relation("d", 2, ONE), Relation("P", 1, ONE)))
+
+    def structure(d, p):
+        d, p = [F(x) for x in d.split()], [F(x) for x in p.split()]
+        return from_tables(sig, len(p), {
+            "d": dict(zip(product(range(len(p)), repeat=2), d)),
+            "P": {(i,): x for i, x in enumerate(p)},
+        })
+
+    return structure(a_d, a_p), structure(b_d, b_p)
+
+
 @settings(max_examples=400)
 @given(
     _structure_pairs(),
     st.sampled_from(EPSILONS),
-    st.integers(1, 5),
+    # past depth 2 each side's turns carry its sources' candidates forward
+    st.integers(1, 7),
     # small budgets stop inside a run of rejected candidates
     st.one_of(st.integers(1, 120), st.just(100_000)),
 )
+# the budget stops inside a batch of idle sources (no passing candidate)
+# on turn 2: here at the second of the three that end the turn, each
+# charged 1 node
+@example(_unary_pair("1 0 1 1/2 0  5/6 0 1/4 1 1/4  5/6 1/4 1/3 0 3/4  1 1/4 3/4 3/4 1/2"
+                     "  3/4 0 1/4 0 1/4", "1/3 1/3 1 1/2 1/3",
+                     "3/4 2/3 5/6  5/6 1/3 1/3  0 2/3 1/2", "1 5/6 1/3"),
+         F(1, 2), 3, 42)
+# ... and here at the second of three, each charged 2 nodes, that come
+# before a source with passing candidates
+@example(_unary_pair("1 1/4 1 2/3 0 3/4  2/3 1/2 2/3 1/2 2/3 1/2  0 1 3/4 2/3 1/4 1"
+                     "  1/2 1/2 2/3 3/4 5/6 0  1/4 0 1 3/4 3/4 5/6  1/3 1/2 3/4 2/3 1 0",
+                     "3/4 1/2 1/2 2/3 5/6 3/4",
+                     "0 2/3 5/6 1/2  5/6 3/4 5/6 0  5/6 0 1/3 1  5/6 1/4 3/4 1",
+                     "1/4 1/2 3/4 1/2"),
+         F(1, 3), 4, 30)
 def test_integer_search_matches_rational_reference(pair, eps, depth, node_budget):
     m, n = pair
     got = back_and_forth(m, n, eps, depth, node_budget=node_budget)
@@ -288,6 +319,20 @@ def test_graph_closures_match_reference_at_workload_size():
     assert got.status == "budget-exhausted"
     assert got.nodes_explored == 10_001
     assert got == _reference_back_and_forth(a, b, HALF, 12, 10_000)
+
+
+def test_metric_closures_match_reference_at_workload_size():
+    # the urysohn-pipeline's compare: 9 against 11 points, eight turns deep
+    from metrika import ec_close, empty_metric_spec, metric_seed
+
+    spec = empty_metric_spec(config_grid=F(1, 8), eps=F(1, 16), grid=F(1, 16))
+    a = ec_close(metric_seed(1), spec, 30, rng_seed=0)
+    b = ec_close(metric_seed(1), spec, 30, rng_seed=1)
+    assert (a.n, b.n) == (9, 11)
+    got = back_and_forth(a, b, F(1, 16), 8, node_budget=20_000)
+    assert got.status == "budget-exhausted"
+    assert got.nodes_explored == 20_001
+    assert got == _reference_back_and_forth(a, b, F(1, 16), 8, 20_000)
 
 
 # ------------------------------------------------------ no cyclic garbage

@@ -1,3 +1,4 @@
+import gc
 import json
 from collections import Counter
 from fractions import Fraction as F
@@ -24,6 +25,7 @@ from metrika.structures import (
     entry,
     from_json,
     from_tables,
+    json_text,
     load,
     save,
     to_json,
@@ -649,3 +651,50 @@ def test_tuples_naming_is_the_filtered_product(n):
             assert tuples_naming(n, arity, first_new) == [
                 t for t in every if first_new <= 0 or any(p >= first_new for p in t)
             ]
+
+
+# ---------------------------------------------------------------- json_text
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+    # escapes, and text outside ASCII and the basic plane
+    st.sampled_from(["", "\"\\/\b\f\n\r\t", "\x00\x1f\x7f", "é", "\u2028", "\U0001f600"]),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(st.text(max_size=3), max_size=4),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@given(JSON_VALUES)
+def test_json_text_is_json_dumps_indented(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2)
+
+
+def test_json_text_refuses_what_json_refuses():
+    for obj in (F(1, 2), [1, {2, 3}], {"a": object()}):
+        with pytest.raises(TypeError):
+            json_text(obj)
+
+
+def test_save_leaves_no_cyclic_garbage(tmp_path):
+    # with the collector off, a cycle the call leaves behind is still there
+    # for the second collect to find
+    g = ec_close(graph_seed(1), graph_spec(3), 200, rng_seed=0)
+    path = tmp_path / "g.json"
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        save(g, path, include_provenance=True)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert path.read_text(encoding="utf-8") == json.dumps(to_json(g, True), indent=2)

@@ -449,12 +449,12 @@ def test_all_configurations_refuses_a_grid_below_one(n, denominator, include_zer
 
 
 # with the collector off, a cycle a call leaves behind is still there for
-# the second collect to find.  save_configurations is left out: the
-# indenting json encoder it writes its pinned bytes with leaves cycles of
-# its own
+# the second collect to find
 NO_CYCLE_CALLS = {
     "all_configurations": lambda path: all_configurations(4, 3),
     "load_configurations": load_configurations,
+    "save_configurations": lambda path: save_configurations(all_configurations(3, 4), path)
+    or path.stat().st_size,
     "extension_property_report": lambda path: extension_property_report(
         paley_metric(5), F(1, 8), all_configurations(3, 2)
     ).to_json()["total"],
